@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +61,7 @@ class RunConfig:
     domain: tuple = (0.0, 0.0, 1.0, 1.0)
     out_dir: Path = Path(".")
     snapshot_interval: float = 0.25
-    linear_solver: str = "lu"
+    linear_solver: str = "gmres"
     model: ModelParams = field(default_factory=ModelParams)
     kernel: KernelSpec | None = None
     caputo_order: float | None = None
@@ -74,20 +75,50 @@ class RunConfig:
     source: Path | None = None
 
 
-def _find_line(path, needle):
+def _find_line(path, key, section=None):
+    """Line of the option ``key`` (within ``section`` if given) or of the
+    section header ``[key]``; comment lines never match."""
     try:
-        for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if needle in line.split("=")[0] or line.strip().startswith(f"[{needle}]"):
-                return i
+        lines = Path(path).read_text().splitlines()
     except OSError:
-        pass
+        return None
+    current = None
+    for i, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text[0] in "#;":
+            continue
+        if text.startswith("["):
+            current = text[1:text.find("]")].strip()
+            if current == key:
+                return i
+        elif (re.split(r"[=:]", text, maxsplit=1)[0].strip().lower() == key
+              and section in (None, current)):
+            return i
     return None
 
 
-def _fail(path, message, key=None):
-    line = _find_line(path, key) if key else None
+def _fail(path, message, key=None, section=None):
+    line = _find_line(path, key, section) if key else None
     where = f"{path}:{line}" if line else str(path)
     raise ConfigError(f"{where}: {message}")
+
+
+def _build(path, section, cls, values):
+    """``cls(**values)``; a ValueError is reported at the line of the first
+    field that ``cls`` rejects on its own."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        key = next((k for k in values if _rejects(cls, k, values[k])), None)
+        _fail(path, str(exc), key, section)
+
+
+def _rejects(cls, key, value):
+    try:
+        cls(**{key: value})
+    except ValueError:
+        return True
+    return False
 
 
 def parse_config(path):
@@ -106,7 +137,7 @@ def parse_config(path):
             _fail(path, f"unknown section [{section}]", section)
         for key in cp[section]:
             if key not in _SCHEMA[section]:
-                _fail(path, f"unknown key '{key}' in section [{section}]", key)
+                _fail(path, f"unknown key '{key}' in section [{section}]", key, section)
 
     cfg = RunConfig()
     cfg.source = path
@@ -118,15 +149,15 @@ def parse_config(path):
             try:
                 return cast(raw)
             except (TypeError, ValueError) as exc:
-                _fail(path, f"bad value for {section}.{key}: {raw!r} ({exc})", key)
+                _fail(path, f"bad value for {section}.{key}: {raw!r} ({exc})", key, section)
         return default
 
     cfg.scheme = get("run", "scheme", str, cfg.scheme).lower()
     if cfg.scheme not in ("cr", "dg"):
-        _fail(path, f"scheme must be cr or dg, got {cfg.scheme!r}", "scheme")
+        _fail(path, f"scheme must be cr or dg, got {cfg.scheme!r}", "scheme", "run")
     cfg.case = get("run", "case", str, cfg.case).lower()
     if cfg.case not in _CASES:
-        _fail(path, f"case must be one of {_CASES}, got {cfg.case!r}", "case")
+        _fail(path, f"case must be one of {_CASES}, got {cfg.case!r}", "case", "run")
     cfg.mesh_n = get("run", "mesh_n", int, cfg.mesh_n)
     cfg.levels = get("run", "levels", int, cfg.levels)
     cfg.t_final = get("run", "t_final", float, cfg.t_final)
@@ -135,41 +166,37 @@ def parse_config(path):
     cfg.snapshot_interval = get("run", "snapshot_interval", float, cfg.snapshot_interval)
     cfg.linear_solver = get("run", "linear_solver", str, cfg.linear_solver)
     if cfg.linear_solver not in ("lu", "gmres"):
-        _fail(path, f"linear_solver must be lu or gmres", "linear_solver")
+        _fail(path, "linear_solver must be lu or gmres", "linear_solver", "run")
     cfg.out_dir = Path(get("run", "out_dir", str, str(cfg.out_dir)))
     domain_raw = get("run", "domain", str, None)
     if domain_raw is not None:
         parts = [p for p in domain_raw.replace(",", " ").split() if p]
         if len(parts) != 4:
-            _fail(path, "domain needs 4 numbers: xmin ymin xmax ymax", "domain")
+            _fail(path, "domain needs 4 numbers: xmin ymin xmax ymax", "domain", "run")
         cfg.domain = tuple(float(p) for p in parts)
-    if cfg.mesh_n < 1 or cfg.levels < 1 or cfg.n_steps < 1:
-        _fail(path, "mesh_n, levels and n_steps must be positive")
+    for key in ("mesh_n", "levels", "n_steps"):
+        if getattr(cfg, key) < 1:
+            _fail(path, f"{key} must be positive", key, "run")
     if not cfg.t_final > 0:
-        _fail(path, "t_final must be positive", "t_final")
+        _fail(path, "t_final must be positive", "t_final", "run")
 
-    try:
-        cfg.model = ModelParams(
-            nu=get("model", "nu", float, 1.0),
-            alpha=get("model", "alpha", float, 1.0),
-            beta=get("model", "beta", float, 1.0),
-            reaction_gamma=get("model", "reaction_gamma", float, 0.5),
-            delta=get("model", "delta", int, 1),
-            eta=get("model", "eta", float, 0.0),
-            penalty_gamma=get("model", "penalty_gamma", float, 40.0),
-        )
-    except ValueError as exc:
-        _fail(path, str(exc), "reaction_gamma")
+    cfg.model = _build(path, "model", ModelParams, dict(
+        nu=get("model", "nu", float, 1.0),
+        alpha=get("model", "alpha", float, 1.0),
+        beta=get("model", "beta", float, 1.0),
+        reaction_gamma=get("model", "reaction_gamma", float, 0.5),
+        delta=get("model", "delta", int, 1),
+        eta=get("model", "eta", float, 0.0),
+        penalty_gamma=get("model", "penalty_gamma", float, 40.0),
+    ))
 
     if cp.has_section("kernel") or cfg.model.eta > 0.0:
-        kind = get("kernel", "kind", str, "power")
-        mu = get("kernel", "mu", float, 0.5)
-        caputo = get("kernel", "caputo_order", float, None)
-        try:
-            cfg.kernel = KernelSpec(kind=kind, mu=mu, caputo_order=caputo)
-        except ValueError as exc:
-            _fail(path, str(exc), "mu")
-        cfg.caputo_order = caputo
+        cfg.kernel = _build(path, "kernel", KernelSpec, dict(
+            kind=get("kernel", "kind", str, "power"),
+            mu=get("kernel", "mu", float, 0.5),
+            caputo_order=get("kernel", "caputo_order", float, None),
+        ))
+        cfg.caputo_order = cfg.kernel.caputo_order
 
     cfg.newton_tol = get("newton", "tol", float, 1e-10)
     cfg.newton_cap = get("newton", "max_iter", int, 25)
@@ -182,6 +209,8 @@ def parse_config(path):
 
     cfg.reynolds = get("traveling_wave", "reynolds", float, 50.0)
     if cfg.case == "traveling_wave":
+        if not cfg.reynolds > 0:
+            _fail(path, "reynolds must be positive", "reynolds", "traveling_wave")
         cfg.model = ModelParams(
             nu=1.0 / cfg.reynolds, alpha=cfg.model.alpha, beta=cfg.model.beta,
             reaction_gamma=cfg.model.reaction_gamma, delta=cfg.model.delta,

@@ -4,9 +4,9 @@ Covers mass, broken-gradient stiffness, the symmetric interior penalty
 (SIPG) operator with its consistency/symmetry/penalty face terms, the
 skew-symmetrized convection form (volume only for CR, volume plus
 upwind flux for DG), the Huxley reaction term, and time-averaged load
-vectors.  Nonlinear terms carry analytic Jacobians; the DG flux
-Jacobian freezes the convection field at the current iterate so the
-absolute value in the upwind factor is never differentiated.
+vectors.  Nonlinear terms carry exact analytic Jacobians; the DG upwind
+factor 0.5*(w.n - |w.n|) is differentiated away from its kink w.n = 0,
+where its derivative is taken as zero.
 
 All assembly is vectorized over cells/edges and accumulates in a fixed
 order, so results are deterministic.
@@ -256,13 +256,19 @@ def convection_cr(space, u, params, need_jac=True):
     return res, _scatter_matrix(space, rows, cols, jac_cells)
 
 
+def _upwind_derivative(wn, us, nsum, delta):
+    """d/du_s of min(wn, 0) with wn = u_s^delta (1,1).n; zero at the kink."""
+    return np.where(wn < 0.0, delta * us ** (delta - 1) * nsum[:, None], 0.0)
+
+
 def convection_dg(space, u, params, boundary_values=None, need_jac=True):
     """DG convection: volume skew terms plus the upwind flux terms.
 
     The convection field is w = u^delta (1,1)^T evaluated from each
-    cell's own trace; the upwind factor 0.5*(w.n - |w.n|) is frozen at
-    the current iterate inside the Jacobian (Picard linearization of the
-    flux).  ``boundary_values`` supplies the exterior Dirichlet datum on
+    cell's own trace, and the upwind factor is c = 0.5*(w.n - |w.n|).
+    Off the kink w.n = 0 the Jacobian is exact, with
+    dc/du = delta u^(delta-1) (1,1).n where w.n < 0 and 0 where w.n >= 0.
+    ``boundary_values`` supplies the exterior Dirichlet datum on
     boundary faces; None means homogeneous.
     """
     uvals = as_values(u)
@@ -278,13 +284,14 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True):
     up, um, ub = space.traces(u, fd)
     nsum_p = fd.n_int[:, 0] + fd.n_int[:, 1]             # (1,1).n for plus side
 
+    W = w[None, :] * fd.h_int[:, None]
+    upwind = []                                          # (c, dc/du_self) per side
     for (us, uo, Ts, To, sdofs, odofs, nsum) in (
         (up, um, fd.Tp, fd.Tm, fd.pdofs, fd.mdofs, nsum_p),
         (um, up, fd.Tm, fd.Tp, fd.mdofs, fd.pdofs, -nsum_p),
     ):
         wn = (us ** delta) * nsum[:, None]               # (ne, nq)
         c = 0.5 * (wn - np.abs(wn))
-        W = w[None, :] * fd.h_int[:, None]
         # T2: int c (u_other - u_self) v_self
         r2 = np.einsum("eq,eq,eqi->ei", W, c * (uo - us), Ts)
         # T4: int c (v_other - v_self) u_self, subtracted
@@ -293,15 +300,25 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True):
         np.add.at(res, sdofs, scale * (r2 + r4s))
         np.add.at(res, odofs, -scale * r4o)
         if need_jac:
-            # frozen upwind factor; the same-side T2/T4 blocks cancel exactly
-            Wc = W * c
-            j2_other = scale * np.einsum("eq,eqi,eqj->eij", Wc, Ts, To)
-            pieces.append((_rows(sdofs).ravel(), _cols(odofs).ravel(), j2_other.ravel()))
-            pieces.append((_rows(odofs).ravel(), _cols(sdofs).ravel(),
-                           (-j2_other.transpose(0, 2, 1)).ravel()))
+            upwind.append((c, _upwind_derivative(wn, us, nsum, delta)))
 
-    # boundary faces: with frozen upwind factor the u-dependent parts cancel
-    # and the net residual contribution is int c * g * v ; with g = 0 it is 0.
+    if need_jac:
+        # side s adds scale*int c_s u_o v_s - scale*int c_s u_s v_o, c_s = c(u_s)
+        (cp, dcp), (cm, dcm) = upwind
+
+        def block(coef, Ta, Tb):
+            return scale * np.einsum("eq,eqi,eqj->eij", W * coef, Ta, Tb)
+
+        for rdofs, cdofs, blk in (
+            (fd.pdofs, fd.mdofs, block(cp - cm - dcm * um, fd.Tp, fd.Tm)),
+            (fd.mdofs, fd.pdofs, block(cm - cp - dcp * up, fd.Tm, fd.Tp)),
+            (fd.pdofs, fd.pdofs, block(dcp * um, fd.Tp, fd.Tp)),
+            (fd.mdofs, fd.mdofs, block(dcm * up, fd.Tm, fd.Tm)),
+        ):
+            pieces.append((_rows(rdofs).ravel(), _cols(cdofs).ravel(), blk.ravel()))
+
+    # boundary faces: the u-dependent flux parts cancel and the net residual
+    # contribution is int c * g * v ; with g = 0 it is 0.
     if boundary_values is not None and len(fd.bnd_edges):
         nsum_b = fd.n_bnd[:, 0] + fd.n_bnd[:, 1]
         wn = (ub ** delta) * nsum_b[:, None]
@@ -309,6 +326,10 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True):
         Wb = w[None, :] * fd.h_bnd[:, None]
         rb = np.einsum("eq,eq,eqi->ei", Wb, c * boundary_values, fd.Tb)
         np.add.at(res, fd.bdofs, scale * rb)
+        if need_jac:
+            Wdg = Wb * _upwind_derivative(wn, ub, nsum_b, delta) * boundary_values
+            j_bb = scale * np.einsum("eq,eqi,eqj->eij", Wdg, fd.Tb, fd.Tb)
+            pieces.append((_rows(fd.bdofs).ravel(), _cols(fd.bdofs).ravel(), j_bb.ravel()))
 
     if not need_jac:
         return res, None

@@ -8,6 +8,10 @@ Each step solves
 
 with A the CR stiffness or the SIPG operator, B/C the convection and
 reaction forms.  The j = k memory contribution enters the Newton matrix.
+Its constant part (mass, stiffness and memory diagonal) is factored once
+per run, on the first Newton solve, and preconditions GMRES on the exact
+Jacobian (Newton-Krylov); ``linear_solver="lu"`` factors every Newton
+matrix directly instead.
 Dirichlet data is imposed strongly at edge midpoints for CR and weakly
 (Nitsche, through the SIPG boundary terms and the upwind flux datum)
 for DG.  The optional recovery variable of the FitzHugh-Nagumo coupling
@@ -65,6 +69,8 @@ class StepRecord:
     l2_norm: float
     grad_norm: float          # broken-gradient seminorm
     energy_cum: float         # dt * sum_{j<=k} |||u^j|||^2 in the scheme norm
+    krylov_iters: int = 0     # GMRES iterations over the step's Newton solves
+    lu_fallbacks: int = 0     # Newton solves that GMRES missed and LU redid
 
 
 @dataclass
@@ -102,11 +108,14 @@ class BackwardEulerSolver:
     caputo_order : fractional order in (0, 1), or None
     fhn : (eps, rho) to enable the recovery-variable coupling
     v0 : callable initial datum of the recovery variable
+    linear_solver : "gmres" (Newton-Krylov, see the module docstring) or
+        "lu" (direct factorization of every Newton matrix); read at step
+        time
     """
 
     def __init__(self, space, params, grid, *, forcing=None, u0=None, bc=None,
                  kernel_spec=None, caputo_order=None, fhn=None, v0=None,
-                 newton_tol=1e-10, newton_cap=25, linear_solver="lu"):
+                 newton_tol=1e-10, newton_cap=25, linear_solver="gmres"):
         self.space = space
         self.params = params
         self.grid = grid
@@ -165,6 +174,9 @@ class BackwardEulerSolver:
             keep[space.boundary_dofs] = 0.0
             self._bc_Di = sp.diags(keep, format="csr")
             self._bc_Db = sp.diags(1.0 - keep, format="csr")
+        # factor of the constrained L_base, built on the first Newton solve
+        # so that construction stays cheap
+        self._precond = None
 
     def _volume_gram(self):
         areas = 0.5 * self.space.det_jacobians
@@ -238,6 +250,20 @@ class BackwardEulerSolver:
         F[self.space.boundary_dofs] = 0.0
         return F
 
+    def _newton_matrix(self, J):
+        """J with the strong Dirichlet constraint applied (CR only)."""
+        if self.strong_bc:
+            J = self._bc_Di @ J @ self._bc_Di + self._bc_Db
+        return J.tocsr()
+
+    def _linear_solve(self, J, F, stats):
+        if self.linear_solver != "gmres":
+            return linalg.solve(J, F, method=self.linear_solver)
+        if self._precond is None:
+            self._precond = linalg.factorize(self._newton_matrix(self.L_base))
+        return linalg.solve(J, F, method="gmres", precond=self._precond.solve,
+                            stats=stats)
+
     def step(self, k, u_prev, mem_known, cap_known, v_prev=None):
         """Advance one step; returns (u_k, v_k, record-tuple)."""
         p = self.params
@@ -268,11 +294,10 @@ class BackwardEulerSolver:
             F = self._constrain(F)
         history = [float(np.linalg.norm(F))]
         iters = 0
+        stats = linalg.SolveStats()
         while True:
-            J = self._jacobian()
-            if strong_bc:
-                J = (self._bc_Di @ J @ self._bc_Di + self._bc_Db).tocsr()
-            delta = linalg.solve(J, F, method=self.linear_solver)
+            J = self._newton_matrix(self._jacobian())
+            delta = self._linear_solve(J, F, stats)
             u = u - delta
             if strong_bc:
                 u[self.space.boundary_dofs] = bvals
@@ -292,7 +317,7 @@ class BackwardEulerSolver:
         if self.fhn is not None:
             eps, rho = self.fhn
             v_new = fhn_v_update(v_prev, u, eps, rho, dt)
-        return u, v_new, (iters, rnorm, tuple(history))
+        return u, v_new, (iters, rnorm, tuple(history), stats)
 
     def run(self):
         """Execute all steps; returns the Trajectory with diagnostics."""
@@ -313,7 +338,7 @@ class BackwardEulerSolver:
         fields = [u.copy()]
         v_fields = [v.copy()] if v is not None else None
         energy_cum = 0.0
-        records = [self._record(0, 0.0, u, 0, 0.0, (), energy_cum)]
+        records = [self._record(0, 0.0, u, 0, 0.0, (), energy_cum, linalg.SolveStats())]
 
         mem_hist = np.zeros((n, space.n_dofs)) if self.weights is not None else None
         cap_hist = np.zeros((n, space.n_dofs)) if self.cweights is not None else None
@@ -328,7 +353,7 @@ class BackwardEulerSolver:
                 c_row = self.cweights.row(k)[: k - 1]
                 cap_known = c_row @ cap_hist[: k - 1]
 
-            u_new, v_new, (iters, rnorm, hist) = self.step(k, u, mem_known, cap_known, v)
+            u_new, v_new, (iters, rnorm, hist, stats) = self.step(k, u, mem_known, cap_known, v)
 
             if self.weights is not None:
                 own = self.A @ u_new
@@ -345,7 +370,7 @@ class BackwardEulerSolver:
                 v_fields.append(v.copy())
             fields.append(u.copy())
             energy_cum += dt * float(u @ (self.N_energy @ u))
-            records.append(self._record(k, k * dt, u, iters, rnorm, hist, energy_cum))
+            records.append(self._record(k, k * dt, u, iters, rnorm, hist, energy_cum, stats))
 
         meta = {
             "scheme": self.scheme,
@@ -357,10 +382,11 @@ class BackwardEulerSolver:
         }
         return Trajectory(self.scheme, grid.times, fields, records, v_fields, meta)
 
-    def _record(self, k, t, u, iters, rnorm, hist, energy_cum):
+    def _record(self, k, t, u, iters, rnorm, hist, energy_cum, stats):
         l2 = float(np.sqrt(max(u @ (self.M @ u), 0.0)))
         gn = float(np.sqrt(max(u @ (self.G @ u), 0.0)))
-        return StepRecord(k, t, iters, rnorm, hist, l2, gn, energy_cum)
+        return StepRecord(k, t, iters, rnorm, hist, l2, gn, energy_cum,
+                          stats.krylov_iters, stats.lu_fallbacks)
 
 
 @dataclass

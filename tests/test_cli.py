@@ -53,6 +53,54 @@ def test_unknown_key_rejected_with_location(tmp_path):
     assert str(path) in str(info.value)
 
 
+def _error_line(path):
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    prefix = f"{path}:"
+    assert str(info.value).startswith(prefix), str(info.value)
+    return int(str(info.value)[len(prefix):].split(":")[0])
+
+
+def test_model_error_reported_at_failing_field(tmp_path):
+    text = MINIMAL.format(out=tmp_path) + (
+        "[model]\n"            # line 8
+        "nu = -1\n"            # line 9
+        "reaction_gamma = 0.5\n"
+        "eta = 0.0\n")
+    assert _error_line(write(tmp_path, text)) == 9
+    text = MINIMAL.format(out=tmp_path) + (
+        "[model]\n"
+        "nu = 1.0\n"
+        "reaction_gamma = 0.5\n"
+        "delta = 0\n")         # line 11
+    assert _error_line(write(tmp_path, text)) == 11
+
+
+def test_error_location_matches_whole_keys_outside_comments(tmp_path):
+    # beta contains "eta"; the comment mentions mu before the mu line
+    text = MINIMAL.format(out=tmp_path) + (
+        "[model]\n"
+        "beta = 1.0\n"
+        "eta = -1.0\n"         # line 10
+        "[kernel]\n"
+        "# mu is the kernel exponent\n")
+    assert _error_line(write(tmp_path, text)) == 10
+    text = MINIMAL.format(out=tmp_path) + (
+        "[kernel]\n"
+        "# mu is the kernel exponent\n"
+        "mu = 1.2\n")          # line 10
+    assert _error_line(write(tmp_path, text)) == 10
+
+
+def test_nonpositive_reynolds_is_a_config_error(tmp_path):
+    text = MINIMAL.format(out=tmp_path).replace("type1", "traveling_wave") + (
+        "[traveling_wave]\n"
+        "reynolds = 0\n")      # line 9
+    path = write(tmp_path, text)
+    assert _error_line(path) == 9
+    assert main(["convergence", "--config", str(path)]) == 2
+
+
 def test_missing_file(tmp_path):
     assert main(["convergence", "--config", str(tmp_path / "nope.cfg")]) == 2
 

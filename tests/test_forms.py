@@ -3,7 +3,8 @@ import pytest
 
 from gbhfem.forms import (ModelParams, assemble_load, assemble_mass,
                           assemble_stiffness_cr, assemble_stiffness_dg,
-                          convection_cr, convection_dg, dg_norm_matrix, reaction)
+                          convection_cr, convection_dg, dg_boundary_values,
+                          dg_norm_matrix, reaction)
 from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.mms import error_l2
@@ -155,6 +156,26 @@ def test_convection_dg_skew_and_zero():
         assert abs(float(u @ res)) < 1e-10
     res0, _ = convection_dg(space, np.zeros(space.n_dofs), params)
     assert np.all(res0 == 0.0)
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_convection_dg_jacobian_central_differences(delta):
+    # exact Jacobian, upwind factor included, with a nonzero Dirichlet datum
+    space = dg_space(4)
+    params = ModelParams(delta=delta)
+    rng = np.random.default_rng(43)
+    u = rng.uniform(-1, 1, space.n_dofs)
+    g = dg_boundary_values(space, lambda x, t: 0.5 + x[:, 0] - x[:, 1], 0.0)
+    _, J = convection_dg(space, u, params, boundary_values=g)
+    eps = 1e-6
+    worst = 0.0
+    for _ in range(10):
+        w = rng.standard_normal(space.n_dofs)
+        rp, _ = convection_dg(space, u + eps * w, params, boundary_values=g, need_jac=False)
+        rm, _ = convection_dg(space, u - eps * w, params, boundary_values=g, need_jac=False)
+        Jw = J @ w
+        worst = max(worst, np.linalg.norm((rp - rm) / (2 * eps) - Jw) / np.linalg.norm(Jw))
+    assert worst <= 1e-6
 
 
 def dense_volume_skew_residual(space, u, params):

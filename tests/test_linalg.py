@@ -3,33 +3,37 @@ import pytest
 import scipy.sparse as sp
 
 from gbhfem.errors import SingularMatrixError
-from gbhfem.forms import assemble_load, assemble_stiffness_cr
-from gbhfem.linalg import add_scaled, canonical_csr, solve, spmv
+from gbhfem.forms import (assemble_load, assemble_mass, assemble_stiffness_cr,
+                          assemble_stiffness_dg)
+from gbhfem.linalg import SolveStats, add_scaled, canonical_csr, factorize, solve
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace, apply_dirichlet_cr
+from gbhfem.space_dg import DGSpace
 
 
 def test_spmv_identity_and_mass_rows():
+    # the solver multiplies with the assembled CSR matrices through A @ x
     I = sp.eye(7, format="csr")
     x = np.arange(7.0)
-    assert np.array_equal(spmv(I, x), x)
-    from gbhfem.forms import assemble_mass
+    assert np.array_equal(I @ x, x)
     space = CRSpace(generate_rect_mesh((0, 0, 1, 1), 2))
     M = assemble_mass(space)
-    rows = spmv(M, np.ones(space.n_dofs))
+    rows = M @ np.ones(space.n_dofs)
     assert np.abs(rows - np.asarray(M.sum(axis=1)).ravel()).max() < 1e-15
 
 
 def test_spmv_against_dense_oracle():
     rng = np.random.default_rng(13)
-    A = sp.random(50, 50, density=0.2, random_state=17, format="csr")
-    x = rng.standard_normal(50)
-    assert np.abs(spmv(A, x) - A.toarray() @ x).max() <= 1e-13
+    space = DGSpace(generate_rect_mesh((0, 0, 1, 1), 3))
+    A = assemble_stiffness_dg(space, 40.0)
+    x = rng.standard_normal(space.n_dofs)
+    assert np.abs(A @ x - A.toarray() @ x).max() <= 1e-13 * abs(A).max()
 
 
 def test_spmv_dimension_mismatch():
+    space = CRSpace(generate_rect_mesh((0, 0, 1, 1), 2))
     with pytest.raises(ValueError):
-        spmv(sp.eye(3, format="csr"), np.ones(4))
+        assemble_mass(space) @ np.ones(space.n_dofs + 1)
 
 
 def test_solve_identity_and_2x2():
@@ -46,9 +50,59 @@ def test_solve_spd_from_poisson():
     A = assemble_stiffness_cr(space)
     b = assemble_load(space, lambda x, t: np.ones(len(x)), 0.0, 1.0)
     A2, b2 = apply_dirichlet_cr(space.dofmap, lambda x, t: np.zeros(len(x)), 0.0, A, b)
-    for method in ("lu", "gmres"):
-        x = solve(A2, b2, method=method)
+    P = factorize(A2)
+    for method, precond in (("lu", None), ("gmres", P.solve)):
+        stats = SolveStats()
+        x = solve(A2, b2, method=method, precond=precond, stats=stats)
         assert np.linalg.norm(A2 @ x - b2) <= 1e-10 * (1.0 + np.linalg.norm(b2))
+        assert stats.lu_fallbacks == 0
+    assert stats.krylov_iters <= 2           # preconditioned by A2 itself
+
+
+def test_gmres_preconditioned_by_a_nearby_matrix():
+    # the Newton-Krylov setting: P is the constant part, A = P + a perturbation
+    space = DGSpace(generate_rect_mesh((0, 0, 1, 1), 4))
+    P = (assemble_mass(space) * 8.0 + assemble_stiffness_dg(space, 40.0)).tocsr()
+    rng = np.random.default_rng(7)
+    A = (P + 0.5 * sp.diags(rng.uniform(-1.0, 1.0, space.n_dofs)) @ assemble_mass(space)).tocsr()
+    b = rng.standard_normal(space.n_dofs)
+    stats = SolveStats()
+    x = solve(A, b, method="gmres", precond=factorize(P).solve, stats=stats)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+    assert 0 < stats.krylov_iters <= 30 and stats.lu_fallbacks == 0
+    x_lu = solve(A, b, method="lu")
+    assert np.linalg.norm(x - x_lu) <= 1e-8 * np.linalg.norm(x_lu)
+
+
+def test_gmres_miss_falls_back_to_lu():
+    # an identity preconditioner and one restart cycle on an ill-conditioned
+    # SIPG matrix: GMRES misses the tolerance, and the direct path still
+    # returns a solution that passes
+    space = DGSpace(generate_rect_mesh((0, 0, 1, 1), 8))
+    A = (assemble_mass(space) + assemble_stiffness_dg(space, 40.0)).tocsr()
+    b = np.random.default_rng(3).standard_normal(space.n_dofs)
+    stats = SolveStats()
+    x = solve(A, b, method="gmres", precond=lambda v: v, stats=stats, gmres_maxiter=1)
+    assert stats.lu_fallbacks == 1 and stats.krylov_iters > 0
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+
+
+def test_gmres_fallback_keeps_singular_error():
+    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    stats = SolveStats()
+    with pytest.raises(SingularMatrixError):
+        solve(A, np.array([1.0, 1.0]), method="gmres", precond=lambda v: v, stats=stats)
+    assert stats.lu_fallbacks == 1
+
+
+def test_gmres_requires_preconditioner():
+    with pytest.raises(ValueError):
+        solve(sp.eye(3, format="csr"), np.ones(3), method="gmres")
+
+
+def test_factorize_singular_raises():
+    with pytest.raises(SingularMatrixError):
+        factorize(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
 
 
 def test_solve_singular_raises():

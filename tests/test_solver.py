@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gbhfem.linalg as linalg
 import gbhfem.mms as mms
 from gbhfem.errors import StepFailureError
 from gbhfem.forms import ModelParams
@@ -217,3 +218,75 @@ def test_stability_holds_for_manufactured_run():
     traj = s.run()
     rep = stability_check(traj, space, params, f, case.initial)
     assert rep.holds and rep.lhs < rep.rhs
+
+
+def _wave_cr(**kw):
+    # nonhomogeneous Dirichlet data imposed strongly, memory on
+    case = mms.traveling_wave(20)
+    params = ModelParams(nu=1.0 / 20, eta=1.0)
+    spec = KernelSpec(mu=0.5)
+    return BackwardEulerSolver(
+        CRSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(0.5, 6),
+        forcing=mms.forcing(case, params, spec), u0=case.initial, bc=case.boundary,
+        kernel_spec=spec, **kw)
+
+
+def _spiral_dg(**kw):
+    params = ModelParams(nu=4.0, alpha=0.1, beta=1.0, reaction_gamma=0.25, eta=0.01)
+    return BackwardEulerSolver(
+        DGSpace(generate_rect_mesh((0.0, 0.0, 300.0, 300.0), 8)), params,
+        TimeGrid(3.0, 3), u0=lambda x: np.where(x[:, 1] >= 150.0, 1.0, 0.0),
+        v0=lambda x: np.where(x[:, 0] >= 150.0, 0.4, 0.0), fhn=(0.005, 1.0),
+        kernel_spec=KernelSpec(mu=0.5), **kw)
+
+
+@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+def test_newton_krylov_matches_direct_lu(make):
+    default = make()
+    assert default.linear_solver == "gmres"
+    krylov, direct = default.run(), make(linear_solver="lu").run()
+    for a, b in zip(krylov.fields, direct.fields):
+        assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+    assert ([r.newton_iters for r in krylov.records]
+            == [r.newton_iters for r in direct.records])
+    assert all(r.krylov_iters > 0 and r.lu_fallbacks == 0 for r in krylov.records[1:])
+    assert all(r.krylov_iters == 0 and r.lu_fallbacks == 0 for r in direct.records)
+
+
+@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+def test_preconditioner_factored_once_per_run(make, monkeypatch):
+    calls = []
+    splu = linalg.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counting)
+    s = make()
+    assert calls == []                      # construction factors nothing
+    s.run()
+    assert calls == ["MMD_AT_PLUS_A"]
+    calls.clear()
+    traj = make(linear_solver="lu").run()
+    assert len(calls) == sum(r.newton_iters for r in traj.records)
+
+
+def test_missed_krylov_solve_falls_back_to_lu(monkeypatch):
+    # a useless preconditioner and one-iteration Krylov cycles make every
+    # GMRES solve miss; the direct fallback keeps the run exact
+    class Identity:
+        def __init__(self, P):
+            pass
+
+        def solve(self, v):
+            return v
+
+    monkeypatch.setattr(linalg, "factorize", Identity)
+    monkeypatch.setattr(linalg, "GMRES_RESTART", 1)
+    traj = _wave_cr().run()
+    direct = _wave_cr(linear_solver="lu").run()
+    assert all(r.lu_fallbacks == r.newton_iters > 0 and r.krylov_iters > 0
+               for r in traj.records[1:])
+    for a, b in zip(traj.fields, direct.fields):
+        assert np.array_equal(a, b)
