@@ -262,7 +262,8 @@ def cmd_convergence(cfg):
         case, cfg.scheme, cfg.model,
         levels=cfg.levels, base_n=cfg.mesh_n, coupling=cfg.dt_coupling,
         t_final=cfg.t_final, kernel_spec=cfg.kernel, caputo_order=cfg.caputo_order,
-        box=cfg.domain, newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap)
+        box=cfg.domain, newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
+        linear_solver=cfg.linear_solver)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.out_dir / "convergence.csv"

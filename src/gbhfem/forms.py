@@ -8,8 +8,17 @@ vectors.  Nonlinear terms carry exact analytic Jacobians; the DG upwind
 factor 0.5*(w.n - |w.n|) is differentiated away from its kink w.n = 0,
 where its derivative is taken as zero.
 
-All assembly is vectorized over cells/edges and accumulates in a fixed
-order, so results are deterministic.
+Every matrix lives on its space's fixed CSR pattern (``space.pattern``,
+built once: cell blocks, plus the plus/minus face couplings for DG).  A
+form computes one 3x3 block per cell or face and sums the blocks into
+the pattern's ``data`` with ``np.bincount`` over precomputed slot maps;
+vectors are summed the same way over the dof indices.  No COO arrays and
+no duplicate summing occur, matrices of one space share their index
+arrays, and the accumulation order is fixed, so results are
+deterministic.  Quadrature is tensorized: volume blocks are one matmul
+of weighted coefficient values with the basis products B_i B_j (nq, 9),
+and face blocks one batched matmul with the trace products
+Ta_i Tb_j (n_edges, nq, 9) cached with the DG face tables.
 """
 
 from __future__ import annotations
@@ -17,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import canonical_csr
 from .space_cr import as_values
 
 __all__ = [
@@ -77,111 +84,110 @@ def nonlinear_quad_degree(delta):
     return max(2 * int(delta) + 3, 4)
 
 
-def _scatter_matrix(space, rows_blocks, cols_blocks, values, extra=None):
-    """COO -> canonical CSR, deterministic accumulation."""
-    data = [(rows_blocks.ravel(), cols_blocks.ravel(), values.ravel())]
-    if extra:
-        data.extend(extra)
-    rows = np.concatenate([d[0] for d in data])
-    cols = np.concatenate([d[1] for d in data])
-    vals = np.concatenate([d[2] for d in data])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-    return canonical_csr(A)
+def _assemble(space, blocks):
+    """Matrix on the space's pattern from a dict of slot name -> block values.
+
+    ``blocks[name]`` is (m, 3, 3) or (m, 9), one 3x3 block per row of
+    ``space.pattern.slots[name]``.  Accumulation is by ``np.bincount``, in
+    a fixed order, so results are deterministic.
+    """
+    pattern = space.pattern
+    data = np.zeros(pattern.nnz)
+    for name, values in blocks.items():
+        data += np.bincount(pattern.slots[name].ravel(), weights=values.ravel(),
+                            minlength=pattern.nnz)
+    return pattern.matrix(data)
 
 
-def _cell_block_indices(space):
-    cd = space.cell_dofs
-    rows = np.repeat(cd, 3, axis=1)          # i index varies slowest
-    cols = np.tile(cd, (1, 3))
-    return rows, cols
+def _scatter(n, dofs, values):
+    """Vector of length n summing ``values`` into the entries ``dofs``."""
+    return np.bincount(dofs.ravel(), weights=values.ravel(), minlength=n)
+
+
+def _volume_tables(space, degree):
+    """Weights, basis values B (nq, 3) and products B_i B_j (nq, 9)."""
+    rule, B, _ = space.volume_quad(degree)
+    BB = (B[:, :, None] * B[:, None, :]).reshape(len(B), 9)
+    return rule.weights, B, BB
+
+
+def _face_integral(coef, TT):
+    """sum_q coef[e, q] * TT[e, q, :] for (ne, nq) coef, one batched matmul."""
+    return np.matmul(coef[:, None, :], TT)[:, 0, :]
+
+
+def _transpose(blocks):
+    """Transposed 3x3 blocks, (m, 9)."""
+    return blocks.reshape(-1, 3, 3).transpose(0, 2, 1).reshape(-1, 9)
 
 
 def assemble_mass(space):
     """L2 mass matrix; symmetric positive definite."""
-    rule, B, _ = space.volume_quad(2)
-    blocks = np.einsum("q,qi,qj->ij", rule.weights, B, B)
-    blocks = space.det_jacobians[:, None, None] * blocks[None, :, :]
-    rows, cols = _cell_block_indices(space)
-    return _scatter_matrix(space, rows, cols, blocks)
+    w, _, BB = _volume_tables(space, 2)
+    return _assemble(space, {"cells": space.det_jacobians[:, None] * (w @ BB)})
+
+
+def _volume_stiffness(space):
+    areas = 0.5 * space.det_jacobians
+    return np.matmul(space.grads, space.grads.transpose(0, 2, 1)) * areas[:, None, None]
 
 
 def assemble_stiffness_cr(space):
-    """Broken-gradient stiffness (grad_h u, grad_h v); constants in kernel."""
-    areas = 0.5 * space.det_jacobians
-    blocks = np.einsum("cid,cjd,c->cij", space.grads, space.grads, areas)
-    rows, cols = _cell_block_indices(space)
-    return _scatter_matrix(space, rows, cols, blocks)
+    """Broken-gradient stiffness (grad_h u, grad_h v); constants in kernel.
+
+    On a DG space this is the broken-gradient Gram matrix, the volume part
+    of the SIPG operator.
+    """
+    return _assemble(space, {"cells": _volume_stiffness(space)})
 
 
-def _sipg_face_blocks(space, penalty_gamma, fd, penalty_only=False):
-    """COO pieces of the SIPG face terms (and of the jump Gram matrix)."""
-    pieces = []
-
-    def add(rows, cols, vals):
-        pieces.append((rows.ravel(), cols.ravel(), vals.ravel()))
-
+def _sipg_face_blocks(space, penalty_gamma, penalty_only=False):
+    """SIPG face blocks by slot name (the jump Gram matrix if penalty_only)."""
+    fd = space.face_data()
     w = fd.rule.weights
+    W = w[None, :] * fd.h_int[:, None]
+    gh = (penalty_gamma / fd.h_int)[:, None]
+    Wb = w[None, :] * fd.h_bnd[:, None]
+    ghb = (penalty_gamma / fd.h_bnd)[:, None]
 
-    # interior edges: trace integrals and gradient couplings
-    IntTp = np.einsum("q,eqi->ei", w, fd.Tp) * fd.h_int[:, None]
-    IntTm = np.einsum("q,eqi->ei", w, fd.Tm) * fd.h_int[:, None]
-    TTpp = np.einsum("q,eqi,eqj->eij", w, fd.Tp, fd.Tp) * fd.h_int[:, None, None]
-    TTpm = np.einsum("q,eqi,eqj->eij", w, fd.Tp, fd.Tm) * fd.h_int[:, None, None]
-    TTmm = np.einsum("q,eqi,eqj->eij", w, fd.Tm, fd.Tm) * fd.h_int[:, None, None]
-    gh = penalty_gamma / fd.h_int
+    # penalty gamma_h [[u]].[[v]], interior and boundary
+    pm = -gh * _face_integral(W, fd.TpTm)
+    blocks = {
+        "pp": gh * _face_integral(W, fd.TpTp),
+        "pm": pm,
+        "mp": _transpose(pm),
+        "mm": gh * _face_integral(W, fd.TmTm),
+        "bb": ghb * _face_integral(Wb, fd.TbTb),
+    }
+    if penalty_only:
+        return blocks
 
-    # penalty gamma_h [[u]].[[v]]
-    add(_rows(fd.pdofs), _cols(fd.pdofs), gh[:, None, None] * TTpp)
-    add(_rows(fd.pdofs), _cols(fd.mdofs), -gh[:, None, None] * TTpm)
-    add(_rows(fd.mdofs), _cols(fd.pdofs), -gh[:, None, None] * TTpm.transpose(0, 2, 1))
-    add(_rows(fd.mdofs), _cols(fd.mdofs), gh[:, None, None] * TTmm)
-
-    # boundary penalty
-    TTbb = np.einsum("q,eqi,eqj->eij", w, fd.Tb, fd.Tb) * fd.h_bnd[:, None, None]
-    ghb = penalty_gamma / fd.h_bnd
-    add(_rows(fd.bdofs), _cols(fd.bdofs), ghb[:, None, None] * TTbb)
-
-    if not penalty_only:
-        # consistency -({{grad u}}.n) [[v]] and its transpose (symmetry term)
-        for rdofs, IntT, rsign in ((fd.pdofs, IntTp, 1.0), (fd.mdofs, IntTm, -1.0)):
-            for cdofs, gn in ((fd.pdofs, fd.gnp), (fd.mdofs, fd.gnm)):
-                blk = -0.5 * rsign * np.einsum("ei,ej->eij", IntT, gn)
-                add(_rows(rdofs), _cols(cdofs), blk)
-                add(_rows(cdofs), _cols(rdofs), blk.transpose(0, 2, 1))
-        IntTb = np.einsum("q,eqi->ei", w, fd.Tb) * fd.h_bnd[:, None]
-        blk = -np.einsum("ei,ej->eij", IntTb, fd.gnb)
-        add(_rows(fd.bdofs), _cols(fd.bdofs), blk)
-        add(_rows(fd.bdofs), _cols(fd.bdofs), blk.transpose(0, 2, 1))
-
-    return pieces
-
-
-def _rows(dofs):
-    return np.repeat(dofs, 3, axis=1)
-
-
-def _cols(dofs):
-    return np.tile(dofs, (1, 3))
+    # consistency -({{grad u}}.n) [[v]] and its transpose (symmetry term);
+    # C[r + c] couples rows on side r with columns on side c
+    IntT = {"p": _face_integral(W, fd.Tp), "m": -_face_integral(W, fd.Tm)}
+    gn = {"p": fd.gnp, "m": fd.gnm}
+    C = {r + c: (-0.5 * IntT[r][:, :, None] * gn[c][:, None, :]).reshape(-1, 9)
+         for r in "pm" for c in "pm"}
+    for r in "pm":
+        for c in "pm":
+            blocks[r + c] = blocks[r + c] + C[r + c] + _transpose(C[c + r])
+    Cb = (-_face_integral(Wb, fd.Tb)[:, :, None] * fd.gnb[:, None, :]).reshape(-1, 9)
+    blocks["bb"] = blocks["bb"] + Cb + _transpose(Cb)
+    return blocks
 
 
 def assemble_stiffness_dg(space, penalty_gamma):
     """SIPG operator: volume gradients, consistency, symmetry, penalty."""
-    areas = 0.5 * space.det_jacobians
-    blocks = np.einsum("cid,cjd,c->cij", space.grads, space.grads, areas)
-    rows, cols = _cell_block_indices(space)
-    fd = space.face_data()
-    extra = _sipg_face_blocks(space, penalty_gamma, fd)
-    return _scatter_matrix(space, rows, cols, blocks, extra=extra)
+    blocks = _sipg_face_blocks(space, penalty_gamma)
+    blocks["cells"] = _volume_stiffness(space)
+    return _assemble(space, blocks)
 
 
 def dg_norm_matrix(space, penalty_gamma):
     """Gram matrix of the DG energy norm: broken gradients + jump penalty."""
-    areas = 0.5 * space.det_jacobians
-    blocks = np.einsum("cid,cjd,c->cij", space.grads, space.grads, areas)
-    rows, cols = _cell_block_indices(space)
-    fd = space.face_data()
-    extra = _sipg_face_blocks(space, penalty_gamma, fd, penalty_only=True)
-    return _scatter_matrix(space, rows, cols, blocks, extra=extra)
+    blocks = _sipg_face_blocks(space, penalty_gamma, penalty_only=True)
+    blocks["cells"] = _volume_stiffness(space)
+    return _assemble(space, blocks)
 
 
 def dirichlet_rhs_dg(space, g, t, penalty_gamma):
@@ -198,9 +204,7 @@ def dirichlet_rhs_dg(space, g, t, penalty_gamma):
     r_sym = -np.einsum("e,ei->ei", gInt, fd.gnb)
     gT = np.einsum("q,eq,eqi->ei", w, gb, fd.Tb) * fd.h_bnd[:, None]
     r_pen = ghb[:, None] * gT
-    out = np.zeros(space.n_dofs)
-    np.add.at(out, fd.bdofs, r_sym + r_pen)
-    return out
+    return _scatter(space.n_dofs, fd.bdofs, r_sym + r_pen)
 
 
 def dg_boundary_values(space, g, t):
@@ -211,49 +215,44 @@ def dg_boundary_values(space, g, t):
     return np.broadcast_to(vals, (X.shape[0],)).reshape(fd.Xb.shape[:2]).copy()
 
 
-def _volume_convection(space, uvals, alpha, delta, need_jac=True):
+def _volume_convection(space, uvals, alpha, delta, need_res, need_jac):
     """Residual and Jacobian blocks of the skew convection volume terms."""
-    rule, B, _ = space.volume_quad(nonlinear_quad_degree(delta))
-    w = rule.weights
+    w, B, BB = _volume_tables(space, nonlinear_quad_degree(delta))
     ucell = uvals[space.cell_dofs]                       # (nc, 3)
     uq = ucell @ B.T                                     # (nc, nq)
-    grad_u = np.einsum("cid,ci->cd", space.grads, ucell)
-    s_u = grad_u[:, 0] + grad_u[:, 1]                    # (nc,)
     s_phi = space.grads[:, :, 0] + space.grads[:, :, 1]  # (nc, 3)
+    s_u = np.sum(ucell * s_phi, axis=1)                  # (nc,)
     det = space.det_jacobians
     scale = alpha / (delta + 2.0)
 
     ud = uq ** delta
-    R1 = np.einsum("cq,q,qi->ci", ud, w, B) * (det * s_u)[:, None]
-    R2 = np.einsum("cq,q->c", ud * uq, w)[:, None] * s_phi * det[:, None]
-    res_cells = scale * (R1 - R2)
-    if not need_jac:
-        return res_cells, None
-
-    udm1 = uq ** (delta - 1)
-    J1a = np.einsum("cq,q,qm,qi->cim", udm1, w, B, B) * (delta * det * s_u)[:, None, None]
-    J1b = np.einsum("cq,q,qi->ci", ud, w, B)[:, :, None] * s_phi[:, None, :] * det[:, None, None]
-    J2 = np.einsum("cq,q,qm->cm", ud, w, B)[:, None, :] * s_phi[:, :, None] * ((delta + 1.0) * det)[:, None, None]
-    jac_cells = scale * (J1a + J1b - J2)
+    udB = (ud * w) @ B                                   # int u^d phi_i
+    res_cells = jac_cells = None
+    if need_res:
+        R2 = ((ud * uq) @ w)[:, None] * s_phi
+        res_cells = scale * det[:, None] * (udB * s_u[:, None] - R2)
+    if need_jac:
+        udm1 = uq ** (delta - 1)
+        J1a = ((udm1 * w) @ BB).reshape(-1, 3, 3) * (delta * s_u)[:, None, None]
+        J1b = udB[:, :, None] * s_phi[:, None, :]
+        J2 = (delta + 1.0) * s_phi[:, :, None] * udB[:, None, :]
+        jac_cells = scale * det[:, None, None] * (J1a + J1b - J2)
     return res_cells, jac_cells
 
 
-def convection_cr(space, u, params, need_jac=True):
+def convection_cr(space, u, params, need_jac=True, need_res=True):
     """Skew-symmetrized convection residual alpha*b(u;u,phi_i) and its Jacobian.
 
     The split 1/(delta+2) [ (u^d sum_i du/dx_i, w) - (u^d sum_i dw/dx_i, u) ]
     makes b(u;u,u) vanish identically, so no parameter conditions are
-    needed for stability.
+    needed for stability.  Returns (residual, Jacobian); a part not
+    asked for is None.
     """
-    uvals = as_values(u)
-    res_cells, jac_cells = _volume_convection(space, uvals, params.alpha, params.delta,
-                                              need_jac)
-    res = np.zeros(space.n_dofs)
-    np.add.at(res, space.cell_dofs, res_cells)
-    if not need_jac:
-        return res, None
-    rows, cols = _cell_block_indices(space)
-    return res, _scatter_matrix(space, rows, cols, jac_cells)
+    res_cells, jac_cells = _volume_convection(space, as_values(u), params.alpha,
+                                              params.delta, need_res, need_jac)
+    res = _scatter(space.n_dofs, space.cell_dofs, res_cells) if need_res else None
+    jac = _assemble(space, {"cells": jac_cells}) if need_jac else None
+    return res, jac
 
 
 def _upwind_derivative(wn, us, nsum, delta):
@@ -261,7 +260,7 @@ def _upwind_derivative(wn, us, nsum, delta):
     return np.where(wn < 0.0, delta * us ** (delta - 1) * nsum[:, None], 0.0)
 
 
-def convection_dg(space, u, params, boundary_values=None, need_jac=True):
+def convection_dg(space, u, params, boundary_values=None, need_jac=True, need_res=True):
     """DG convection: volume skew terms plus the upwind flux terms.
 
     The convection field is w = u^delta (1,1)^T evaluated from each
@@ -269,53 +268,43 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True):
     Off the kink w.n = 0 the Jacobian is exact, with
     dc/du = delta u^(delta-1) (1,1).n where w.n < 0 and 0 where w.n >= 0.
     ``boundary_values`` supplies the exterior Dirichlet datum on
-    boundary faces; None means homogeneous.
+    boundary faces; None means homogeneous.  Returns (residual,
+    Jacobian); a part not asked for is None.
     """
     uvals = as_values(u)
     alpha, delta = params.alpha, params.delta
     scale = alpha / (delta + 2.0)
-    res_cells, jac_cells = _volume_convection(space, uvals, alpha, delta, need_jac)
-    res = np.zeros(space.n_dofs)
-    np.add.at(res, space.cell_dofs, res_cells)
-    pieces = []
+    res_cells, jac_cells = _volume_convection(space, uvals, alpha, delta, need_res, need_jac)
+    n = space.n_dofs
 
     fd = space.face_data()
     w = fd.rule.weights
-    up, um, ub = space.traces(u, fd)
+    up, um, ub = space.traces(uvals, fd)
     nsum_p = fd.n_int[:, 0] + fd.n_int[:, 1]             # (1,1).n for plus side
 
     W = w[None, :] * fd.h_int[:, None]
-    upwind = []                                          # (c, dc/du_self) per side
-    for (us, uo, Ts, To, sdofs, odofs, nsum) in (
-        (up, um, fd.Tp, fd.Tm, fd.pdofs, fd.mdofs, nsum_p),
-        (um, up, fd.Tm, fd.Tp, fd.mdofs, fd.pdofs, -nsum_p),
-    ):
-        wn = (us ** delta) * nsum[:, None]               # (ne, nq)
-        c = 0.5 * (wn - np.abs(wn))
-        # T2: int c (u_other - u_self) v_self
-        r2 = np.einsum("eq,eq,eqi->ei", W, c * (uo - us), Ts)
-        # T4: int c (v_other - v_self) u_self, subtracted
-        r4o = np.einsum("eq,eq,eqi->ei", W, c * us, To)
-        r4s = np.einsum("eq,eq,eqi->ei", W, c * us, Ts)
-        np.add.at(res, sdofs, scale * (r2 + r4s))
-        np.add.at(res, odofs, -scale * r4o)
-        if need_jac:
-            upwind.append((c, _upwind_derivative(wn, us, nsum, delta)))
+    wnp = (up ** delta) * nsum_p[:, None]                # w.n seen from each side
+    wnm = -(um ** delta) * nsum_p[:, None]
+    cp = 0.5 * (wnp - np.abs(wnp))
+    cm = 0.5 * (wnm - np.abs(wnm))
 
+    # side s adds scale*int c_s u_o v_s - scale*int c_s u_s v_o, c_s = c(u_s)
+    res = None
+    if need_res:
+        res = (_scatter(n, space.cell_dofs, res_cells)
+               + _scatter(n, fd.pdofs, scale * _face_integral(W * (cp - cm) * um, fd.Tp))
+               + _scatter(n, fd.mdofs, scale * _face_integral(W * (cm - cp) * up, fd.Tm)))
+    blocks = {}
     if need_jac:
-        # side s adds scale*int c_s u_o v_s - scale*int c_s u_s v_o, c_s = c(u_s)
-        (cp, dcp), (cm, dcm) = upwind
-
-        def block(coef, Ta, Tb):
-            return scale * np.einsum("eq,eqi,eqj->eij", W * coef, Ta, Tb)
-
-        for rdofs, cdofs, blk in (
-            (fd.pdofs, fd.mdofs, block(cp - cm - dcm * um, fd.Tp, fd.Tm)),
-            (fd.mdofs, fd.pdofs, block(cm - cp - dcp * up, fd.Tm, fd.Tp)),
-            (fd.pdofs, fd.pdofs, block(dcp * um, fd.Tp, fd.Tp)),
-            (fd.mdofs, fd.mdofs, block(dcm * up, fd.Tm, fd.Tm)),
-        ):
-            pieces.append((_rows(rdofs).ravel(), _cols(cdofs).ravel(), blk.ravel()))
+        dcp = _upwind_derivative(wnp, up, nsum_p, delta)
+        dcm = _upwind_derivative(wnm, um, -nsum_p, delta)
+        blocks = {
+            "cells": jac_cells,
+            "pm": scale * _face_integral(W * (cp - cm - dcm * um), fd.TpTm),
+            "mp": scale * _transpose(_face_integral(W * (cm - cp - dcp * up), fd.TpTm)),
+            "pp": scale * _face_integral(W * dcp * um, fd.TpTp),
+            "mm": scale * _face_integral(W * dcm * up, fd.TmTm),
+        }
 
     # boundary faces: the u-dependent flux parts cancel and the net residual
     # contribution is int c * g * v ; with g = 0 it is 0.
@@ -324,43 +313,35 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True):
         wn = (ub ** delta) * nsum_b[:, None]
         c = 0.5 * (wn - np.abs(wn))
         Wb = w[None, :] * fd.h_bnd[:, None]
-        rb = np.einsum("eq,eq,eqi->ei", Wb, c * boundary_values, fd.Tb)
-        np.add.at(res, fd.bdofs, scale * rb)
+        if need_res:
+            res += _scatter(n, fd.bdofs, scale * _face_integral(Wb * c * boundary_values, fd.Tb))
         if need_jac:
             Wdg = Wb * _upwind_derivative(wn, ub, nsum_b, delta) * boundary_values
-            j_bb = scale * np.einsum("eq,eqi,eqj->eij", Wdg, fd.Tb, fd.Tb)
-            pieces.append((_rows(fd.bdofs).ravel(), _cols(fd.bdofs).ravel(), j_bb.ravel()))
+            blocks["bb"] = scale * _face_integral(Wdg, fd.TbTb)
 
-    if not need_jac:
-        return res, None
-    rows, cols = _cell_block_indices(space)
-    jac = _scatter_matrix(space, rows, cols, jac_cells, extra=pieces)
-    return res, jac
+    return res, (_assemble(space, blocks) if need_jac else None)
 
 
-def reaction(space, u, params, need_jac=True):
+def reaction(space, u, params, need_jac=True, need_res=True):
     """Huxley reaction residual beta*(c(u), phi_i) and its Jacobian.
 
     c(u) = u(1-u^d)(u^d-gamma) = (1+gamma) u^(d+1) - gamma u - u^(2d+1),
     c'(u) = (1+gamma)(d+1) u^d - gamma - (2d+1) u^(2d).
+    Returns (residual, Jacobian); a part not asked for is None.
     """
-    uvals = as_values(u)
     beta, gamma, delta = params.beta, params.reaction_gamma, params.delta
-    rule, B, _ = space.volume_quad(nonlinear_quad_degree(delta))
-    w = rule.weights
-    uq = uvals[space.cell_dofs] @ B.T
+    w, B, BB = _volume_tables(space, nonlinear_quad_degree(delta))
+    uq = as_values(u)[space.cell_dofs] @ B.T
     ud = uq ** delta
-    cval = (1.0 + gamma) * ud * uq - gamma * uq - ud * ud * uq
     det = space.det_jacobians
-    res_cells = beta * np.einsum("cq,q,qi->ci", cval, w, B) * det[:, None]
-    res = np.zeros(space.n_dofs)
-    np.add.at(res, space.cell_dofs, res_cells)
-    if not need_jac:
-        return res, None
-    cder = (1.0 + gamma) * (delta + 1.0) * ud - gamma - (2.0 * delta + 1.0) * ud * ud
-    jac_cells = beta * np.einsum("cq,q,qi,qj->cij", cder, w, B, B) * det[:, None, None]
-    rows, cols = _cell_block_indices(space)
-    return res, _scatter_matrix(space, rows, cols, jac_cells)
+    res = jac = None
+    if need_res:
+        cval = (1.0 + gamma) * ud * uq - gamma * uq - ud * ud * uq
+        res = _scatter(space.n_dofs, space.cell_dofs, beta * ((cval * w) @ B) * det[:, None])
+    if need_jac:
+        cder = (1.0 + gamma) * (delta + 1.0) * ud - gamma - (2.0 * delta + 1.0) * ud * ud
+        jac = _assemble(space, {"cells": beta * ((cder * w) @ BB) * det[:, None]})
+    return res, jac
 
 
 def assemble_load(space, f, t_prev, t_next, degree=5):
@@ -382,7 +363,5 @@ def assemble_load(space, f, t_prev, t_next, degree=5):
         tau = t_prev + (t_next - t_prev) * xg
         vals = np.asarray(f(Xf, tau), dtype=float)
         favg += wg * np.broadcast_to(vals, (Xf.shape[0],)).reshape(nshape)
-    out_cells = np.einsum("cq,q,qi->ci", favg, rule.weights, B) * space.det_jacobians[:, None]
-    out = np.zeros(space.n_dofs)
-    np.add.at(out, space.cell_dofs, out_cells)
-    return out
+    out_cells = ((favg * rule.weights) @ B) * space.det_jacobians[:, None]
+    return _scatter(space.n_dofs, space.cell_dofs, out_cells)

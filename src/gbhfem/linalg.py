@@ -1,8 +1,10 @@
 """Sparse linear algebra behind the Newton solves.
 
 Matrices are scipy CSR in canonical form (sorted indices, summed
-duplicates).  Every solve meets ||Ax - b|| <= 1e-10 (1 + ||b||) and has
-two paths:
+duplicates).  All matrices of one space live on one ``BlockPattern``:
+they share its ``indptr``/``indices`` and differ only in ``data``, so
+sums of them are sums of ``data`` vectors.  Every solve meets
+||Ax - b|| <= 1e-10 (1 + ||b||) and has two paths:
 
 * "lu": SuperLU of A itself with COLAMD ordering, one factorization per
   call; deterministic for a fixed matrix.
@@ -23,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError
 
-__all__ = ["SolveStats", "factorize", "solve", "add_scaled", "canonical_csr"]
+__all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "canonical_csr"]
 
 SOLVE_RTOL = 1e-10
 GMRES_RESTART = 60
@@ -45,16 +47,56 @@ def canonical_csr(A):
     return A
 
 
-def add_scaled(accumulator, A, c):
-    """Entrywise ``accumulator + c * A`` on the union sparsity pattern."""
-    if accumulator.shape != A.shape:
-        raise ValueError(f"shape mismatch: {accumulator.shape} vs {A.shape}")
-    return canonical_csr(accumulator + c * A)
+class BlockPattern:
+    """One CSR sparsity pattern for every matrix of a space, built once.
+
+    The pattern is the union of the 3x3 dof blocks in ``blocks``, a dict
+    of name -> (row_dofs, col_dofs) with both arrays (m, 3): block e
+    couples rows row_dofs[e] with columns col_dofs[e].  ``slots[name]``
+    (m, 9) holds the position in ``data`` of entry (row_dofs[e, i],
+    col_dofs[e, j]) at column 3*i + j, so a form assembles its block
+    values with ``np.bincount(slots, weights=values, minlength=nnz)``.
+    ``indptr`` and ``indices`` are read-only: matrices share them, and an
+    in-place change such as ``eliminate_zeros`` would corrupt every one.
+    """
+
+    def __init__(self, n, blocks):
+        self.n = int(n)
+        keys = [(np.repeat(r, 3, axis=1) * self.n + np.tile(c, (1, 3))).ravel()
+                for r, c in blocks.values()]
+        unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        self.nnz = len(unique)
+        counts = np.bincount(unique // self.n, minlength=self.n)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.indices = (unique % self.n).astype(np.int32)
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+        ends = np.cumsum([len(k) for k in keys])
+        self.slots = {name: part.reshape(-1, 9) for name, part in
+                      zip(blocks, np.split(inverse.ravel(), ends[:-1]))}
+
+    def matrix(self, data):
+        """CSR matrix with this pattern and the given ``data`` (nnz,)."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def dirichlet_slots(self, dofs):
+        """Positions of the entries in the rows or columns of ``dofs``, and
+        of the diagonal entries of ``dofs``; zeroing the first and setting
+        the second to one is the strong constraint ``Di A Di + Db``."""
+        on = np.zeros(self.n, dtype=bool)
+        on[dofs] = True
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return (np.flatnonzero(on[rows] | on[self.indices]),
+                np.flatnonzero(on[rows] & (rows == self.indices)))
 
 
 def _splu(A, permc_spec):
+    # entries a constraint zeroed stay in a pattern matrix; they must not
+    # couple dofs in the ordering or the fill
+    A = sp.csc_matrix(A, copy=True)
+    A.eliminate_zeros()
     try:
-        return spla.splu(sp.csc_matrix(A), permc_spec=permc_spec)
+        return spla.splu(A, permc_spec=permc_spec)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrixError(str(exc)) from exc
 

@@ -11,7 +11,9 @@ reaction forms.  The j = k memory contribution enters the Newton matrix.
 Its constant part (mass, stiffness and memory diagonal) is factored once
 per run, on the first Newton solve, and preconditions GMRES on the exact
 Jacobian (Newton-Krylov); ``linear_solver="lu"`` factors every Newton
-matrix directly instead.
+matrix directly instead.  All matrices share the space's CSR pattern, so
+a Newton matrix is a sum of ``data`` vectors, and a Jacobian is built
+only for the iterations that solve with it.
 Dirichlet data is imposed strongly at edge midpoints for CR and weakly
 (Nitsche, through the SIPG boundary terms and the upwind flux datum)
 for DG.  The optional recovery variable of the FitzHugh-Nagumo coupling
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import forms, linalg
 from .errors import StepFailureError
@@ -129,13 +130,12 @@ class BackwardEulerSolver:
 
         dt = grid.delta_t
         self.M = forms.assemble_mass(space)
+        self.G = forms.assemble_stiffness_cr(space)      # broken-gradient Gram
         if self.scheme == "cr":
-            self.A = forms.assemble_stiffness_cr(space)
-            self.G = self.A                       # broken-gradient Gram
+            self.A = self.G
             self.N_energy = self.A
         else:
             self.A = forms.assemble_stiffness_dg(space, params.penalty_gamma)
-            self.G = self._volume_gram()          # broken gradients only
             self.N_energy = forms.dg_norm_matrix(space, params.penalty_gamma)
 
         self.weights = None
@@ -163,30 +163,18 @@ class BackwardEulerSolver:
         stiff_coef = params.nu
         if self.weights is not None:
             stiff_coef += params.eta * dt * self.weights.diagonal
-        self.L_base = linalg.add_scaled(mass_coef * self.M, self.A, stiff_coef)
+        # every matrix shares space.pattern, so sums are sums of data
+        self.L_base = space.pattern.matrix(mass_coef * self.M.data + stiff_coef * self.A.data)
 
         # CR imposes Dirichlet data strongly at boundary midpoints, with a
         # zero datum when none is given; DG carries the datum weakly in the
         # penalty/consistency/flux terms, so nothing is constrained there.
         self.strong_bc = self.scheme == "cr"
         if self.strong_bc:
-            keep = np.ones(space.n_dofs)
-            keep[space.boundary_dofs] = 0.0
-            self._bc_Di = sp.diags(keep, format="csr")
-            self._bc_Db = sp.diags(1.0 - keep, format="csr")
+            self._bc_zero, self._bc_one = space.pattern.dirichlet_slots(space.boundary_dofs)
         # factor of the constrained L_base, built on the first Newton solve
         # so that construction stays cheap
         self._precond = None
-
-    def _volume_gram(self):
-        areas = 0.5 * self.space.det_jacobians
-        blocks = np.einsum("cid,cjd,c->cij", self.space.grads, self.space.grads, areas)
-        cd = self.space.cell_dofs
-        rows = np.repeat(cd, 3, axis=1).ravel()
-        cols = np.tile(cd, (1, 3)).ravel()
-        G = sp.coo_matrix((blocks.ravel(), (rows, cols)),
-                          shape=(self.space.n_dofs, self.space.n_dofs))
-        return linalg.canonical_csr(G)
 
     # -- per-step pieces -------------------------------------------------
 
@@ -201,8 +189,14 @@ class BackwardEulerSolver:
             return forms.dg_boundary_values(self.space, self.bc, t)
         return None
 
+    def _convection(self, u, flux_datum, **parts):
+        if self.scheme == "cr":
+            return forms.convection_cr(self.space, u, self.params, **parts)
+        return forms.convection_dg(self.space, u, self.params,
+                                   boundary_values=flux_datum, **parts)
+
     def _residual(self, u, u_prev, load, mem_known, cap_known, fhn_const,
-                  nitsche_k, flux_datum, need_jac=True):
+                  nitsche_k, flux_datum):
         p = self.params
         dt = self.grid.delta_t
         Au = self.A @ u
@@ -210,23 +204,9 @@ class BackwardEulerSolver:
         if nitsche_k is not None:
             F -= p.nu * nitsche_k
         if p.alpha > 0.0:
-            if self.scheme == "cr":
-                conv_r, jac = forms.convection_cr(self.space, u, p, need_jac=need_jac)
-            else:
-                conv_r, jac = forms.convection_dg(
-                    self.space, u, p, boundary_values=flux_datum, need_jac=need_jac)
-            F += conv_r
-            if need_jac:
-                self._conv_jac = jac
-        elif need_jac:
-            self._conv_jac = None
+            F += self._convection(u, flux_datum, need_jac=False)[0]
         if p.beta > 0.0:
-            react_r, jac = forms.reaction(self.space, u, p, need_jac=need_jac)
-            F -= react_r
-            if need_jac:
-                self._react_jac = jac
-        elif need_jac:
-            self._react_jac = None
+            F -= forms.reaction(self.space, u, p, need_jac=False)[0]
         if self.weights is not None:
             own = Au if nitsche_k is None else Au - nitsche_k
             F += p.eta * dt * (mem_known + self.weights.diagonal * own)
@@ -235,32 +215,33 @@ class BackwardEulerSolver:
         if fhn_const is not None:
             eps, rho = self.fhn
             F += fhn_const + (dt * eps / (1.0 + dt * eps * rho)) * (self.M @ u)
-        return F
-
-    def _jacobian(self):
-        J = self.L_base
-        if self._conv_jac is not None:
-            J = J + self._conv_jac
-        if self._react_jac is not None:
-            J = J - self._react_jac
-        return J.tocsr()
-
-    def _constrain(self, F):
-        F = F.copy()
-        F[self.space.boundary_dofs] = 0.0
-        return F
-
-    def _newton_matrix(self, J):
-        """J with the strong Dirichlet constraint applied (CR only)."""
         if self.strong_bc:
-            J = self._bc_Di @ J @ self._bc_Di + self._bc_Db
-        return J.tocsr()
+            F[self.space.boundary_dofs] = 0.0
+        return F
+
+    def _newton_matrix(self, u=None, flux_datum=None):
+        """Newton matrix at u (L_base alone when u is None).
+
+        L_base + J_conv - J_react summed as data vectors on the shared
+        pattern; for CR the strong Dirichlet constraint then zeroes the
+        boundary rows and columns and puts one on their diagonal.
+        """
+        p = self.params
+        data = self.L_base.data.copy()
+        if u is not None and p.alpha > 0.0:
+            data += self._convection(u, flux_datum, need_res=False)[1].data
+        if u is not None and p.beta > 0.0:
+            data -= forms.reaction(self.space, u, p, need_res=False)[1].data
+        if self.strong_bc:
+            data[self._bc_zero] = 0.0
+            data[self._bc_one] = 1.0
+        return self.space.pattern.matrix(data)
 
     def _linear_solve(self, J, F, stats):
         if self.linear_solver != "gmres":
             return linalg.solve(J, F, method=self.linear_solver)
         if self._precond is None:
-            self._precond = linalg.factorize(self._newton_matrix(self.L_base))
+            self._precond = linalg.factorize(self._newton_matrix())
         return linalg.solve(J, F, method="gmres", precond=self._precond.solve,
                             stats=stats)
 
@@ -288,23 +269,22 @@ class BackwardEulerSolver:
                 bvals = np.zeros(len(self.space.boundary_dofs))
             u[self.space.boundary_dofs] = bvals
 
-        F = self._residual(u, u_prev, load, mem_known, cap_known, fhn_const,
-                           nitsche_k, flux_datum)
-        if strong_bc:
-            F = self._constrain(F)
+        def residual(u):
+            return self._residual(u, u_prev, load, mem_known, cap_known, fhn_const,
+                                  nitsche_k, flux_datum)
+
+        F = residual(u)
         history = [float(np.linalg.norm(F))]
         iters = 0
         stats = linalg.SolveStats()
         while True:
-            J = self._newton_matrix(self._jacobian())
+            # one Jacobian per correction; none at the converged iterate
+            J = self._newton_matrix(u, flux_datum)
             delta = self._linear_solve(J, F, stats)
             u = u - delta
             if strong_bc:
                 u[self.space.boundary_dofs] = bvals
-            F = self._residual(u, u_prev, load, mem_known, cap_known, fhn_const,
-                               nitsche_k, flux_datum)
-            if strong_bc:
-                F = self._constrain(F)
+            F = residual(u)
             iters += 1
             rnorm = float(np.linalg.norm(F))
             history.append(rnorm)

@@ -8,11 +8,13 @@ the mean of the inter-element jump vanish on every edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from .linalg import BlockPattern, canonical_csr
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -133,9 +135,7 @@ def apply_dirichlet_cr(dofmap, g, t, matrix, rhs):
     keep[b] = 0.0
     Di = sp.diags(keep, format="csr")
     Db = sp.diags(1.0 - keep, format="csr")
-    A2 = (Di @ matrix @ Di + Db).tocsr()
-    A2.sum_duplicates()
-    A2.sort_indices()
+    A2 = canonical_csr(Di @ matrix @ Di + Db)
     rhs2 *= keep
     rhs2[b] = bvals
     return A2, rhs2
@@ -156,6 +156,12 @@ class CRSpace:
         self.det_jacobians = det                       # = 2 * cell area
         self.grads = np.einsum("ij,cjk->cik", CR_REF_GRADS, inv)
         self._quad_cache = {}
+
+    @cached_property
+    def pattern(self):
+        """CSR pattern of every matrix on this space: the cell blocks."""
+        cd = self.cell_dofs
+        return BlockPattern(self.n_dofs, {"cells": (cd, cd)})
 
     def basis_values(self, bary_points):
         return 1.0 - 2.0 * np.asarray(bary_points, dtype=float)

@@ -10,9 +10,11 @@ the boundary, where the exterior trace defaults to the Dirichlet datum).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .linalg import BlockPattern
 from .quadrature import edge_rule, triangle_rule
 from .space_cr import BARY_REF_GRADS, DofMap, FieldVector, _inverse_jacobians, as_values
 
@@ -108,14 +110,22 @@ def penalty_coeff(ctx, gamma):
 
 
 class _FaceData:
-    """Vectorized per-edge trace tables for one edge quadrature rule."""
+    """Vectorized per-edge trace tables for one edge quadrature rule.
+
+    ``TpTm`` and the other products hold Ta_i * Tb_j at column 3*i + j,
+    (n_edges, nq, 9), so a weighted face block is one matmul.
+    """
 
     __slots__ = (
         "rule", "int_edges", "bnd_edges",
         "ip", "im", "n_int", "h_int", "Tp", "Tm", "pdofs", "mdofs",
-        "gnp", "gnm",
-        "bp", "n_bnd", "h_bnd", "Tb", "bdofs", "gnb", "Xb",
+        "gnp", "gnm", "TpTp", "TpTm", "TmTm",
+        "bp", "n_bnd", "h_bnd", "Tb", "bdofs", "gnb", "Xb", "TbTb",
     )
+
+
+def _trace_products(Ta, Tb):
+    return (Ta[:, :, :, None] * Tb[:, :, None, :]).reshape(*Ta.shape[:2], 9)
 
 
 class DGSpace:
@@ -134,6 +144,23 @@ class DGSpace:
         self.grads = np.einsum("ij,cjk->cik", BARY_REF_GRADS, inv)
         self._quad_cache = {}
         self._face_cache = {}
+
+    @cached_property
+    def pattern(self):
+        """CSR pattern of every matrix on this space.
+
+        Cell blocks plus the plus-minus couplings of interior faces.  The
+        slots of face blocks within one cell ("pp", "mm" on interior
+        faces, "bb" on boundary faces) are the cell-block slots of that
+        cell.
+        """
+        fd = self.face_data()
+        cd = self.cell_dofs
+        pattern = BlockPattern(self.n_dofs, {
+            "cells": (cd, cd), "pm": (fd.pdofs, fd.mdofs), "mp": (fd.mdofs, fd.pdofs)})
+        cells = pattern.slots["cells"]
+        pattern.slots.update(pp=cells[fd.ip], mm=cells[fd.im], bb=cells[fd.bp])
+        return pattern
 
     def basis_values(self, bary_points):
         return np.asarray(bary_points, dtype=float)
@@ -207,6 +234,9 @@ class DGSpace:
         fd.mdofs = self.cell_dofs[fd.im]
         fd.gnp = np.einsum("cid,cd->ci", self.grads[fd.ip], fd.n_int)
         fd.gnm = np.einsum("cid,cd->ci", self.grads[fd.im], fd.n_int)
+        fd.TpTp = _trace_products(fd.Tp, fd.Tp)
+        fd.TpTm = _trace_products(fd.Tp, fd.Tm)
+        fd.TmTm = _trace_products(fd.Tm, fd.Tm)
 
         eb = fd.bnd_edges
         fd.bp = mesh.edge_cells[eb, 0]
@@ -215,6 +245,7 @@ class DGSpace:
         fd.Tb = trace_table(fd.bp, eb)
         fd.bdofs = self.cell_dofs[fd.bp]
         fd.gnb = np.einsum("cid,cd->ci", self.grads[fd.bp], fd.n_bnd)
+        fd.TbTb = _trace_products(fd.Tb, fd.Tb)
         a = mesh.edges[eb, 0]
         b = mesh.edges[eb, 1]
         fd.Xb = ((1.0 - s)[None, :, None] * mesh.vertices[a][:, None, :]

@@ -3,6 +3,7 @@ import pytest
 
 from gbhfem.cli import main, parse_config
 from gbhfem.errors import ConfigError
+from gbhfem.solver import BackwardEulerSolver
 
 MINIMAL = """\
 [run]
@@ -143,6 +144,52 @@ beta = 0
     assert len(body) == 4  # header + 3 levels
     last = body[-1].split(",")
     assert float(last[7]) > 0.5  # energy rate present and sensible
+
+
+def test_convergence_forwards_linear_solver(tmp_path, monkeypatch):
+    # [run] linear_solver reaches every level's solver: LU makes no Krylov
+    # iterations and agrees with the default Newton-Krylov CSV
+    krylov = []
+    run = BackwardEulerSolver.run
+
+    def recording(self):
+        traj = run(self)
+        krylov.append((self.linear_solver, sum(r.krylov_iters for r in traj.records)))
+        return traj
+
+    monkeypatch.setattr(BackwardEulerSolver, "run", recording)
+    text = """\
+[run]
+scheme = cr
+case = type1
+mesh_n = 2
+levels = 2
+linear_solver = {solver}
+
+[model]
+eta = 1.0
+
+[kernel]
+kind = power
+mu = 0.5
+"""
+    bodies = {}
+    for solver in ("gmres", "lu"):
+        out = tmp_path / solver
+        cfg = write(tmp_path, text.format(solver=solver), name=f"{solver}.cfg")
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "convergence.csv").read_text().splitlines()
+        bodies[solver] = [l.split(",") for l in lines if not l.startswith("#")]
+    assert [s for s, _ in krylov] == ["gmres"] * 2 + ["lu"] * 2
+    assert all(k > 0 for s, k in krylov if s == "gmres")
+    assert all(k == 0 for s, k in krylov if s == "lu")
+    gm, lu = bodies["gmres"], bodies["lu"]
+    assert gm[0] == lu[0] and len(gm) == len(lu) == 3
+
+    def numbers(rows):
+        return np.array([[float(v) if v else np.nan for v in r] for r in rows[1:]])
+
+    np.testing.assert_allclose(numbers(lu), numbers(gm), rtol=1e-8, equal_nan=True)
 
 
 def test_caputo_flag_changes_results(tmp_path):

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from gbhfem.errors import SingularMatrixError
 from gbhfem.forms import (assemble_load, assemble_mass, assemble_stiffness_cr,
                           assemble_stiffness_dg)
-from gbhfem.linalg import SolveStats, add_scaled, canonical_csr, factorize, solve
+from gbhfem.linalg import SolveStats, canonical_csr, factorize, solve
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace, apply_dirichlet_cr
 from gbhfem.space_dg import DGSpace
@@ -119,14 +119,19 @@ def test_solve_shape_errors():
 
 
 def test_add_scaled():
-    rng = np.random.default_rng(23)
-    A = sp.random(30, 30, density=0.15, random_state=3, format="csr")
-    B = sp.random(30, 30, density=0.15, random_state=4, format="csr")
-    assert np.abs((add_scaled(A, B, 0.0) - A)).max() == 0.0
-    Z = add_scaled(A, A, -1.0)
-    assert abs(Z).max() == 0.0
-    C = add_scaled(A, B, 2.0)
-    x = rng.standard_normal(30)
-    assert np.abs(C @ x - (A @ x + 2.0 * (B @ x))).max() <= 1e-13
-    with pytest.raises(ValueError):
-        add_scaled(A, sp.eye(5, format="csr"), 1.0)
+    # the solver sums matrices of one space as data vectors on the shared
+    # pattern; that must equal scipy's sparse sum
+    for space in (CRSpace(generate_rect_mesh((0, 0, 1, 1), 3)),
+                  DGSpace(generate_rect_mesh((0, 0, 1, 1), 3))):
+        M = assemble_mass(space)
+        A = (assemble_stiffness_cr(space) if space.kind == "cr"
+             else assemble_stiffness_dg(space, 40.0))
+        pattern = space.pattern
+        assert abs(pattern.matrix(M.data + 0.0 * A.data) - M).max() == 0.0
+        assert abs(pattern.matrix(M.data - M.data)).max() == 0.0
+        C = pattern.matrix(M.data + 2.0 * A.data)
+        assert abs(C - (M + 2.0 * A)).max() <= 1e-15 * abs(A).max()
+        x = np.random.default_rng(23).standard_normal(space.n_dofs)
+        assert np.abs(C @ x - (M @ x + 2.0 * (A @ x))).max() <= 1e-13
+        with pytest.raises(ValueError):
+            pattern.matrix(np.ones(pattern.nnz + 1))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import gbhfem.forms as forms
 import gbhfem.linalg as linalg
 import gbhfem.mms as mms
 from gbhfem.errors import StepFailureError
@@ -290,3 +292,89 @@ def test_missed_krylov_solve_falls_back_to_lu(monkeypatch):
                for r in traj.records[1:])
     for a, b in zip(traj.fields, direct.fields):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+def test_one_jacobian_per_newton_iteration(make, monkeypatch):
+    # the converged iterate of each step gets a residual but no Jacobian
+    calls = {"res": 0, "jac": 0}
+
+    def counting(form):
+        def wrapper(*args, need_jac=True, need_res=True, **kwargs):
+            calls["res"] += need_res
+            calls["jac"] += need_jac
+            return form(*args, need_jac=need_jac, need_res=need_res, **kwargs)
+        return wrapper
+
+    s = make()
+    name = "convection_cr" if s.scheme == "cr" else "convection_dg"
+    monkeypatch.setattr(forms, name, counting(getattr(forms, name)))
+    traj = s.run()
+    iters = sum(r.newton_iters for r in traj.records)
+    steps = len(traj.records) - 1
+    assert calls == {"res": iters + steps, "jac": iters}
+
+
+def test_cr_newton_matrix_is_the_constrained_jacobian():
+    # data-vector sum and slot mask equal scipy's Di (L + J_conv - J_react) Di + Db
+    s = _wave_cr()
+    s.params.beta = 2.0
+    space = s.space
+    u = np.random.default_rng(9).uniform(-1, 1, space.n_dofs)
+    J = s._newton_matrix(u)
+    raw = (s.L_base + forms.convection_cr(space, u, s.params)[1]
+           - forms.reaction(space, u, s.params)[1])
+    keep = np.ones(space.n_dofs)
+    keep[space.boundary_dofs] = 0.0
+    ref = sp.diags(keep) @ raw @ sp.diags(keep) + sp.diags(1.0 - keep)
+    assert abs(J - ref).max() == 0.0
+    assert np.array_equal(s._newton_matrix().toarray(),
+                          (sp.diags(keep) @ s.L_base @ sp.diags(keep)
+                           + sp.diags(1.0 - keep)).toarray())
+
+
+@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+def test_newton_matrix_parts_share_one_pattern(make):
+    s = make()
+    space = s.space
+    u = np.random.default_rng(4).uniform(-1, 1, space.n_dofs)
+    conv = forms.convection_cr if s.scheme == "cr" else forms.convection_dg
+    parts = [s.M, s.A, s.G, s.N_energy, s.L_base, conv(space, u, s.params)[1],
+             forms.reaction(space, u, s.params)[1], s._newton_matrix(u)]
+    for A in parts:
+        assert np.shares_memory(A.indptr, space.pattern.indptr)
+        assert np.shares_memory(A.indices, space.pattern.indices)
+
+
+@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+def test_run_builds_no_coo_and_sums_no_duplicates(make, monkeypatch):
+    # after construction, a run assembles only onto the fixed pattern;
+    # splu's own sum_duplicates call on a canonical matrix does nothing
+    # and is not counted
+    counts = {"coo": 0, "sum_duplicates": 0}
+    coo_init = sp._coo._coo_base.__init__
+    coo_sum = sp._coo._coo_base.sum_duplicates
+    csr_sum = sp._compressed._cs_matrix.sum_duplicates
+
+    def count_coo(self, *args, **kwargs):
+        counts["coo"] += 1
+        coo_init(self, *args, **kwargs)
+
+    def count_coo_sum(self):
+        counts["sum_duplicates"] += 1
+        coo_sum(self)
+
+    def count_csr_sum(self):
+        counts["sum_duplicates"] += not self.has_canonical_format
+        csr_sum(self)
+
+    s = make()
+    monkeypatch.setattr(sp._coo._coo_base, "__init__", count_coo)
+    monkeypatch.setattr(sp._coo._coo_base, "sum_duplicates", count_coo_sum)
+    monkeypatch.setattr(sp._compressed._cs_matrix, "sum_duplicates", count_csr_sum)
+    sp.coo_matrix(np.eye(2))                              # the counters count
+    sp.csr_matrix((np.ones(2), [1, 1], [0, 2, 2]), shape=(2, 2)).sum_duplicates()
+    assert counts == {"coo": 1, "sum_duplicates": 1}
+    counts.update(coo=0, sum_duplicates=0)
+    s.run()
+    assert counts == {"coo": 0, "sum_duplicates": 0}
