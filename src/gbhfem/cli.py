@@ -64,7 +64,6 @@ class RunConfig:
     linear_solver: str = "gmres"
     model: ModelParams = field(default_factory=ModelParams)
     kernel: KernelSpec | None = None
-    caputo_order: float | None = None
     newton_tol: float = 1e-10
     newton_cap: int = 25
     fhn_eps: float | None = None
@@ -196,7 +195,6 @@ def parse_config(path):
             mu=get("kernel", "mu", float, 0.5),
             caputo_order=get("kernel", "caputo_order", float, None),
         ))
-        cfg.caputo_order = cfg.kernel.caputo_order
 
     cfg.newton_tol = get("newton", "tol", float, 1e-10)
     cfg.newton_cap = get("newton", "max_iter", int, 25)
@@ -261,8 +259,8 @@ def cmd_convergence(cfg):
     result = mms.convergence_study(
         case, cfg.scheme, cfg.model,
         levels=cfg.levels, base_n=cfg.mesh_n, coupling=cfg.dt_coupling,
-        t_final=cfg.t_final, kernel_spec=cfg.kernel, caputo_order=cfg.caputo_order,
-        box=cfg.domain, newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
+        t_final=cfg.t_final, kernel_spec=cfg.kernel, box=cfg.domain,
+        newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
         linear_solver=cfg.linear_solver)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,18 +301,17 @@ def cmd_simulate(cfg):
         u0, v0 = _initial_spiral(cfg)
         solver = BackwardEulerSolver(
             space, cfg.model, grid, forcing=None, u0=u0, bc=None,
-            kernel_spec=cfg.kernel, caputo_order=cfg.caputo_order,
-            fhn=(cfg.fhn_eps, cfg.fhn_rho), v0=v0,
+            kernel_spec=cfg.kernel, fhn=(cfg.fhn_eps, cfg.fhn_rho), v0=v0,
             newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
             linear_solver=cfg.linear_solver)
     else:
         case = _case_for(cfg)
         case.self_check(box=cfg.domain)
-        f = mms.forcing(case, cfg.model, cfg.kernel, cfg.caputo_order)
+        f = mms.forcing(case, cfg.model, cfg.kernel)
         bc = None if case.homogeneous_bc else case.boundary
         solver = BackwardEulerSolver(
             space, cfg.model, grid, forcing=f, u0=case.initial, bc=bc,
-            kernel_spec=cfg.kernel, caputo_order=cfg.caputo_order,
+            kernel_spec=cfg.kernel,
             newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
             linear_solver=cfg.linear_solver)
 

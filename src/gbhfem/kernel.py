@@ -25,6 +25,7 @@ from scipy.special import gamma as gamma_fn
 __all__ = [
     "KernelSpec", "KernelWeights",
     "memory_weights", "caputo_weights", "convolve_power", "caputo_power",
+    "resolve_caputo_order",
 ]
 
 
@@ -53,6 +54,21 @@ class KernelSpec:
             raise ValueError("kind='callable' requires k_func")
         if self.caputo_order is not None and not 0.0 < self.caputo_order < 1.0:
             raise ValueError(f"caputo order must lie in (0, 1), got {self.caputo_order!r}")
+
+
+def resolve_caputo_order(kernel_spec, caputo_order):
+    """The Caputo order of a run: ``caputo_order``, else the spec's.
+
+    ``kernel_spec`` may be None.  Raises ValueError when both orders are
+    set and differ.
+    """
+    spec_order = None if kernel_spec is None else kernel_spec.caputo_order
+    if caputo_order is None:
+        return spec_order
+    if spec_order is not None and spec_order != caputo_order:
+        raise ValueError(f"caputo_order {caputo_order!r} differs from the kernel "
+                         f"spec's caputo_order {spec_order!r}")
+    return caputo_order
 
 
 @dataclass

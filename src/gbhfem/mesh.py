@@ -59,27 +59,31 @@ class Mesh:
     def _build_edges(self):
         # Deterministic numbering: edges indexed in first-appearance order
         # while scanning cells, local edges in (1,2), (2,0), (0,1) order.
-        index = {}
-        edges = []
-        edge_cells = []
-        cell_edges = np.empty_like(self.cells)
-        for ci, (a, b, c) in enumerate(self.cells):
-            for loc, (p, q) in enumerate(((b, c), (c, a), (a, b))):
-                key = (p, q) if p < q else (q, p)
-                e = index.get(key)
-                if e is None:
-                    e = len(edges)
-                    index[key] = e
-                    edges.append((p, q))
-                    edge_cells.append([ci, -1])
-                else:
-                    if edge_cells[e][1] != -1:
-                        raise ValueError(f"edge {e} shared by more than two cells")
-                    edge_cells[e][1] = ci
-                cell_edges[ci, loc] = e
-        self.edges = np.array(edges, dtype=np.int64)
-        self.cell_edges = cell_edges
-        self.edge_cells = np.array(edge_cells, dtype=np.int64)
+        half = self.cells[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)   # scan order
+        lo, hi = np.sort(half, axis=1).T
+        _, first, inverse = np.unique(lo * len(self.vertices) + hi,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        eid = rank[inverse.ravel()]                 # edge of each half-edge
+        first = first[order]
+        # later appearances in scan order; an edge seen twice among them
+        # has a third cell
+        later = np.ones(len(half), dtype=bool)
+        later[first] = False
+        rest = np.flatnonzero(later)
+        e_rest = eid[rest]
+        _, once = np.unique(e_rest, return_index=True)
+        if len(once) < len(rest):
+            extra = np.ones(len(rest), dtype=bool)
+            extra[once] = False
+            raise ValueError(f"edge {e_rest[np.argmax(extra)]} shared by more than two cells")
+        self.edges = half[first]
+        self.cell_edges = eid.reshape(-1, 3)
+        self.edge_cells = np.full((len(first), 2), -1, dtype=np.int64)
+        self.edge_cells[:, 0] = first // 3
+        self.edge_cells[e_rest, 1] = rest // 3
         self.boundary_flags = self.edge_cells[:, 1] < 0
 
         pa = self.vertices[self.edges[:, 0]]

@@ -11,13 +11,14 @@ study is allowed to run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import UnsupportedCaseError
-from .kernel import caputo_power, convolve_power
+from .kernel import caputo_power, convolve_power, resolve_caputo_order
 from .mesh import generate_rect_mesh
 from .solver import BackwardEulerSolver, TimeGrid, stability_check
 from .space_cr import CRSpace, as_values
@@ -40,6 +41,12 @@ class ManufacturedCase:
     returns (n, 2).  ``time_profile`` is a list of (coef, power) pairs
     when u = profile(t) * spatial(x) is separable, enabling closed-form
     memory and Caputo forcing terms.
+
+    A separable case computes its spatial factors S, grad S and lap S
+    once per read-only point set (``volume_quad``'s X and the DG boundary
+    points are read-only) and returns those values, read-only, at every
+    time, so the forcing, the exact solution and the error norms of a run
+    reuse them.  Writable point arrays are evaluated afresh on each call.
     """
 
     name: str
@@ -107,7 +114,43 @@ class ManufacturedCase:
         return True
 
 
+def _frozen(x):
+    """True when x and the array that owns its memory are both read-only."""
+    while isinstance(x, np.ndarray):
+        if x.flags.writeable:
+            return False
+        x = x.base
+    return x is None
+
+
+def _per_point_set(fn):
+    """fn(x), remembered for the last read-only point set x.
+
+    A call hits when x is read-only down to the owner of its memory
+    (``_frozen``) and views the same memory as the remembered argument
+    with the same shape, strides and dtype.  The remembered argument is
+    kept alive, so no other array can take over its memory meanwhile.
+    Writable arguments go straight to fn.
+    """
+    last = None            # (argument, key, read-only value)
+
+    def spatial(x):
+        nonlocal last
+        if not _frozen(x):
+            return fn(x)
+        key = (x.ctypes.data, x.shape, x.strides, x.dtype)
+        if last is None or last[1] != key:
+            value = np.asarray(fn(x))
+            value.flags.writeable = False
+            last = (x, key, value)
+        return last[2]
+
+    return spatial
+
+
 def _separable(name, profile, dprofile, S, gradS, lapS, homogeneous):
+    S, gradS, lapS = _per_point_set(S), _per_point_set(gradS), _per_point_set(lapS)
+
     def u(x, t):
         return _eval_profile(profile, t) * S(x)
 
@@ -199,6 +242,15 @@ def traveling_wave(reynolds):
                             homogeneous_bc=False)
 
 
+@functools.lru_cache(maxsize=16)
+def _jacobi_rule(n_nodes, mu):
+    """Gauss-Jacobi nodes and weights for the weight (1-z)^(-mu), read-only."""
+    z, w = roots_jacobi(n_nodes, -mu, 0.0)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
+
+
 def _jacobi_convolution(lap, mu, x, t, n_nodes=JACOBI_NODES):
     """int_0^t (t - tau)^(-mu) lap(x, tau) dtau by Gauss-Jacobi in tau.
 
@@ -208,7 +260,7 @@ def _jacobi_convolution(lap, mu, x, t, n_nodes=JACOBI_NODES):
     """
     if t <= 0.0:
         return np.zeros(len(x))
-    z, w = roots_jacobi(n_nodes, -mu, 0.0)
+    z, w = _jacobi_rule(n_nodes, mu)
     out = np.zeros(len(x))
     for zi, wi in zip(z, w):
         out += wi * lap(x, t * (zi + 1.0) / 2.0)
@@ -223,9 +275,12 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
 
     The memory convolution uses the Beta-identity closed form for
     separable power-profile cases and a Gauss-Jacobi quadrature
-    otherwise; the Caputo term requires a power-family profile.
+    otherwise; the Caputo term requires a power-family profile.  The
+    Caputo order is ``caputo_order``, else ``kernel_spec.caputo_order``
+    (ValueError when both are set and differ).
     """
     p = params
+    caputo_order = resolve_caputo_order(kernel_spec, caputo_order)
     if p.eta > 0.0 and kernel_spec is None:
         raise ValueError("eta > 0 requires a kernel_spec")
     if p.eta > 0.0 and kernel_spec.kind == "callable":

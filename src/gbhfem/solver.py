@@ -28,7 +28,7 @@ import numpy as np
 
 from . import forms, linalg
 from .errors import StepFailureError
-from .kernel import caputo_weights, memory_weights
+from .kernel import caputo_weights, memory_weights, resolve_caputo_order
 
 __all__ = [
     "TimeGrid", "StepRecord", "Trajectory", "BackwardEulerSolver",
@@ -106,7 +106,9 @@ class BackwardEulerSolver:
     u0 : callable initial datum, or None for zero
     bc : callable g(points, t) Dirichlet datum, or None for homogeneous
     kernel_spec : KernelSpec, required when params.eta > 0
-    caputo_order : fractional order in (0, 1), or None
+    caputo_order : fractional order in (0, 1), or None for
+        ``kernel_spec.caputo_order`` (ValueError when both are set and
+        differ)
     fhn : (eps, rho) to enable the recovery-variable coupling
     v0 : callable initial datum of the recovery variable
     linear_solver : "gmres" (Newton-Krylov, see the module docstring) or
@@ -144,6 +146,7 @@ class BackwardEulerSolver:
                 raise ValueError("eta > 0 requires a kernel_spec")
             self.weights = memory_weights(kernel_spec, dt, grid.n_steps)
         self.cweights = None
+        caputo_order = resolve_caputo_order(kernel_spec, caputo_order)
         if caputo_order is not None:
             self.cweights = caputo_weights(caputo_order, dt, grid.n_steps)
 

@@ -18,7 +18,7 @@ from .linalg import BlockPattern, canonical_csr
 from .quadrature import triangle_rule
 
 __all__ = [
-    "DofMap", "FieldVector", "CRSpace",
+    "DofMap", "FieldVector", "P1Space", "CRSpace",
     "cr_dof_map", "cr_basis", "cr_interpolate", "apply_dirichlet_cr",
 ]
 
@@ -141,21 +141,55 @@ def apply_dirichlet_cr(dofmap, g, t, matrix, rhs):
     return A2, rhs2
 
 
-class CRSpace:
+class P1Space:
+    """Per-cell geometry and volume quadrature shared by the CR and DG spaces.
+
+    Subclasses pass their dof map and the reference gradients of their
+    basis and define ``basis_values``.
+    """
+
+    def __init__(self, mesh, dofmap, ref_grads):
+        self.mesh = mesh
+        self.dofmap = dofmap
+        self.cell_dofs = dofmap.cell_dofs
+        self.n_dofs = dofmap.n_dofs
+        inv, det = _inverse_jacobians(mesh)
+        self.inv_jacobians = inv
+        self.det_jacobians = det                       # = 2 * cell area
+        self.grads = np.einsum("ij,cjk->cik", ref_grads, inv)
+        self._quad_cache = {}
+
+    def volume_quad(self, degree):
+        """Cached (rule, basis values B (nq,3), physical points X (nc,nq,2)).
+
+        B and X are read-only, so every caller sees the same values and a
+        point-set cache (the spatial factors of separable manufactured
+        solutions) may key on their memory.
+        """
+        data = self._quad_cache.get(degree)
+        if data is None:
+            rule = triangle_rule(degree)
+            B = self.basis_values(rule.points)
+            X = np.einsum("qi,cid->cqd", rule.points, self.mesh.vertices[self.mesh.cells])
+            B.flags.writeable = False
+            X.flags.writeable = False
+            data = (rule, B, X)
+            self._quad_cache[degree] = data
+        return data
+
+    def field_gradients(self, u):
+        """Piecewise-constant gradient of a field, (n_cells, 2)."""
+        vals = as_values(u)
+        return np.einsum("cid,ci->cd", self.grads, vals[self.cell_dofs])
+
+
+class CRSpace(P1Space):
     """CR dof map plus the per-cell geometry all assembly loops need."""
 
     kind = "cr"
 
     def __init__(self, mesh):
-        self.mesh = mesh
-        self.dofmap = cr_dof_map(mesh)
-        self.cell_dofs = self.dofmap.cell_dofs
-        self.n_dofs = self.dofmap.n_dofs
-        inv, det = _inverse_jacobians(mesh)
-        self.inv_jacobians = inv
-        self.det_jacobians = det                       # = 2 * cell area
-        self.grads = np.einsum("ij,cjk->cik", CR_REF_GRADS, inv)
-        self._quad_cache = {}
+        super().__init__(mesh, cr_dof_map(mesh), CR_REF_GRADS)
 
     @cached_property
     def pattern(self):
@@ -166,24 +200,8 @@ class CRSpace:
     def basis_values(self, bary_points):
         return 1.0 - 2.0 * np.asarray(bary_points, dtype=float)
 
-    def volume_quad(self, degree):
-        """Cached (rule, basis values (nq,3), physical points (nc,nq,2))."""
-        data = self._quad_cache.get(degree)
-        if data is None:
-            rule = triangle_rule(degree)
-            B = self.basis_values(rule.points)
-            X = np.einsum("qi,cid->cqd", rule.points, self.mesh.vertices[self.mesh.cells])
-            data = (rule, B, X)
-            self._quad_cache[degree] = data
-        return data
-
     def interpolate(self, g):
         return cr_interpolate(self.mesh, self.dofmap, g)
-
-    def field_gradients(self, u):
-        """Piecewise-constant gradient of a CR field, (n_cells, 2)."""
-        vals = as_values(u)
-        return np.einsum("cid,ci->cd", self.grads, vals[self.cell_dofs])
 
     @property
     def boundary_dofs(self):

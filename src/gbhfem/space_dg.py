@@ -15,8 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import BlockPattern
-from .quadrature import edge_rule, triangle_rule
-from .space_cr import BARY_REF_GRADS, DofMap, FieldVector, _inverse_jacobians, as_values
+from .quadrature import edge_rule
+from .space_cr import (BARY_REF_GRADS, DofMap, FieldVector, P1Space, _inverse_jacobians,
+                       as_values)
 
 __all__ = ["DGSpace", "dg_dof_map", "EdgeTraceContext", "edge_trace_context",
            "jump_average", "penalty_coeff"]
@@ -128,21 +129,13 @@ def _trace_products(Ta, Tb):
     return (Ta[:, :, :, None] * Tb[:, :, None, :]).reshape(*Ta.shape[:2], 9)
 
 
-class DGSpace:
+class DGSpace(P1Space):
     """DG dof map plus cached cell and face geometry."""
 
     kind = "dg"
 
     def __init__(self, mesh):
-        self.mesh = mesh
-        self.dofmap = dg_dof_map(mesh)
-        self.cell_dofs = self.dofmap.cell_dofs
-        self.n_dofs = self.dofmap.n_dofs
-        inv, det = _inverse_jacobians(mesh)
-        self.inv_jacobians = inv
-        self.det_jacobians = det
-        self.grads = np.einsum("ij,cjk->cik", BARY_REF_GRADS, inv)
-        self._quad_cache = {}
+        super().__init__(mesh, dg_dof_map(mesh), BARY_REF_GRADS)
         self._face_cache = {}
 
     @cached_property
@@ -165,24 +158,10 @@ class DGSpace:
     def basis_values(self, bary_points):
         return np.asarray(bary_points, dtype=float)
 
-    def volume_quad(self, degree):
-        data = self._quad_cache.get(degree)
-        if data is None:
-            rule = triangle_rule(degree)
-            B = self.basis_values(rule.points)
-            X = np.einsum("qi,cid->cqd", rule.points, self.mesh.vertices[self.mesh.cells])
-            data = (rule, B, X)
-            self._quad_cache[degree] = data
-        return data
-
     def interpolate(self, g):
         vals = np.asarray(g(self.dofmap.dof_locations), dtype=float)
         vals = np.broadcast_to(vals, (self.n_dofs,)).copy()
         return FieldVector(self.dofmap, vals)
-
-    def field_gradients(self, u):
-        vals = as_values(u)
-        return np.einsum("cid,ci->cd", self.grads, vals[self.cell_dofs])
 
     def _local_vertex_index(self, cells_subset, vertex_ids):
         # position of each vertex id within its cell's vertex triple
@@ -250,6 +229,7 @@ class DGSpace:
         b = mesh.edges[eb, 1]
         fd.Xb = ((1.0 - s)[None, :, None] * mesh.vertices[a][:, None, :]
                  + s[None, :, None] * mesh.vertices[b][:, None, :])
+        fd.Xb.flags.writeable = False      # point-set caches may key on it
         self._face_cache[degree] = fd
         return fd
 

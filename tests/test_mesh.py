@@ -138,3 +138,64 @@ def test_vtk_mesh_export(tmp_path):
     assert f"CELLS {m.n_cells} {4 * m.n_cells}" in lines
     types_at = lines.index(f"CELL_TYPES {m.n_cells}")
     assert all(l == "5" for l in lines[types_at + 1 : types_at + 1 + m.n_cells])
+
+
+def _edges_by_loop(vertices, cells):
+    """Reference edge tables: the per-cell scan that defines the numbering."""
+    index, edges, edge_cells = {}, [], []
+    cell_edges = np.empty_like(cells)
+    for ci, (a, b, c) in enumerate(cells):
+        for loc, (p, q) in enumerate(((b, c), (c, a), (a, b))):
+            key = (p, q) if p < q else (q, p)
+            e = index.get(key)
+            if e is None:
+                e = len(edges)
+                index[key] = e
+                edges.append((p, q))
+                edge_cells.append([ci, -1])
+            else:
+                if edge_cells[e][1] != -1:
+                    raise ValueError(f"edge {e} shared by more than two cells")
+                edge_cells[e][1] = ci
+            cell_edges[ci, loc] = e
+    edges = np.array(edges, dtype=np.int64)
+    edge_cells = np.array(edge_cells, dtype=np.int64)
+    tang = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / np.hypot(*tang.T)[:, None]
+    mid = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
+    ref = mid - vertices[cells[edge_cells[:, 0]]].mean(axis=1)
+    normals[np.einsum("ij,ij->i", normals, ref) < 0.0] *= -1.0
+    return edges, cell_edges, edge_cells, normals
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_rect_mesh(UNIT, 1),
+    lambda: generate_rect_mesh((0.0, 0.0, 2.0, 1.0), 7),
+    lambda: refine_uniform(refine_uniform(generate_rect_mesh(UNIT, 2))),
+])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_edge_tables_match_cell_scan(make, shuffle):
+    m = make()
+    cells = m.cells
+    if shuffle:
+        cells = cells[np.random.default_rng(3).permutation(m.n_cells)]
+    m = Mesh(m.vertices, cells)
+    edges, cell_edges, edge_cells, normals = _edges_by_loop(m.vertices, m.cells)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.cell_edges, cell_edges)
+    assert np.array_equal(m.edge_cells, edge_cells)
+    assert np.array_equal(m.edge_normals, normals)
+    assert m.edges.dtype == m.cell_edges.dtype == m.edge_cells.dtype == np.int64
+
+
+def test_edge_shared_by_three_cells_rejected():
+    # three counterclockwise triangles on the edge (0, 1), which is edge 2
+    # (local edge (0, 1) of the first cell)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                         [0.5, 2.0], [2.0, 2.0]])
+    cells = np.array([[0, 1, 2], [1, 5, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match="edge 2 shared by more than two cells") as vec:
+        Mesh(vertices, cells)
+    with pytest.raises(ValueError) as ref:
+        _edges_by_loop(vertices, cells)
+    assert str(vec.value) == str(ref.value)

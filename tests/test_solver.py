@@ -91,6 +91,29 @@ def test_eta_required_kernel():
         BackwardEulerSolver(CRSpace(mesh), ModelParams(eta=1.0), TimeGrid(1.0, 2))
 
 
+def test_caputo_order_taken_from_kernel_spec():
+    space = CRSpace(generate_rect_mesh(UNIT, 4))
+    case = mms.type_one()
+    params = ModelParams(eta=1.0)
+    f = mms.forcing(case, params, KernelSpec(mu=0.5), caputo_order=0.5)
+
+    def fields(spec, caputo_order=None):
+        s = BackwardEulerSolver(space, params, TimeGrid(1.0, 4), forcing=f, u0=case.initial,
+                                kernel_spec=spec, caputo_order=caputo_order)
+        return s.run().fields
+
+    spec_only = fields(KernelSpec(mu=0.5, caputo_order=0.5))
+    arg_only = fields(KernelSpec(mu=0.5), 0.5)
+    both = fields(KernelSpec(mu=0.5, caputo_order=0.5), 0.5)
+    without = fields(KernelSpec(mu=0.5))
+    assert all(np.array_equal(a, b) for a, b in zip(spec_only, arg_only))
+    assert all(np.array_equal(a, b) for a, b in zip(spec_only, both))
+    assert not np.allclose(spec_only[-1], without[-1])
+    with pytest.raises(ValueError, match="caputo_order"):
+        BackwardEulerSolver(space, params, TimeGrid(1.0, 4),
+                            kernel_spec=KernelSpec(mu=0.5, caputo_order=0.5), caputo_order=0.25)
+
+
 def test_caputo_temporal_order():
     # linear-in-space manufactured solution: spatial error vanishes in the
     # CR space, leaving the O(dt) time discretization error

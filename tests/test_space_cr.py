@@ -7,6 +7,7 @@ from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.quadrature import edge_rule
 from gbhfem.space_cr import (CRSpace, FieldVector, apply_dirichlet_cr, cr_basis,
                              cr_dof_map, cr_interpolate)
+from gbhfem.space_dg import DGSpace
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -145,3 +146,18 @@ def test_field_vector_validation():
         FieldVector(dm, np.zeros(3))
     with pytest.raises(ValueError):
         FieldVector(dm, np.full(dm.n_dofs, np.nan))
+
+
+@pytest.mark.parametrize("make", [CRSpace, DGSpace])
+def test_volume_quad_is_shared_and_read_only(make):
+    space = make(generate_rect_mesh(UNIT, 3))
+    rule, B, X = space.volume_quad(5)
+    assert space.volume_quad(5)[1] is B and space.volume_quad(5)[2] is X
+    assert X.shape == (space.mesh.n_cells, rule.n_points, 2)
+    assert np.array_equal(B, space.basis_values(rule.points))
+    with pytest.raises(ValueError):
+        X[0, 0, 0] = 0.5
+    with pytest.raises(ValueError):
+        X.reshape(-1, 2)[:] = 0.0
+    with pytest.raises(ValueError):
+        B[0, 0] = 0.5
