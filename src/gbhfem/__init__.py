@@ -9,9 +9,9 @@ preserving product quadrature for the Volterra memory term and an
 optional Caputo fractional derivative discretized the same way.
 """
 
-from .mesh import Mesh, generate_rect_mesh, refine_uniform, edge_geometry
-from .quadrature import QuadratureRule, triangle_rule, edge_rule, integrate_cell
-from .space_cr import DofMap, FieldVector, CRSpace, cr_dof_map, cr_interpolate
+from .mesh import Mesh, generate_rect_mesh, refine_uniform
+from .quadrature import QuadratureRule, triangle_rule, edge_rule
+from .space_cr import DofMap, FieldVector, CRSpace, cr_dof_map
 from .space_dg import DGSpace, dg_dof_map
 from .forms import ModelParams
 from .kernel import KernelSpec, KernelWeights, memory_weights, caputo_weights, convolve_power
@@ -21,9 +21,9 @@ from .mms import ManufacturedCase, type_one, type_two, traveling_wave, forcing, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "generate_rect_mesh", "refine_uniform", "edge_geometry",
-    "QuadratureRule", "triangle_rule", "edge_rule", "integrate_cell",
-    "DofMap", "FieldVector", "CRSpace", "cr_dof_map", "cr_interpolate",
+    "Mesh", "generate_rect_mesh", "refine_uniform",
+    "QuadratureRule", "triangle_rule", "edge_rule",
+    "DofMap", "FieldVector", "CRSpace", "cr_dof_map",
     "DGSpace", "dg_dof_map",
     "ModelParams",
     "KernelSpec", "KernelWeights", "memory_weights", "caputo_weights", "convolve_power",

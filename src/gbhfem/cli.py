@@ -26,8 +26,6 @@ from .forms import ModelParams, nonlinear_quad_degree
 from .kernel import KernelSpec, memory_weights
 from .mesh import generate_rect_mesh
 from .solver import BackwardEulerSolver, TimeGrid
-from .space_cr import CRSpace
-from .space_dg import DGSpace
 
 __all__ = ["RunConfig", "parse_config", "cmd_convergence", "cmd_simulate",
            "cmd_weights_dump", "main"]
@@ -152,7 +150,7 @@ def parse_config(path):
         return default
 
     cfg.scheme = get("run", "scheme", str, cfg.scheme).lower()
-    if cfg.scheme not in ("cr", "dg"):
+    if cfg.scheme not in mms.SPACES:
         _fail(path, f"scheme must be cr or dg, got {cfg.scheme!r}", "scheme", "run")
     cfg.case = get("run", "case", str, cfg.case).lower()
     if cfg.case not in _CASES:
@@ -294,7 +292,7 @@ def _initial_spiral(cfg):
 
 def cmd_simulate(cfg):
     mesh = generate_rect_mesh(cfg.domain, cfg.mesh_n)
-    space = CRSpace(mesh) if cfg.scheme == "cr" else DGSpace(mesh)
+    space = mms.SPACES[cfg.scheme](mesh)
     grid = TimeGrid(cfg.t_final, cfg.n_steps)
 
     if cfg.case == "spiral":

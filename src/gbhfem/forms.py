@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space_cr import as_values
+from . import space_cr
 
 __all__ = [
     "ModelParams", "nonlinear_quad_degree",
@@ -190,19 +190,20 @@ def dg_norm_matrix(space, penalty_gamma):
     return _assemble(space, blocks)
 
 
-def dirichlet_rhs_dg(space, g, t, penalty_gamma):
-    """Nitsche data vector for the SIPG operator with datum u = g(x, t).
+def dirichlet_rhs_dg(space, datum, penalty_gamma):
+    """Nitsche data vector for the SIPG operator with boundary datum values.
 
-    The diffusion residual with boundary data is nu * (A u - r) with r
-    this vector; it collects the datum's symmetry and penalty terms.
+    ``datum`` holds the datum at the boundary-edge quadrature points, as
+    ``dg_boundary_values`` returns it.  The diffusion residual with
+    boundary data is nu * (A u - r) with r this vector; it collects the
+    datum's symmetry and penalty terms.
     """
     fd = space.face_data()
-    gb = dg_boundary_values(space, g, t)
     w = fd.rule.weights
     ghb = penalty_gamma / fd.h_bnd
-    gInt = np.einsum("q,eq->e", w, gb) * fd.h_bnd           # int_E g ds
+    gInt = np.einsum("q,eq->e", w, datum) * fd.h_bnd        # int_E g ds
     r_sym = -np.einsum("e,ei->ei", gInt, fd.gnb)
-    gT = np.einsum("q,eq,eqi->ei", w, gb, fd.Tb) * fd.h_bnd[:, None]
+    gT = np.einsum("q,eq,eqi->ei", w, datum, fd.Tb) * fd.h_bnd[:, None]
     r_pen = ghb[:, None] * gT
     return _scatter(space.n_dofs, fd.bdofs, r_sym + r_pen)
 
@@ -248,8 +249,8 @@ def convection_cr(space, u, params, need_jac=True, need_res=True):
     needed for stability.  Returns (residual, Jacobian); a part not
     asked for is None.
     """
-    res_cells, jac_cells = _volume_convection(space, as_values(u), params.alpha,
-                                              params.delta, need_res, need_jac)
+    res_cells, jac_cells = _volume_convection(space, space_cr.as_values(u),
+                                              params.alpha, params.delta, need_res, need_jac)
     res = _scatter(space.n_dofs, space.cell_dofs, res_cells) if need_res else None
     jac = _assemble(space, {"cells": jac_cells}) if need_jac else None
     return res, jac
@@ -271,7 +272,7 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True, need_re
     boundary faces; None means homogeneous.  Returns (residual,
     Jacobian); a part not asked for is None.
     """
-    uvals = as_values(u)
+    uvals = space_cr.as_values(u)
     alpha, delta = params.alpha, params.delta
     scale = alpha / (delta + 2.0)
     res_cells, jac_cells = _volume_convection(space, uvals, alpha, delta, need_res, need_jac)
@@ -331,7 +332,7 @@ def reaction(space, u, params, need_jac=True, need_res=True):
     """
     beta, gamma, delta = params.beta, params.reaction_gamma, params.delta
     w, B, BB = _volume_tables(space, nonlinear_quad_degree(delta))
-    uq = as_values(u)[space.cell_dofs] @ B.T
+    uq = space_cr.as_values(u)[space.cell_dofs] @ B.T
     ud = uq ** delta
     det = space.det_jacobians
     res = jac = None

@@ -84,11 +84,6 @@ class KernelWeights:
     n_steps: int
     lag_weights: np.ndarray      # (n_steps,) value at lag m = k - j
 
-    def omega(self, k, j):
-        if not 1 <= j <= k <= self.n_steps:
-            raise ValueError(f"need 1 <= j <= k <= {self.n_steps}, got ({k}, {j})")
-        return float(self.lag_weights[k - j])
-
     def row(self, k):
         """omega_k1 .. omega_kk as an array of length k."""
         if not 1 <= k <= self.n_steps:

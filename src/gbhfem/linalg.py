@@ -83,6 +83,8 @@ class BlockPattern:
         """Positions of the entries in the rows or columns of ``dofs``, and
         of the diagonal entries of ``dofs``; zeroing the first and setting
         the second to one is the strong constraint ``Di A Di + Db``."""
+        if not len(dofs):                   # nothing constrained (DG)
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         on = np.zeros(self.n, dtype=bool)
         on[dofs] = True
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Mesh",
-    "generate_rect_mesh",
-    "refine_uniform",
-    "edge_geometry",
-    "outward_normal",
-]
+__all__ = ["Mesh", "generate_rect_mesh", "refine_uniform"]
 
 
 class Mesh:
@@ -169,26 +163,3 @@ def refine_uniform(mesh):
     children[:, 2] = np.column_stack([m1, m0, c])
     children[:, 3] = np.column_stack([m0, m1, m2])
     return Mesh(vertices, children.reshape(-1, 3), mesh.domain_box)
-
-
-def edge_geometry(mesh, edge_index):
-    """Return ``(unit normal, length, midpoint)`` of one edge."""
-    e = int(edge_index)
-    if not 0 <= e < mesh.n_edges:
-        raise ValueError(f"edge index {edge_index} out of range")
-    return (
-        mesh.edge_normals[e].copy(),
-        float(mesh.edge_lengths[e]),
-        mesh.edge_midpoints[e].copy(),
-    )
-
-
-def outward_normal(mesh, cell_index, edge_index):
-    """Unit normal of ``edge_index`` pointing out of ``cell_index``."""
-    e = int(edge_index)
-    c = int(cell_index)
-    if mesh.edge_cells[e, 0] == c:
-        return mesh.edge_normals[e].copy()
-    if mesh.edge_cells[e, 1] == c:
-        return -mesh.edge_normals[e]
-    raise ValueError(f"edge {e} is not an edge of cell {c}")

@@ -27,10 +27,13 @@ from .space_dg import DGSpace
 __all__ = [
     "ManufacturedCase", "type_one", "type_two", "traveling_wave",
     "forcing", "error_l2", "error_linf_l2", "error_energy",
-    "StudyRow", "StudyResult", "convergence_study",
+    "StudyRow", "StudyResult", "SPACES", "convergence_study",
 ]
 
 JACOBI_NODES = 48
+
+#: The space class of each scheme.
+SPACES = {"cr": CRSpace, "dg": DGSpace}
 
 
 @dataclass
@@ -401,6 +404,8 @@ def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25
     """
     if levels < 2:
         raise ValueError("a study needs at least 2 levels")
+    if scheme not in SPACES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {sorted(SPACES)}")
     case.self_check(box=box)
     if check_stability is None:
         check_stability = case.homogeneous_bc
@@ -415,7 +420,7 @@ def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25
         dt = coupling * h
         n_steps = int(round(t_final / dt))
         mesh = generate_rect_mesh(box, n)
-        space = CRSpace(mesh) if scheme == "cr" else DGSpace(mesh)
+        space = SPACES[scheme](mesh)
         grid = TimeGrid(t_final, n_steps)
         solver = BackwardEulerSolver(
             space, params, grid, forcing=f, u0=case.initial, bc=bc,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-__all__ = ["QuadratureRule", "triangle_rule", "edge_rule", "integrate_cell"]
+__all__ = ["QuadratureRule", "triangle_rule", "edge_rule"]
 
 MAX_DEGREE = 10
 
@@ -107,19 +107,3 @@ def edge_rule(degree):
     m = (degree + 2) // 2
     x, w = roots_legendre(m)
     return QuadratureRule("edge", degree, 0.5 * (x + 1.0), 0.5 * w)
-
-
-def integrate_cell(mesh, cell, integrand, rule):
-    """Integrate ``integrand(point) -> float`` over one cell.
-
-    Affine-mapped quadrature: sum of w_q * |det J| * integrand(x_q).
-    """
-    if rule.kind != "triangle":
-        raise ValueError("integrate_cell needs a triangle rule")
-    c = int(cell)
-    if not 0 <= c < mesh.n_cells:
-        raise ValueError(f"cell index {cell} out of range")
-    verts = mesh.vertices[mesh.cells[c]]
-    xq = rule.points @ verts
-    det = 2.0 * mesh.cell_areas[c]
-    return det * sum(w * float(integrand(x)) for w, x in zip(rule.weights, xq))

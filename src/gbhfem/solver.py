@@ -6,18 +6,25 @@ Each step solves
         + eta dt sum_{j<=k} omega_kj A u^j  [+ Caputo term] [+ M v^k]
         = (f^k, phi_i)
 
-with A the CR stiffness or the SIPG operator, B/C the convection and
-reaction forms.  The j = k memory contribution enters the Newton matrix.
-Its constant part (mass, stiffness and memory diagonal) is factored once
-per run, on the first Newton solve, and preconditions GMRES on the exact
-Jacobian (Newton-Krylov); ``linear_solver="lu"`` factors every Newton
-matrix directly instead.  All matrices share the space's CSR pattern, so
-a Newton matrix is a sum of ``data`` vectors, and a Jacobian is built
-only for the iterations that solve with it.
-Dirichlet data is imposed strongly at edge midpoints for CR and weakly
-(Nitsche, through the SIPG boundary terms and the upwind flux datum)
-for DG.  The optional recovery variable of the FitzHugh-Nagumo coupling
-is eliminated per dof with its closed-form implicit Euler update.
+with A the space's diffusion operator (CR stiffness or SIPG), B/C the
+convection and reaction forms.  Both schemes share one residual
+F(u) = L_base u + alpha B(u) - beta C(u) - b_k and one Newton matrix
+L_base + J_conv - J_react: the constant L_base holds the mass, diffusion,
+memory/Caputo diagonal and FitzHugh-Nagumo parts, and b_k every
+u-independent term of the step (load, previous iterate, history sums,
+Nitsche vector).  L_base is factored once per run, on the first Newton
+solve, and preconditions GMRES on the exact Jacobian (Newton-Krylov);
+``linear_solver="lu"`` factors every Newton matrix directly instead.
+All matrices share the space's CSR pattern, so a Newton matrix is a sum
+of ``data`` vectors, and a Jacobian is built only for the iterations
+that solve with it.
+The space supplies what differs between the schemes: diffusion and
+energy-norm matrices, convection form and Dirichlet datum, evaluated
+once per step.  The datum pins the ``boundary_dofs`` (CR midpoints; none
+for DG), whose residual rows are zero and whose Newton rows and columns
+are the identity's; DG's weak datum enters b_k (Nitsche vector) and the
+upwind flux.  The optional recovery variable of the FitzHugh-Nagumo
+coupling is eliminated per dof with its closed-form implicit Euler update.
 """
 
 from __future__ import annotations
@@ -132,13 +139,8 @@ class BackwardEulerSolver:
 
         dt = grid.delta_t
         self.M = forms.assemble_mass(space)
-        self.G = forms.assemble_stiffness_cr(space)      # broken-gradient Gram
-        if self.scheme == "cr":
-            self.A = self.G
-            self.N_energy = self.A
-        else:
-            self.A = forms.assemble_stiffness_dg(space, params.penalty_gamma)
-            self.N_energy = forms.dg_norm_matrix(space, params.penalty_gamma)
+        # broken-gradient Gram, diffusion operator, energy-norm Gram
+        self.G, self.A, self.N_energy = space.diffusion_matrices(params.penalty_gamma)
 
         self.weights = None
         if params.eta > 0.0:
@@ -156,88 +158,73 @@ class BackwardEulerSolver:
             eps, rho = fhn
             self.fhn = (float(eps), float(rho))
 
-        # constant part of every Newton matrix
-        mass_coef = 1.0 / dt
+        # constant part of every Newton matrix; b_k reuses the u_prev and
+        # diffusion (Nitsche) coefficients
+        self._prev_coef = 1.0 / dt
         if self.cweights is not None:
-            mass_coef += self.cweights.diagonal
+            self._prev_coef += self.cweights.diagonal
+        mass_coef = self._prev_coef
         if self.fhn is not None:
             eps, rho = self.fhn
             mass_coef += dt * eps / (1.0 + dt * eps * rho)
-        stiff_coef = params.nu
+        self._stiff_coef = params.nu
         if self.weights is not None:
-            stiff_coef += params.eta * dt * self.weights.diagonal
+            self._stiff_coef += params.eta * dt * self.weights.diagonal
         # every matrix shares space.pattern, so sums are sums of data
-        self.L_base = space.pattern.matrix(mass_coef * self.M.data + stiff_coef * self.A.data)
-
-        # CR imposes Dirichlet data strongly at boundary midpoints, with a
-        # zero datum when none is given; DG carries the datum weakly in the
-        # penalty/consistency/flux terms, so nothing is constrained there.
-        self.strong_bc = self.scheme == "cr"
-        if self.strong_bc:
-            self._bc_zero, self._bc_one = space.pattern.dirichlet_slots(space.boundary_dofs)
+        self.L_base = space.pattern.matrix(mass_coef * self.M.data
+                                           + self._stiff_coef * self.A.data)
+        self._bc_zero, self._bc_one = space.pattern.dirichlet_slots(space.boundary_dofs)
         # factor of the constrained L_base, built on the first Newton solve
         # so that construction stays cheap
         self._precond = None
 
     # -- per-step pieces -------------------------------------------------
 
-    def _nitsche_vec(self, t):
-        if self.scheme == "dg" and self.bc is not None:
-            return forms.dirichlet_rhs_dg(self.space, self.bc, t,
-                                          self.params.penalty_gamma)
-        return None
+    def _step_data(self, k, u_prev, mem_known, cap_known, v_prev):
+        """Step k's strong datum values, face datum, Nitsche vector and b_k.
 
-    def _flux_datum(self, t):
-        if self.scheme == "dg" and self.bc is not None:
-            return forms.dg_boundary_values(self.space, self.bc, t)
-        return None
-
-    def _convection(self, u, flux_datum, **parts):
-        if self.scheme == "cr":
-            return forms.convection_cr(self.space, u, self.params, **parts)
-        return forms.convection_dg(self.space, u, self.params,
-                                   boundary_values=flux_datum, **parts)
-
-    def _residual(self, u, u_prev, load, mem_known, cap_known, fhn_const,
-                  nitsche_k, flux_datum):
+        ``mem_known`` and ``cap_known`` are the memory and Caputo history
+        sums over j < k (0.0 when absent).
+        """
         p = self.params
         dt = self.grid.delta_t
-        Au = self.A @ u
-        F = self.M @ ((u - u_prev) / dt) + p.nu * Au - load
-        if nitsche_k is not None:
-            F -= p.nu * nitsche_k
+        t_k = k * dt
+        bvals = self.space.boundary_values(self.bc, t_k)
+        datum, nitsche = self.space.weak_dirichlet(self.bc, t_k, p.penalty_gamma)
+        b = (forms.assemble_load(self.space, self.forcing, (k - 1) * dt, t_k)
+             + self._prev_coef * (self.M @ u_prev) - cap_known
+             - p.eta * dt * mem_known + self._stiff_coef * nitsche)
+        if self.fhn is not None:
+            eps, rho = self.fhn
+            b -= (self.M @ v_prev) / (1.0 + dt * eps * rho)
+        return bvals, datum, nitsche, b
+
+    def _residual(self, u, b, datum):
+        """F(u) = L_base u + alpha B(u) - beta C(u) - b, constrained rows zero."""
+        p = self.params
+        F = self.L_base @ u - b
         if p.alpha > 0.0:
-            F += self._convection(u, flux_datum, need_jac=False)[0]
+            F += self.space.convection(u, p, datum, need_jac=False)[0]
         if p.beta > 0.0:
             F -= forms.reaction(self.space, u, p, need_jac=False)[0]
-        if self.weights is not None:
-            own = Au if nitsche_k is None else Au - nitsche_k
-            F += p.eta * dt * (mem_known + self.weights.diagonal * own)
-        if self.cweights is not None:
-            F += cap_known + self.cweights.diagonal * (self.M @ (u - u_prev))
-        if fhn_const is not None:
-            eps, rho = self.fhn
-            F += fhn_const + (dt * eps / (1.0 + dt * eps * rho)) * (self.M @ u)
-        if self.strong_bc:
-            F[self.space.boundary_dofs] = 0.0
+        F[self.space.boundary_dofs] = 0.0
         return F
 
-    def _newton_matrix(self, u=None, flux_datum=None):
+    def _newton_matrix(self, u=None, datum=None):
         """Newton matrix at u (L_base alone when u is None).
 
         L_base + J_conv - J_react summed as data vectors on the shared
-        pattern; for CR the strong Dirichlet constraint then zeroes the
-        boundary rows and columns and puts one on their diagonal.
+        pattern; the strong Dirichlet constraint then zeroes the rows and
+        columns of the boundary dofs and puts one on their diagonal.
         """
         p = self.params
         data = self.L_base.data.copy()
         if u is not None and p.alpha > 0.0:
-            data += self._convection(u, flux_datum, need_res=False)[1].data
+            data += self.space.convection(u, p, datum, need_res=False)[1].data
         if u is not None and p.beta > 0.0:
             data -= forms.reaction(self.space, u, p, need_res=False)[1].data
-        if self.strong_bc:
-            data[self._bc_zero] = 0.0
-            data[self._bc_one] = 1.0
+        data[self._bc_zero] = 0.0
+        data[self._bc_one] = 1.0
         return self.space.pattern.matrix(data)
 
     def _linear_solve(self, J, F, stats):
@@ -249,45 +236,24 @@ class BackwardEulerSolver:
                             stats=stats)
 
     def step(self, k, u_prev, mem_known, cap_known, v_prev=None):
-        """Advance one step; returns (u_k, v_k, record-tuple)."""
-        p = self.params
-        dt = self.grid.delta_t
-        t_prev = (k - 1) * dt
-        t_k = k * dt
-        load = forms.assemble_load(self.space, self.forcing, t_prev, t_k)
-        nitsche_k = self._nitsche_vec(t_k)
-        flux_datum = self._flux_datum(t_k)
-
-        fhn_const = None
-        if self.fhn is not None:
-            eps, rho = self.fhn
-            fhn_const = (self.M @ v_prev) / (1.0 + dt * eps * rho)
-
-        strong_bc = self.strong_bc
+        """Advance one step; returns (u_k, v_k, Nitsche vector, record-tuple)."""
+        bvals, datum, nitsche, b = self._step_data(k, u_prev, mem_known, cap_known, v_prev)
+        bdofs = self.space.boundary_dofs
         u = u_prev.copy()
-        if strong_bc:
-            if self.bc is not None:
-                bvals = self.space.boundary_values(self.bc, t_k)
-            else:
-                bvals = np.zeros(len(self.space.boundary_dofs))
-            u[self.space.boundary_dofs] = bvals
-
-        def residual(u):
-            return self._residual(u, u_prev, load, mem_known, cap_known, fhn_const,
-                                  nitsche_k, flux_datum)
-
-        F = residual(u)
-        history = [float(np.linalg.norm(F))]
+        u[bdofs] = bvals
+        F = self._residual(u, b, datum)
+        rnorm = float(np.linalg.norm(F))
+        history = [rnorm]
         iters = 0
         stats = linalg.SolveStats()
         while True:
+            if not np.isfinite(rnorm):
+                raise StepFailureError(k, rnorm, iters)
             # one Jacobian per correction; none at the converged iterate
-            J = self._newton_matrix(u, flux_datum)
-            delta = self._linear_solve(J, F, stats)
-            u = u - delta
-            if strong_bc:
-                u[self.space.boundary_dofs] = bvals
-            F = residual(u)
+            J = self._newton_matrix(u, datum)
+            u = u - self._linear_solve(J, F, stats)
+            u[bdofs] = bvals
+            F = self._residual(u, b, datum)
             iters += 1
             rnorm = float(np.linalg.norm(F))
             history.append(rnorm)
@@ -299,8 +265,8 @@ class BackwardEulerSolver:
         v_new = None
         if self.fhn is not None:
             eps, rho = self.fhn
-            v_new = fhn_v_update(v_prev, u, eps, rho, dt)
-        return u, v_new, (iters, rnorm, tuple(history), stats)
+            v_new = fhn_v_update(v_prev, u, eps, rho, self.grid.delta_t)
+        return u, v_new, nitsche, (iters, rnorm, tuple(history), stats)
 
     def run(self):
         """Execute all steps; returns the Trajectory with diagnostics."""
@@ -336,14 +302,11 @@ class BackwardEulerSolver:
                 c_row = self.cweights.row(k)[: k - 1]
                 cap_known = c_row @ cap_hist[: k - 1]
 
-            u_new, v_new, (iters, rnorm, hist, stats) = self.step(k, u, mem_known, cap_known, v)
+            u_new, v_new, nitsche, (iters, rnorm, hist, stats) = self.step(
+                k, u, mem_known, cap_known, v)
 
             if self.weights is not None:
-                own = self.A @ u_new
-                nk = self._nitsche_vec(k * dt)
-                if nk is not None:
-                    own = own - nk
-                mem_hist[k - 1] = own
+                mem_hist[k - 1] = self.A @ u_new - nitsche
             if self.cweights is not None:
                 cap_hist[k - 1] = self.M @ (u_new - u)
 

@@ -1,9 +1,15 @@
-"""Crouzeix-Raviart P1 nonconforming space.
+"""Crouzeix-Raviart P1 nonconforming space, and the base it shares with DG.
 
 One dof per edge, located at the edge midpoint; basis functions are
 phi_i = 1 - 2*lambda_i with lambda_i the barycentric coordinate opposite
 local edge i.  Fields are continuous only at edge midpoints, which makes
 the mean of the inter-element jump vanish on every edge.
+
+A space also carries what its scheme adds to the one residual of the
+solver: its diffusion and energy-norm matrices, its convection form and
+how its Dirichlet datum enters.  CR imposes the datum strongly at the
+boundary midpoints (``boundary_dofs``, ``boundary_values``) and has no
+weakly imposed part.
 """
 
 from __future__ import annotations
@@ -12,15 +18,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import BlockPattern, canonical_csr
+from . import forms
+from .linalg import BlockPattern
 from .quadrature import triangle_rule
 
-__all__ = [
-    "DofMap", "FieldVector", "P1Space", "CRSpace",
-    "cr_dof_map", "cr_basis", "cr_interpolate", "apply_dirichlet_cr",
-]
+__all__ = ["DofMap", "FieldVector", "P1Space", "CRSpace", "cr_dof_map"]
 
 #: Reference gradients of the barycentric coordinates (rows).
 BARY_REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -95,52 +98,6 @@ def _inverse_jacobians(mesh):
     return inv, det
 
 
-def cr_basis(mesh, cell, point):
-    """Values and physical gradients of the 3 CR basis functions.
-
-    ``point`` is barycentric.  Gradients are constant on the cell and are
-    mapped with the inverse Jacobian transpose.
-    """
-    lam = np.asarray(point, dtype=float)
-    values = 1.0 - 2.0 * lam
-    inv, _ = _inverse_jacobians(mesh)
-    grads = CR_REF_GRADS @ inv[int(cell)]
-    return values, grads
-
-
-def cr_interpolate(mesh, dofmap, g):
-    """Midpoint interpolant: dof value = g(edge midpoint)."""
-    vals = np.asarray(g(dofmap.dof_locations), dtype=float)
-    vals = np.broadcast_to(vals, (dofmap.n_dofs,)).copy()
-    return FieldVector(dofmap, vals)
-
-
-def apply_dirichlet_cr(dofmap, g, t, matrix, rhs):
-    """Impose u = g(x, t) strongly at boundary edge midpoints.
-
-    Boundary rows become identity rows with rhs = g(midpoint, t); the
-    known values are moved to the right-hand side (column compensation)
-    and the boundary columns zeroed, so a symmetric matrix stays
-    symmetric.  Returns a new ``(matrix, rhs)`` pair.
-    """
-    b = dofmap.boundary_dofs
-    bvals = np.broadcast_to(
-        np.asarray(g(dofmap.dof_locations[b], t), dtype=float), (len(b),)
-    )
-    n = dofmap.n_dofs
-    lift = np.zeros(n)
-    lift[b] = bvals
-    rhs2 = np.asarray(rhs, dtype=float) - matrix @ lift
-    keep = np.ones(n)
-    keep[b] = 0.0
-    Di = sp.diags(keep, format="csr")
-    Db = sp.diags(1.0 - keep, format="csr")
-    A2 = canonical_csr(Di @ matrix @ Di + Db)
-    rhs2 *= keep
-    rhs2[b] = bvals
-    return A2, rhs2
-
-
 class P1Space:
     """Per-cell geometry and volume quadrature shared by the CR and DG spaces.
 
@@ -182,6 +139,32 @@ class P1Space:
         vals = as_values(u)
         return np.einsum("cid,ci->cd", self.grads, vals[self.cell_dofs])
 
+    def interpolate(self, g):
+        """Nodal interpolant: dof value = g(dof location)."""
+        vals = np.asarray(g(self.dofmap.dof_locations), dtype=float)
+        return FieldVector(self.dofmap, np.broadcast_to(vals, (self.n_dofs,)).copy())
+
+    @property
+    def boundary_dofs(self):
+        """Dofs whose values the Dirichlet datum fixes strongly; empty for DG."""
+        return self.dofmap.boundary_dofs
+
+    def boundary_values(self, g, t):
+        """Datum g(., t) at the ``boundary_dofs``; zero when g is None."""
+        b = self.boundary_dofs
+        if g is None or not len(b):
+            return np.zeros(len(b))
+        vals = np.asarray(g(self.dofmap.dof_locations[b], t), dtype=float)
+        return np.broadcast_to(vals, (len(b),)).copy()
+
+    def weak_dirichlet(self, g, t, penalty_gamma):
+        """Weakly imposed datum: (face datum or None, Nitsche vector or 0).
+
+        The face datum enters the convection form, the Nitsche vector the
+        known right-hand side.  None and 0 here: the datum is strong.
+        """
+        return None, 0.0
+
 
 class CRSpace(P1Space):
     """CR dof map plus the per-cell geometry all assembly loops need."""
@@ -200,15 +183,14 @@ class CRSpace(P1Space):
     def basis_values(self, bary_points):
         return 1.0 - 2.0 * np.asarray(bary_points, dtype=float)
 
-    def interpolate(self, g):
-        return cr_interpolate(self.mesh, self.dofmap, g)
+    def diffusion_matrices(self, penalty_gamma):
+        """(broken-gradient Gram, diffusion operator, energy-norm Gram).
 
-    @property
-    def boundary_dofs(self):
-        return self.dofmap.boundary_dofs
+        All three are the CR stiffness matrix.
+        """
+        G = forms.assemble_stiffness_cr(self)
+        return G, G, G
 
-    def boundary_values(self, g, t):
-        locs = self.dofmap.dof_locations[self.boundary_dofs]
-        return np.broadcast_to(
-            np.asarray(g(locs, t), dtype=float), (len(self.boundary_dofs),)
-        ).copy()
+    def convection(self, u, params, datum, **parts):
+        """``forms.convection_cr``; the face datum is always None here."""
+        return forms.convection_cr(self, u, params, **parts)

@@ -1,26 +1,27 @@
 """Discontinuous piecewise-linear (P1) space and its face machinery.
 
 Three vertex-based Lagrange dofs per cell with no inter-element
-coupling.  Face utilities expose traces, jumps and averages on edges;
-the convention is that the "plus" side of an edge is its first adjacent
-cell and the stored edge normal points from plus to minus (outward on
-the boundary, where the exterior trace defaults to the Dirichlet datum).
+coupling.  The face tables (``face_data``) and ``traces`` give the
+one-sided traces on every edge, from which the forms build jumps and
+averages; the convention is that the "plus" side of an edge is its first
+adjacent cell and the stored edge normal points from plus to minus
+(outward on the boundary, where the exterior trace is the Dirichlet
+datum).  The datum enters weakly only: through the SIPG boundary terms
+(the Nitsche vector) and the upwind flux, so no dof is constrained.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import forms
 from .linalg import BlockPattern
 from .quadrature import edge_rule
-from .space_cr import (BARY_REF_GRADS, DofMap, FieldVector, P1Space, _inverse_jacobians,
-                       as_values)
+from .space_cr import BARY_REF_GRADS, DofMap, P1Space, as_values
 
-__all__ = ["DGSpace", "dg_dof_map", "EdgeTraceContext", "edge_trace_context",
-           "jump_average", "penalty_coeff"]
+__all__ = ["DGSpace", "dg_dof_map"]
 
 
 def dg_dof_map(mesh):
@@ -33,81 +34,6 @@ def dg_dof_map(mesh):
         dof_locations=mesh.vertices[mesh.cells].reshape(-1, 2).copy(),
         boundary_dofs=np.empty(0, dtype=np.int64),
     )
-
-
-@dataclass
-class EdgeTraceContext:
-    """Everything needed to evaluate traces on one edge.
-
-    ``bary_minus`` is None on boundary edges; there the exterior trace is
-    the Dirichlet datum (zero for homogeneous problems).  The mapped
-    barycentric points on both sides correspond to identical physical
-    points.
-    """
-
-    edge: int
-    cell_plus: int
-    cell_minus: int              # -1 on the boundary
-    normal: np.ndarray           # unit, plus -> minus
-    h_e: float
-    quad_s: np.ndarray           # (nq,) points on [0, 1]
-    quad_weights: np.ndarray     # (nq,) reference weights, sum 1
-    points: np.ndarray           # (nq, 2) physical points
-    bary_plus: np.ndarray        # (nq, 3)
-    bary_minus: np.ndarray | None
-
-
-def _bary_in_cell(mesh, inv_jacobians, cell, x):
-    v0 = mesh.vertices[mesh.cells[cell, 0]]
-    xi = (x - v0) @ inv_jacobians[cell].T
-    return np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
-
-
-def edge_trace_context(mesh, edge_index, rule=None):
-    """Build the trace context for one edge (default: degree-5 edge rule)."""
-    e = int(edge_index)
-    if not 0 <= e < mesh.n_edges:
-        raise ValueError(f"edge index {edge_index} out of range")
-    if rule is None:
-        rule = edge_rule(5)
-    a, b = mesh.edges[e]
-    pts = (1.0 - rule.points)[:, None] * mesh.vertices[a] + rule.points[:, None] * mesh.vertices[b]
-    inv, _ = _inverse_jacobians(mesh)
-    cp, cm = mesh.edge_cells[e]
-    bary_p = _bary_in_cell(mesh, inv, cp, pts)
-    bary_m = _bary_in_cell(mesh, inv, cm, pts) if cm >= 0 else None
-    return EdgeTraceContext(
-        edge=e, cell_plus=int(cp), cell_minus=int(cm),
-        normal=mesh.edge_normals[e].copy(), h_e=float(mesh.edge_lengths[e]),
-        quad_s=rule.points.copy(), quad_weights=rule.weights.copy(),
-        points=pts, bary_plus=bary_p, bary_minus=bary_m,
-    )
-
-
-def jump_average(ctx, u, q):
-    """Jump vector, average and one-sided traces of a DG field at quad point q.
-
-    On boundary edges the exterior value is absent: the jump is
-    ``u_plus * n_plus`` and the average is ``u_plus``.
-    """
-    vals = as_values(u)
-    dofmap = u.dofmap if isinstance(u, FieldVector) else None
-    if dofmap is None or dofmap.kind != "dg":
-        raise ValueError("jump_average needs a FieldVector with a DG dof map")
-    cell_dofs = dofmap.cell_dofs
-    up = float(vals[cell_dofs[ctx.cell_plus]] @ ctx.bary_plus[q])
-    if ctx.cell_minus < 0:
-        return up * ctx.normal, up, (up, None)
-    um = float(vals[cell_dofs[ctx.cell_minus]] @ ctx.bary_minus[q])
-    jump = (up - um) * ctx.normal
-    return jump, 0.5 * (up + um), (up, um)
-
-
-def penalty_coeff(ctx, gamma):
-    """Interior penalty gamma / h_E for one edge."""
-    if not gamma > 0.0:
-        raise ValueError(f"penalty scale must be positive, got {gamma!r}")
-    return gamma / ctx.h_e
 
 
 class _FaceData:
@@ -158,10 +84,26 @@ class DGSpace(P1Space):
     def basis_values(self, bary_points):
         return np.asarray(bary_points, dtype=float)
 
-    def interpolate(self, g):
-        vals = np.asarray(g(self.dofmap.dof_locations), dtype=float)
-        vals = np.broadcast_to(vals, (self.n_dofs,)).copy()
-        return FieldVector(self.dofmap, vals)
+    def diffusion_matrices(self, penalty_gamma):
+        """(broken-gradient Gram, SIPG operator, DG energy-norm Gram)."""
+        return (forms.assemble_stiffness_cr(self),
+                forms.assemble_stiffness_dg(self, penalty_gamma),
+                forms.dg_norm_matrix(self, penalty_gamma))
+
+    def weak_dirichlet(self, g, t, penalty_gamma):
+        """Datum at the boundary-edge quadrature points and its Nitsche vector.
+
+        The datum is evaluated once; the Nitsche vector is built from it,
+        and the solver hands it to the upwind flux.  (None, 0) for g None.
+        """
+        if g is None:
+            return None, 0.0
+        datum = forms.dg_boundary_values(self, g, t)
+        return datum, forms.dirichlet_rhs_dg(self, datum, penalty_gamma)
+
+    def convection(self, u, params, datum, **parts):
+        """``forms.convection_dg`` with the face datum as exterior trace."""
+        return forms.convection_dg(self, u, params, boundary_values=datum, **parts)
 
     def _local_vertex_index(self, cells_subset, vertex_ids):
         # position of each vertex id within its cell's vertex triple

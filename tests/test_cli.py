@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gbhfem.mms as mms
 from gbhfem.cli import main, parse_config
 from gbhfem.errors import ConfigError
 from gbhfem.solver import BackwardEulerSolver
@@ -312,6 +313,19 @@ max_iter = 1
 """
     cfg = write(tmp_path, text)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_non_finite_residual_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mms, "forcing", lambda *a, **kw: lambda x, t: np.full(len(x), np.nan))
+    cfg = write(tmp_path, MINIMAL.format(out=tmp_path / "o"))
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    assert "step 1: residual is not finite" in capsys.readouterr().err
+
+
+def test_unknown_scheme_is_a_config_error(tmp_path):
+    text = MINIMAL.format(out=tmp_path).replace("scheme = cr", "scheme = fem")
+    with pytest.raises(ConfigError, match="scheme"):
+        parse_config(write(tmp_path, text))
 
 
 def test_convergence_rejects_spiral(tmp_path):

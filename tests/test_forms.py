@@ -9,7 +9,7 @@ from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.mms import error_l2
 from gbhfem.quadrature import triangle_rule
-from gbhfem.space_cr import CRSpace, apply_dirichlet_cr
+from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
@@ -35,6 +35,8 @@ def test_model_params_validation():
         ModelParams(delta=1.5)
     with pytest.raises(ValueError):
         ModelParams(eta=-1.0)
+    with pytest.raises(ValueError):
+        ModelParams(penalty_gamma=0.0)
     ModelParams(alpha=0.0, beta=0.0)  # degenerate modes allowed
 
 
@@ -61,7 +63,7 @@ def test_stiffness_cr_constants_and_seminorm():
     assert abs(float(u @ (A @ u)) - broken) < 1e-11 * max(1.0, broken)
 
 
-def test_cr_poisson_convergence():
+def test_cr_poisson_convergence(dirichlet_system):
     # -lap u = f with u = sin(pi x) sin(pi y): L2 rate ~2, broken-H1 rate ~1
     exact = lambda x, t: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     f = lambda x, t: 2.0 * np.pi**2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
@@ -74,8 +76,8 @@ def test_cr_poisson_convergence():
         space = CRSpace(mesh)
         A = assemble_stiffness_cr(space)
         b = assemble_load(space, f, 0.0, 1.0)
-        A2, b2 = apply_dirichlet_cr(space.dofmap, lambda x, t: np.zeros(len(x)), 0.0, A, b)
-        u = solve(A2, b2)
+        J, F, u0 = dirichlet_system(space, A, b, None)
+        u = u0 - solve(J, F)
         e_l2.append(error_l2(space, u, exact, 0.0))
         rule, _, X = space.volume_quad(5)
         gh = space.field_gradients(u)

@@ -7,7 +7,7 @@ from gbhfem.forms import (assemble_load, assemble_mass, assemble_stiffness_cr,
                           assemble_stiffness_dg)
 from gbhfem.linalg import SolveStats, canonical_csr, factorize, solve
 from gbhfem.mesh import generate_rect_mesh
-from gbhfem.space_cr import CRSpace, apply_dirichlet_cr
+from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
 
 
@@ -45,11 +45,12 @@ def test_solve_identity_and_2x2():
     assert np.abs(x - 1.0).max() < 1e-12
 
 
-def test_solve_spd_from_poisson():
+def test_solve_spd_from_poisson(dirichlet_system):
     space = CRSpace(generate_rect_mesh((0, 0, 1, 1), 8))  # 200+ dofs
     A = assemble_stiffness_cr(space)
     b = assemble_load(space, lambda x, t: np.ones(len(x)), 0.0, 1.0)
-    A2, b2 = apply_dirichlet_cr(space.dofmap, lambda x, t: np.zeros(len(x)), 0.0, A, b)
+    J, F, _ = dirichlet_system(space, A, b, None)
+    A2, b2 = J, -F          # u = 0 at the boundary midpoints, A u = b elsewhere
     P = factorize(A2)
     for method, precond in (("lu", None), ("gmres", P.solve)):
         stats = SolveStats()

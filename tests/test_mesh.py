@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gbhfem.mesh import (Mesh, edge_geometry, generate_rect_mesh,
-                         outward_normal, refine_uniform)
-from gbhfem.quadrature import integrate_cell, triangle_rule
+from gbhfem.mesh import Mesh, generate_rect_mesh, refine_uniform
+from gbhfem.space_cr import CRSpace
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -86,37 +85,41 @@ def test_edge_geometry_axis_aligned():
     m = generate_rect_mesh(UNIT, 1)
     horiz = [e for e in range(m.n_edges)
              if np.allclose(m.vertices[m.edges[e]][:, 1], 0.0)]
-    n, length, mid = edge_geometry(m, horiz[0])
+    e = horiz[0]
+    n = m.edge_normals[e]
     assert abs(abs(n[1]) - 1.0) < 1e-14 and abs(n[0]) < 1e-14
-    assert abs(length - 1.0) < 1e-14
-    assert np.allclose(mid, [0.5, 0.0])
+    assert abs(m.edge_lengths[e] - 1.0) < 1e-14
+    assert np.allclose(m.edge_midpoints[e], [0.5, 0.0])
 
 
 def test_edge_geometry_diagonal_and_errors():
     m = generate_rect_mesh(UNIT, 1)
     diag = [e for e in range(m.n_edges) if not m.boundary_flags[e]]
-    _, length, _ = edge_geometry(m, diag[0])
-    assert abs(length - np.sqrt(2.0)) < 1e-14
-    with pytest.raises(ValueError):
-        edge_geometry(m, m.n_edges)
+    assert len(diag) == 1
+    e = diag[0]
+    assert abs(m.edge_lengths[e] - np.sqrt(2.0)) < 1e-14
+    assert np.allclose(m.edge_midpoints[e], [0.5, 0.5])
+    # unit normal across the diagonal, out of the first cell (0, 1, 3)
+    assert np.allclose(m.edge_normals[e], [-np.sqrt(0.5), np.sqrt(0.5)])
 
 
 def test_outward_normals_close():
-    # sum over a cell's edges of length * outward normal vanishes
+    # sum over a cell's edges of length * outward normal vanishes; the
+    # stored normal points out of the edge's first cell
     m = generate_rect_mesh(UNIT, 3)
     for c in range(m.n_cells):
-        total = np.zeros(2)
-        for e in m.cell_edges[c]:
-            total += m.edge_lengths[e] * outward_normal(m, c, e)
+        e = m.cell_edges[c]
+        sign = np.where(m.edge_cells[e, 0] == c, 1.0, -1.0)
+        assert np.all((m.edge_cells[e, 0] == c) | (m.edge_cells[e, 1] == c))
+        total = (sign * m.edge_lengths[e]) @ m.edge_normals[e]
         assert np.linalg.norm(total) < 1e-13
 
 
 def test_constant_integration_gives_area():
     for mesh in (generate_rect_mesh(UNIT, 2), refine_uniform(generate_rect_mesh(UNIT, 2))):
-        rule = triangle_rule(2)
-        total = sum(integrate_cell(mesh, c, lambda x: 1.0, rule)
-                    for c in range(mesh.n_cells))
-        assert abs(total - 1.0) < 1e-12
+        space = CRSpace(mesh)
+        rule, _, _ = space.volume_quad(2)
+        assert abs(rule.weights.sum() * space.det_jacobians.sum() - 1.0) < 1e-12
 
 
 def test_ccw_required():

@@ -310,3 +310,11 @@ def test_convergence_study_shape_and_rates():
     assert len(res.stability) == 3
     with pytest.raises(ValueError):
         mms.convergence_study(case, "cr", params, levels=1)
+
+
+def test_convergence_study_rejects_unknown_scheme():
+    # "CR" once ran the DG scheme (24 dofs at base_n = 2, where CR has 16)
+    params = ModelParams(alpha=0.0, beta=0.0)
+    with pytest.raises(ValueError, match="unknown scheme 'CR'"):
+        mms.convergence_study(mms.type_one(), "CR", params, levels=2, base_n=2)
+    assert mms.SPACES == {"cr": CRSpace, "dg": DGSpace}

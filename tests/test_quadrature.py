@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gbhfem.mesh import Mesh, generate_rect_mesh
-from gbhfem.quadrature import edge_rule, integrate_cell, triangle_rule
+from gbhfem.quadrature import edge_rule, triangle_rule
+from gbhfem.space_cr import CRSpace
 
 
 def exact_monomial(a, b):
@@ -57,43 +58,45 @@ def test_edge_cubic():
     assert abs(float(rule.weights @ rule.points**3) - 0.25) < 1e-14
 
 
+def cell_integrals(mesh, f, degree):
+    """Per-cell integrals of f((n, 2) points) as the forms compute them:
+    volume_quad weights times det J."""
+    space = CRSpace(mesh)
+    rule, _, X = space.volume_quad(degree)
+    vals = f(X.reshape(-1, 2)).reshape(X.shape[:2])
+    return space.det_jacobians * (vals @ rule.weights)
+
+
 def test_integrate_cell_constant_and_linear():
     m = generate_rect_mesh((0, 0, 1, 1), 2)
-    rule = triangle_rule(2)
-    for c in range(m.n_cells):
-        assert abs(integrate_cell(m, c, lambda x: 1.0, rule) - m.cell_areas[c]) < 1e-15
-        # linear integrand equals area * value at centroid
-        cen = m.cell_centroids[c]
-        got = integrate_cell(m, c, lambda x: 3.0 * x[0] - 2.0 * x[1] + 1.0, rule)
-        want = m.cell_areas[c] * (3.0 * cen[0] - 2.0 * cen[1] + 1.0)
-        assert abs(got - want) < 1e-14
+    ones = cell_integrals(m, lambda x: np.ones(len(x)), 2)
+    assert np.abs(ones - m.cell_areas).max() < 1e-15
+    # linear integrand equals area * value at centroid
+    lin = lambda x: 3.0 * x[:, 0] - 2.0 * x[:, 1] + 1.0
+    got = cell_integrals(m, lin, 2)
+    assert np.abs(got - m.cell_areas * lin(m.cell_centroids)).max() < 1e-14
 
 
 def test_integrate_sine_product():
     m = generate_rect_mesh((0, 0, 1, 1), 32)
-    rule = triangle_rule(6)
-    total = sum(
-        integrate_cell(m, c, lambda x: np.sin(np.pi * x[0]) * np.sin(np.pi * x[1]), rule)
-        for c in range(m.n_cells)
-    )
+    total = cell_integrals(m, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]), 6).sum()
     assert abs(total - 4.0 / np.pi**2) < 1e-6
 
 
 def test_rotation_invariance():
     # cyclic relabeling of the cell's vertices must not change the result
     verts = [(0.1, 0.2), (0.9, 0.3), (0.4, 0.8)]
-    f = lambda x: np.exp(x[0]) * np.cos(3.0 * x[1])
+    f = lambda x: np.exp(x[:, 0]) * np.cos(3.0 * x[:, 1])
     vals = []
     for shift in range(3):
         cell = tuple(np.roll([0, 1, 2], shift))
-        m = Mesh(verts, [cell])
-        vals.append(integrate_cell(m, 0, f, triangle_rule(5)))
+        vals.append(cell_integrals(Mesh(verts, [cell]), f, 5)[0])
     assert max(vals) - min(vals) < 1e-13
 
 
 def test_integrate_cell_errors():
-    m = generate_rect_mesh((0, 0, 1, 1), 1)
-    with pytest.raises(ValueError):
-        integrate_cell(m, 5, lambda x: 1.0, triangle_rule(2))
-    with pytest.raises(ValueError):
-        integrate_cell(m, 0, lambda x: 1.0, edge_rule(2))
+    # the volume quadrature of a space exists only for supported degrees
+    space = CRSpace(generate_rect_mesh((0, 0, 1, 1), 1))
+    for degree in (0, 11, 2.5):
+        with pytest.raises(ValueError):
+            space.volume_quad(degree)

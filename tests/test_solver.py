@@ -172,6 +172,29 @@ def test_step_failure_carries_context():
     assert info.value.residual > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # overflow on purpose
+@pytest.mark.parametrize("linear_solver", ["gmres", "lu"])
+@pytest.mark.parametrize("make_space", [CRSpace, DGSpace])
+@pytest.mark.parametrize("bad", ["huge_initial_value", "nan_forcing"])
+def test_non_finite_residual_fails_before_any_solve(bad, make_space, linear_solver,
+                                                    monkeypatch):
+    solves = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    space = make_space(generate_rect_mesh(UNIT, 4))
+    params = ModelParams(nu=0.01, alpha=5, beta=50, delta=2)
+    if bad == "huge_initial_value":
+        data = dict(u0=lambda x: np.full(len(x), 1e100))
+    else:
+        data = dict(forcing=lambda x, t: np.full(len(x), np.nan))
+    s = BackwardEulerSolver(space, params, TimeGrid(10.0, 1), linear_solver=linear_solver, **data)
+    with pytest.raises(StepFailureError, match="step 1: residual is not finite") as info:
+        s.run()
+    assert info.value.step == 1 and info.value.iterations == 0
+    assert not np.isfinite(info.value.residual)
+    assert solves == []
+
+
 def test_fhn_v_update_recurrence():
     # u = 0, rho = 1: v^k = (1 + dt*eps)^(-k)
     dt, eps = 0.2, 0.3
@@ -254,6 +277,26 @@ def _wave_cr(**kw):
         CRSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(0.5, 6),
         forcing=mms.forcing(case, params, spec), u0=case.initial, bc=case.boundary,
         kernel_spec=spec, **kw)
+
+
+def _wave_dg(**kw):
+    # the same data weakly imposed (Nitsche vector and upwind flux datum)
+    case = mms.traveling_wave(20)
+    params = ModelParams(nu=1.0 / 20, eta=1.0)
+    spec = KernelSpec(mu=0.5)
+    return BackwardEulerSolver(
+        DGSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(0.5, 6),
+        forcing=mms.forcing(case, params, spec), u0=case.initial, bc=case.boundary,
+        kernel_spec=spec, **kw)
+
+
+def _memory_caputo_cr(**kw):
+    case = mms.type_one()
+    params = ModelParams(eta=1.0)
+    spec = KernelSpec(mu=0.5, caputo_order=0.5)
+    return BackwardEulerSolver(
+        CRSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(1.0, 6),
+        forcing=mms.forcing(case, params, spec), u0=case.initial, kernel_spec=spec, **kw)
 
 
 def _spiral_dg(**kw):
@@ -401,3 +444,122 @@ def test_run_builds_no_coo_and_sums_no_duplicates(make, monkeypatch):
     counts.update(coo=0, sum_duplicates=0)
     s.run()
     assert counts == {"coo": 0, "sum_duplicates": 0}
+
+
+def per_term_residual(s, u, u_prev, load, mem_known, cap_known, fhn_const,
+                      nitsche_k, flux_datum):
+    """The step residual written term by term (the reference oracle of the
+    L_base u - b_k form): mass, diffusion, Nitsche datum, convection,
+    reaction, memory, Caputo and FitzHugh-Nagumo parts."""
+    p = s.params
+    dt = s.grid.delta_t
+    Au = s.A @ u
+    F = s.M @ ((u - u_prev) / dt) + p.nu * Au - load
+    if nitsche_k is not None:
+        F -= p.nu * nitsche_k
+    if p.alpha > 0.0:
+        if s.scheme == "cr":
+            F += forms.convection_cr(s.space, u, p, need_jac=False)[0]
+        else:
+            F += forms.convection_dg(s.space, u, p, boundary_values=flux_datum,
+                                     need_jac=False)[0]
+    if p.beta > 0.0:
+        F -= forms.reaction(s.space, u, p, need_jac=False)[0]
+    if s.weights is not None:
+        own = Au if nitsche_k is None else Au - nitsche_k
+        F += p.eta * dt * (mem_known + s.weights.diagonal * own)
+    if s.cweights is not None:
+        F += cap_known + s.cweights.diagonal * (s.M @ (u - u_prev))
+    if fhn_const is not None:
+        eps, rho = s.fhn
+        F += fhn_const + (dt * eps / (1.0 + dt * eps * rho)) * (s.M @ u)
+    F[s.space.boundary_dofs] = 0.0
+    return F
+
+
+@pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_cr, _wave_dg, _spiral_dg])
+def test_residual_and_newton_matrix_match_the_per_term_formula(make):
+    s = make()
+    space, p = s.space, s.params
+    dt = s.grid.delta_t
+    k = 3
+    t_k = k * dt
+    rng = np.random.default_rng(11)
+    u_prev, u, v_prev, mem_known, cap_known = rng.uniform(-1, 1, (5, space.n_dofs))
+    mem_known = mem_known if s.weights is not None else 0.0
+    cap_known = cap_known if s.cweights is not None else 0.0
+    v_prev = v_prev if s.fhn is not None else None
+
+    bvals, datum, nitsche, b = s._step_data(k, u_prev, mem_known, cap_known, v_prev)
+    u[space.boundary_dofs] = bvals
+    load = forms.assemble_load(space, s.forcing, (k - 1) * dt, t_k)
+    flux_datum = nitsche_k = fhn_const = None
+    if s.scheme == "dg" and s.bc is not None:
+        flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
+        nitsche_k = forms.dirichlet_rhs_dg(space, flux_datum, p.penalty_gamma)
+        assert np.array_equal(datum, flux_datum) and np.array_equal(nitsche, nitsche_k)
+    if s.fhn is not None:
+        eps, rho = s.fhn
+        fhn_const = (s.M @ v_prev) / (1.0 + dt * eps * rho)
+    ref = per_term_residual(s, u, u_prev, load, mem_known, cap_known, fhn_const,
+                            nitsche_k, flux_datum)
+    F = s._residual(u, b, datum)
+    assert np.linalg.norm(F - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    conv = (forms.convection_cr(space, u, p) if s.scheme == "cr"
+            else forms.convection_dg(space, u, p, boundary_values=flux_datum))
+    keep = np.ones(space.n_dofs)
+    keep[space.boundary_dofs] = 0.0
+    J_ref = (sp.diags(keep) @ (s.L_base + conv[1] - forms.reaction(space, u, p)[1])
+             @ sp.diags(keep) + sp.diags(1.0 - keep))
+    J = s._newton_matrix(u, datum)
+    assert abs(J - J_ref).max() <= 1e-13 * abs(J_ref).max()
+
+
+def test_dg_datum_evaluated_once_per_step(monkeypatch):
+    # one evaluation feeds the Nitsche vector, the upwind flux and the
+    # memory history
+    times = []
+    original = forms.dg_boundary_values
+
+    def counting(space, g, t):
+        times.append(t)
+        return original(space, g, t)
+
+    monkeypatch.setattr(forms, "dg_boundary_values", counting)
+    traj = _wave_dg().run()
+    assert times == list(traj.times[1:])
+
+
+@pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_dg, _spiral_dg])
+def test_trajectory_solves_the_per_term_equations(make):
+    # rebuilds every step's history sums from the stored fields, so run()'s
+    # memory (diffusion minus Nitsche vector), Caputo and FHN bookkeeping
+    # is checked end to end
+    s = make()
+    traj = s.run()
+    space, p = s.space, s.params
+    dt = s.grid.delta_t
+    U = traj.fields
+    own = [None]
+    for k in range(1, len(U)):
+        t_k = k * dt
+        flux_datum = nitsche_k = fhn_const = None
+        if s.scheme == "dg" and s.bc is not None:
+            flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
+            nitsche_k = forms.dirichlet_rhs_dg(space, flux_datum, p.penalty_gamma)
+        own.append(s.A @ U[k] - (0.0 if nitsche_k is None else nitsche_k))
+        mem_known = cap_known = 0.0
+        if s.weights is not None and k > 1:
+            row = s.weights.row(k)
+            mem_known = sum(row[j - 1] * own[j] for j in range(1, k))
+        if s.cweights is not None and k > 1:
+            row = s.cweights.row(k)
+            cap_known = sum(row[j - 1] * (s.M @ (U[j] - U[j - 1])) for j in range(1, k))
+        if s.fhn is not None:
+            eps, rho = s.fhn
+            fhn_const = (s.M @ traj.v_fields[k - 1]) / (1.0 + dt * eps * rho)
+        load = forms.assemble_load(space, s.forcing, (k - 1) * dt, t_k)
+        F = per_term_residual(s, U[k], U[k - 1], load, mem_known, cap_known, fhn_const,
+                              nitsche_k, flux_datum)
+        assert np.linalg.norm(F) <= 1e-9

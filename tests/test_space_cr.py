@@ -4,9 +4,7 @@ import pytest
 from gbhfem.forms import assemble_load, assemble_stiffness_cr
 from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
-from gbhfem.quadrature import edge_rule
-from gbhfem.space_cr import (CRSpace, FieldVector, apply_dirichlet_cr, cr_basis,
-                             cr_dof_map, cr_interpolate)
+from gbhfem.space_cr import CRSpace, FieldVector, cr_dof_map
 from gbhfem.space_dg import DGSpace
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
@@ -24,19 +22,12 @@ def test_dof_counts():
 
 
 def test_partition_of_unity_and_nodal_property():
-    m = generate_rect_mesh(UNIT, 2)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        lam = rng.dirichlet(np.ones(3))
-        vals, _ = cr_basis(m, 0, lam)
-        assert abs(vals.sum() - 1.0) < 1e-14
+    space = CRSpace(generate_rect_mesh(UNIT, 2))
+    lam = np.random.default_rng(1).dirichlet(np.ones(3), size=10)
+    assert np.abs(space.basis_values(lam).sum(axis=1) - 1.0).max() < 1e-14
     # midpoint of edge j (barycentric) has zeros at position j
     mids = [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)]
-    for j, lam in enumerate(mids):
-        vals, _ = cr_basis(m, 0, lam)
-        expect = np.zeros(3)
-        expect[j] = 1.0
-        assert np.allclose(vals, expect, atol=1e-14)
+    assert np.allclose(space.basis_values(mids), np.eye(3), atol=1e-14)
 
 
 def test_gradient_reproduces_linears():
@@ -57,10 +48,9 @@ def test_interpolate_linear_has_zero_h1_error():
 
 
 def test_interpolate_zero():
-    m = generate_rect_mesh(UNIT, 2)
-    dm = cr_dof_map(m)
-    u = cr_interpolate(m, dm, lambda x: np.zeros(len(x)))
-    assert np.all(u.values == 0.0)
+    space = CRSpace(generate_rect_mesh(UNIT, 2))
+    u = space.interpolate(lambda x: np.zeros(len(x)))
+    assert u.dofmap is space.dofmap and np.all(u.values == 0.0)
 
 
 def broken_h1_interp_error(space, g, grad_g, degree=5):
@@ -88,55 +78,54 @@ def test_interpolation_first_order_in_broken_h1():
 
 
 def test_jump_mean_zero():
-    # the inter-element jump of a CR field integrates to zero on every edge
+    # the inter-element jump of a CR field integrates to zero on every edge;
+    # the DG face tables of the same mesh hold the barycentric traces, and
+    # the CR trace is (1 - 2 lambda) . u
     m = generate_rect_mesh(UNIT, 3)
     space = CRSpace(m)
-    rng = np.random.default_rng(7)
-    vals = rng.uniform(-1, 1, space.n_dofs)
-    rule = edge_rule(3)
-    from gbhfem.space_dg import edge_trace_context  # generic trace machinery
-
-    inv = space.inv_jacobians
-    for e in np.flatnonzero(~m.boundary_flags):
-        ctx = edge_trace_context(m, e, rule)
-        up = (1.0 - 2.0 * ctx.bary_plus) @ vals[space.cell_dofs[ctx.cell_plus]]
-        um = (1.0 - 2.0 * ctx.bary_minus) @ vals[space.cell_dofs[ctx.cell_minus]]
-        integral = ctx.h_e * float(rule.weights @ (up - um))
-        assert abs(integral) < 1e-12
+    fd = DGSpace(m).face_data(3)
+    vals = np.random.default_rng(7).uniform(-1, 1, space.n_dofs)
+    up = np.einsum("eqi,ei->eq", 1.0 - 2.0 * fd.Tp, vals[space.cell_dofs[fd.ip]])
+    um = np.einsum("eqi,ei->eq", 1.0 - 2.0 * fd.Tm, vals[space.cell_dofs[fd.im]])
+    assert len(fd.int_edges) == np.count_nonzero(~m.boundary_flags)
+    assert np.abs(up - um).max() > 0.1                   # the jump itself is not zero
+    assert np.abs(fd.h_int * ((up - um) @ fd.rule.weights)).max() < 1e-12
 
 
-def test_dirichlet_constant_one_laplace():
+def test_dirichlet_constant_one_laplace(dirichlet_system):
     m = generate_rect_mesh(UNIT, 4)
     space = CRSpace(m)
     A = assemble_stiffness_cr(space)
-    A2, b2 = apply_dirichlet_cr(space.dofmap, lambda x, t: np.ones(len(x)), 0.0,
-                                A, np.zeros(space.n_dofs))
-    u = solve(A2, b2)
+    J, F, u0 = dirichlet_system(space, A, np.zeros(space.n_dofs), lambda x, t: np.ones(len(x)))
+    u = u0 - solve(J, F)
     assert np.abs(u - 1.0).max() < 1e-10
 
 
-def test_dirichlet_homogeneous_zeroes_boundary():
+def test_dirichlet_homogeneous_zeroes_boundary(dirichlet_system):
     m = generate_rect_mesh(UNIT, 4)
     space = CRSpace(m)
     A = assemble_stiffness_cr(space)
     load = assemble_load(space, lambda x, t: np.ones(len(x)), 0.0, 1.0)
-    A2, b2 = apply_dirichlet_cr(space.dofmap, lambda x, t: np.zeros(len(x)), 0.0, A, load)
-    u = solve(A2, b2)
+    J, F, u0 = dirichlet_system(space, A, load, lambda x, t: np.zeros(len(x)))
+    u = u0 - solve(J, F)
     assert np.abs(u[space.boundary_dofs]).max() < 1e-12
     assert u.max() > 0.01  # interior actually solved
 
 
-def test_dirichlet_traveling_wave_datum():
-    # the imposed rhs value at a boundary midpoint is the sigmoid datum
+def test_dirichlet_traveling_wave_datum(dirichlet_system):
+    # the value imposed at a boundary midpoint is the sigmoid datum
     re = 50.0
     g = lambda x, t: 1.0 / (1.0 + np.exp(re * (x[:, 0] + x[:, 1] - t) / 2.0))
     m = generate_rect_mesh(UNIT, 4)
     space = CRSpace(m)
     A = assemble_stiffness_cr(space)
-    A2, b2 = apply_dirichlet_cr(space.dofmap, g, 0.0, A, np.zeros(space.n_dofs))
-    for dof in space.boundary_dofs[:5]:
+    J, F, u0 = dirichlet_system(space, A, np.zeros(space.n_dofs), g)
+    u = u0 - solve(J, F)
+    bvals = space.boundary_values(g, 0.0)
+    for i, dof in enumerate(space.boundary_dofs[:5]):
         msum = space.dofmap.dof_locations[dof].sum()
-        assert abs(b2[dof] - 1.0 / (1.0 + np.exp(re * msum / 2.0))) < 1e-14
+        assert abs(bvals[i] - 1.0 / (1.0 + np.exp(re * msum / 2.0))) < 1e-14
+    assert np.array_equal(u[space.boundary_dofs], bvals)
 
 
 def test_field_vector_validation():

@@ -1,11 +1,8 @@
 import numpy as np
-import pytest
 
 from gbhfem.forms import dg_norm_matrix
-from gbhfem.mesh import Mesh, generate_rect_mesh
-from gbhfem.space_cr import FieldVector
-from gbhfem.space_dg import (DGSpace, dg_dof_map, edge_trace_context,
-                             jump_average, penalty_coeff)
+from gbhfem.mesh import Mesh, generate_rect_mesh, refine_uniform
+from gbhfem.space_dg import DGSpace, dg_dof_map
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -20,41 +17,54 @@ def test_dof_counts_and_disjointness():
         seen.update(row)
 
 
-def two_cell_vertical_edge_mesh():
-    # shared edge x = 0 from (0,0) to (0,1); first cell on the left
-    verts = [(0.0, 0.0), (0.0, 1.0), (-1.0, 0.5), (1.0, 0.5)]
+def two_cell_vertical_edge_mesh(scale=1.0):
+    # shared edge x = 0 from (0,0) to (0,scale); first cell on the left
+    verts = scale * np.array([(0.0, 0.0), (0.0, 1.0), (-1.0, 0.5), (1.0, 0.5)])
     cells = [(0, 1, 2), (0, 3, 1)]
     return Mesh(verts, cells)
+
+
+def jumps_and_averages(space, u):
+    """Jump vectors and averages on interior edges from the solver's face
+    tables; on boundary edges the jump is u_plus n and the average u_plus."""
+    fd = space.face_data()
+    up, um, ub = space.traces(u, fd)
+    return ((up - um)[:, :, None] * fd.n_int[:, None, :], 0.5 * (up + um),
+            ub[:, :, None] * fd.n_bnd[:, None, :], ub)
+
+
+def face_points(space, T, cells):
+    """Physical points of trace tables T (n_edges, nq, 3) on the given cells."""
+    return np.einsum("eqi,eid->eqd", T, space.mesh.vertices[space.mesh.cells[cells]])
 
 
 def test_jump_average_piecewise_constants():
     m = two_cell_vertical_edge_mesh()
     space = DGSpace(m)
-    shared = [e for e in range(m.n_edges) if not m.boundary_flags[e]]
-    assert len(shared) == 1
-    ctx = edge_trace_context(m, shared[0])
-    assert np.allclose(ctx.normal, [1.0, 0.0], atol=1e-14)
+    fd = space.face_data()
+    assert len(fd.int_edges) == 1 and fd.ip[0] == 0 and fd.im[0] == 1
+    assert np.allclose(fd.n_int[0], [1.0, 0.0], atol=1e-14)
     vals = np.zeros(space.n_dofs)
     vals[space.cell_dofs[0]] = 1.0  # plus side
-    u = FieldVector(space.dofmap, vals)
-    for q in range(len(ctx.quad_s)):
-        jump, avg, (up, um) = jump_average(ctx, u, q)
-        assert np.allclose(jump, [1.0, 0.0], atol=1e-14)
-        assert abs(avg - 0.5) < 1e-14
-        assert (up, um) == (1.0, 0.0)
+    jump, avg, _, _ = jumps_and_averages(space, vals)
+    up, um, _ = space.traces(vals, fd)
+    assert np.allclose(jump, [1.0, 0.0], atol=1e-14)
+    assert np.abs(avg - 0.5).max() < 1e-14
+    assert np.all(up == 1.0) and np.all(um == 0.0)
 
 
 def test_jump_average_boundary():
     m = two_cell_vertical_edge_mesh()
     space = DGSpace(m)
-    e = int(np.flatnonzero(m.boundary_flags)[0])
-    ctx = edge_trace_context(m, e)
+    fd = space.face_data()
     vals = np.full(space.n_dofs, 2.0)
-    u = FieldVector(space.dofmap, vals)
-    jump, avg, (up, um) = jump_average(ctx, u, 0)
-    assert np.allclose(jump, 2.0 * ctx.normal, atol=1e-14)
-    assert abs(avg - 2.0) < 1e-14
-    assert um is None
+    _, _, bjump, bavg = jumps_and_averages(space, vals)
+    assert len(fd.bnd_edges) == 4
+    assert np.allclose(bjump, 2.0 * fd.n_bnd[:, None, :], atol=1e-14)
+    assert np.abs(bavg - 2.0).max() < 1e-14
+    # the boundary normals point out of the domain
+    out = fd.Xb.mean(axis=1) - m.cell_centroids[fd.bp]
+    assert np.all(np.einsum("ed,ed->e", fd.n_bnd, out) > 0.0)
 
 
 def test_continuous_interpolant_has_no_interior_jumps():
@@ -66,45 +76,57 @@ def test_continuous_interpolant_has_no_interior_jumps():
     assert np.abs(up - um).max() < 1e-12
 
 
+def direct_p1(space, vals, cells, x):
+    """P1 field of each cell evaluated at its points x (n, nq, 2), through the
+    barycentric coordinates of x in the cell."""
+    v0 = space.mesh.vertices[space.mesh.cells[cells, 0]]
+    xi = np.einsum("eqd,ekd->eqk", x - v0[:, None, :], space.inv_jacobians[cells])
+    bary = np.concatenate([1.0 - xi.sum(axis=2, keepdims=True), xi], axis=2)
+    return np.einsum("eqi,ei->eq", bary, vals[space.cell_dofs[cells]])
+
+
 def test_trace_consistency_with_direct_evaluation():
     m = generate_rect_mesh(UNIT, 2)
     space = DGSpace(m)
-    rng = np.random.default_rng(3)
-    vals = rng.uniform(-1, 1, space.n_dofs)
-    u = FieldVector(space.dofmap, vals)
-    for e in range(m.n_edges):
-        ctx = edge_trace_context(m, e)
-        for q in range(len(ctx.quad_s)):
-            _, _, (up, um) = jump_average(ctx, u, q)
-            # direct per-cell P1 evaluation at the same physical point
-            direct_p = float(vals[space.cell_dofs[ctx.cell_plus]] @ ctx.bary_plus[q])
-            assert abs(up - direct_p) < 1e-13
-            if um is not None:
-                direct_m = float(vals[space.cell_dofs[ctx.cell_minus]] @ ctx.bary_minus[q])
-                assert abs(um - direct_m) < 1e-13
-        if ctx.bary_minus is not None:
-            pts_p = ctx.bary_plus @ m.vertices[m.cells[ctx.cell_plus]]
-            pts_m = ctx.bary_minus @ m.vertices[m.cells[ctx.cell_minus]]
-            assert np.abs(pts_p - pts_m).max() < 1e-13
+    vals = np.random.default_rng(3).uniform(-1, 1, space.n_dofs)
+    fd = space.face_data()
+    up, um, ub = space.traces(vals, fd)
+    xp = face_points(space, fd.Tp, fd.ip)
+    xm = face_points(space, fd.Tm, fd.im)
+    xb = face_points(space, fd.Tb, fd.bp)
+    # both sides' tables describe the same physical points
+    assert np.abs(xp - xm).max() < 1e-13
+    assert np.abs(xb - fd.Xb).max() < 1e-13
+    assert np.abs(up - direct_p1(space, vals, fd.ip, xp)).max() < 1e-13
+    assert np.abs(um - direct_p1(space, vals, fd.im, xm)).max() < 1e-13
+    assert np.abs(ub - direct_p1(space, vals, fd.bp, xb)).max() < 1e-13
 
 
 def test_penalty_coeff():
-    m = two_cell_vertical_edge_mesh()
-    ctx = edge_trace_context(m, int(np.flatnonzero(~m.boundary_flags)[0]))
-    assert abs(penalty_coeff(ctx, 10.0) - 10.0) < 1e-14  # h_E = 1 here
-    ctx.h_e = 0.5
-    assert abs(penalty_coeff(ctx, 10.0) - 20.0) < 1e-14
-    with pytest.raises(ValueError):
-        penalty_coeff(ctx, 0.0)
+    # the jump penalty per unit length between the two cells is gamma / h_E
+    for scale, expect in ((1.0, 10.0), (0.5, 20.0)):
+        space = DGSpace(two_cell_vertical_edge_mesh(scale))
+        fd = space.face_data()
+        assert np.array_equal(fd.h_int, [scale])         # h_E
+        plus, minus = np.zeros(space.n_dofs), np.zeros(space.n_dofs)
+        plus[space.cell_dofs[fd.ip[0]]] = 1.0
+        minus[space.cell_dofs[fd.im[0]]] = 1.0
+        coupling = float(plus @ (dg_norm_matrix(space, 10.0) @ minus))
+        assert abs(-coupling / fd.h_int[0] - expect) < 1e-12
 
 
 def test_penalty_scales_under_refinement():
-    from gbhfem.mesh import refine_uniform
-    m = generate_rect_mesh(UNIT, 2)
-    r = refine_uniform(m)
-    c0 = penalty_coeff(edge_trace_context(m, 0), 40.0)
-    c1 = penalty_coeff(edge_trace_context(r, 0), 40.0)
-    assert abs(c1 / c0 - 2.0) < 1e-12
+    # edge lengths halve, so the penalty gamma / h doubles: the jump
+    # seminorm of a fixed piecewise constant field doubles
+    coarse = generate_rect_mesh(UNIT, 2)
+    spaces = [DGSpace(coarse), DGSpace(refine_uniform(coarse))]
+    h = [np.unique(space.face_data().h_int) for space in spaces]
+    assert np.allclose(h[1], 0.5 * h[0])
+    norms = []
+    for space in spaces:
+        left = np.repeat((space.mesh.cell_centroids[:, 0] < 0.5).astype(float), 3)
+        norms.append(float(left @ (dg_norm_matrix(space, 40.0) @ left)))
+    assert abs(norms[1] / norms[0] - 2.0) < 1e-12
 
 
 def test_dg_norm_equals_broken_gradient_for_continuous_field():
