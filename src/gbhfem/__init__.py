@@ -11,8 +11,8 @@ optional Caputo fractional derivative discretized the same way.
 
 from .mesh import Mesh, generate_rect_mesh, refine_uniform
 from .quadrature import QuadratureRule, triangle_rule, edge_rule
-from .space_cr import DofMap, FieldVector, CRSpace, cr_dof_map
-from .space_dg import DGSpace, dg_dof_map
+from .space_cr import CRSpace
+from .space_dg import DGSpace
 from .forms import ModelParams
 from .kernel import KernelSpec, KernelWeights, memory_weights, caputo_weights, convolve_power
 from .solver import TimeGrid, Trajectory, BackwardEulerSolver, stability_check
@@ -23,8 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Mesh", "generate_rect_mesh", "refine_uniform",
     "QuadratureRule", "triangle_rule", "edge_rule",
-    "DofMap", "FieldVector", "CRSpace", "cr_dof_map",
-    "DGSpace", "dg_dof_map",
+    "CRSpace", "DGSpace",
     "ModelParams",
     "KernelSpec", "KernelWeights", "memory_weights", "caputo_weights", "convolve_power",
     "TimeGrid", "Trajectory", "BackwardEulerSolver", "stability_check",

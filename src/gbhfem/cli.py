@@ -324,7 +324,7 @@ def cmd_simulate(cfg):
             _f17(r.l2_norm), _f17(r.grad_norm), _f17(r.energy_cum)]))
     (cfg.out_dir / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
-    write = vtk_io.write_cr_vtk if cfg.scheme == "cr" else vtk_io.write_dg_vtk
+    write = getattr(vtk_io, space.vtk_writer)
     snap = 0
     next_t = 0.0
     for k, t in enumerate(traj.times):

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import space_cr
-
 __all__ = [
     "ModelParams", "nonlinear_quad_degree",
     "assemble_mass", "assemble_stiffness_cr", "assemble_stiffness_dg",
@@ -249,8 +247,8 @@ def convection_cr(space, u, params, need_jac=True, need_res=True):
     needed for stability.  Returns (residual, Jacobian); a part not
     asked for is None.
     """
-    res_cells, jac_cells = _volume_convection(space, space_cr.as_values(u),
-                                              params.alpha, params.delta, need_res, need_jac)
+    res_cells, jac_cells = _volume_convection(space, u, params.alpha, params.delta,
+                                              need_res, need_jac)
     res = _scatter(space.n_dofs, space.cell_dofs, res_cells) if need_res else None
     jac = _assemble(space, {"cells": jac_cells}) if need_jac else None
     return res, jac
@@ -272,15 +270,14 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True, need_re
     boundary faces; None means homogeneous.  Returns (residual,
     Jacobian); a part not asked for is None.
     """
-    uvals = space_cr.as_values(u)
     alpha, delta = params.alpha, params.delta
     scale = alpha / (delta + 2.0)
-    res_cells, jac_cells = _volume_convection(space, uvals, alpha, delta, need_res, need_jac)
+    res_cells, jac_cells = _volume_convection(space, u, alpha, delta, need_res, need_jac)
     n = space.n_dofs
 
     fd = space.face_data()
     w = fd.rule.weights
-    up, um, ub = space.traces(uvals, fd)
+    up, um, ub = space.traces(u, fd)
     nsum_p = fd.n_int[:, 0] + fd.n_int[:, 1]             # (1,1).n for plus side
 
     W = w[None, :] * fd.h_int[:, None]
@@ -332,7 +329,7 @@ def reaction(space, u, params, need_jac=True, need_res=True):
     """
     beta, gamma, delta = params.beta, params.reaction_gamma, params.delta
     w, B, BB = _volume_tables(space, nonlinear_quad_degree(delta))
-    uq = space_cr.as_values(u)[space.cell_dofs] @ B.T
+    uq = u[space.cell_dofs] @ B.T
     ud = uq ** delta
     det = space.det_jacobians
     res = jac = None

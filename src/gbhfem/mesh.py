@@ -21,7 +21,7 @@ class Mesh:
     second; for boundary edges they point out of the domain.
     """
 
-    def __init__(self, vertices, cells, domain_box=None):
+    def __init__(self, vertices, cells):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         cells = np.ascontiguousarray(cells, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -42,13 +42,6 @@ class Mesh:
         self.cell_centroids = vertices[cells].mean(axis=1)
 
         self._build_edges()
-
-        if domain_box is None:
-            domain_box = (
-                vertices[:, 0].min(), vertices[:, 1].min(),
-                vertices[:, 0].max(), vertices[:, 1].max(),
-            )
-        self.domain_box = tuple(float(v) for v in domain_box)
 
     def _build_edges(self):
         # Deterministic numbering: edges indexed in first-appearance order
@@ -106,14 +99,6 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
-    @property
-    def h_max(self):
-        """Longest edge length."""
-        return float(self.edge_lengths.max())
-
-    def cell_vertices(self, c):
-        return self.vertices[self.cells[c]]
-
 
 def generate_rect_mesh(box, n):
     """Structured criss-cross triangulation of a rectangle.
@@ -139,16 +124,11 @@ def generate_rect_mesh(box, n):
     X, Y = np.meshgrid(xs, ys)          # row-major: index = iy*(n+1) + ix
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    cells = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = iy * (n + 1) + ix
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return Mesh(vertices, np.array(cells, dtype=np.int64), (xmin, ymin, xmax, ymax))
+    # quad (iy, ix), row-major, gives cells (v00, v10, v11), (v00, v11, v01)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + (n + 1), v00 + (n + 2)
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return Mesh(vertices, cells)
 
 
 def refine_uniform(mesh):
@@ -162,4 +142,4 @@ def refine_uniform(mesh):
     children[:, 1] = np.column_stack([m2, b, m0])
     children[:, 2] = np.column_stack([m1, m0, c])
     children[:, 3] = np.column_stack([m0, m1, m2])
-    return Mesh(vertices, children.reshape(-1, 3), mesh.domain_box)
+    return Mesh(vertices, children.reshape(-1, 3))

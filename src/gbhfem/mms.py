@@ -21,7 +21,7 @@ from .errors import UnsupportedCaseError
 from .kernel import caputo_power, convolve_power, resolve_caputo_order
 from .mesh import generate_rect_mesh
 from .solver import BackwardEulerSolver, TimeGrid, stability_check
-from .space_cr import CRSpace, as_values
+from .space_cr import CRSpace
 from .space_dg import DGSpace
 
 __all__ = [
@@ -314,9 +314,8 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
 
 def error_l2(space, u, exact, t, degree=5):
     """L2 norm of u_h - exact(., t) by cell quadrature."""
-    vals = as_values(u)
     rule, B, X = space.volume_quad(degree)
-    uh = vals[space.cell_dofs] @ B.T
+    uh = u[space.cell_dofs] @ B.T
     ue = np.asarray(exact(X.reshape(-1, 2), t), dtype=float).reshape(uh.shape)
     return float(np.sqrt(np.einsum("cq,q,c->", (uh - ue) ** 2, rule.weights,
                                    space.det_jacobians)))
@@ -328,36 +327,27 @@ def error_linf_l2(space, traj, case, degree=5):
                for u, t in zip(traj.fields, traj.times))
 
 
-def error_energy(space, traj, case, params=None, degree=5):
+def error_energy(space, traj, case, params, degree=5):
     """Discrete energy-norm error sqrt(dt sum_k |||u_h^k - u(t_k)|||^2).
 
     The exact gradient is evaluated by quadrature (not interpolated).
-    For DG the norm adds the penalty jump terms gamma_h ||[[u_h - u]]||^2
-    with the exact solution's trace entering on boundary edges.
+    The norm adds ``params.penalty_gamma`` times the space's
+    ``penalty_jump_sq`` (DG: the jumps of u_h - u, with the exact trace
+    on boundary edges; CR: none).
     """
     dt = float(traj.times[1] - traj.times[0])
     rule, _, X = space.volume_quad(degree)
     Xf = X.reshape(-1, 2)
     det = space.det_jacobians
-    is_dg = space.kind == "dg"
-    if is_dg:
-        fd = space.face_data()
-        gamma = params.penalty_gamma if params is not None else 40.0
-        Xb = fd.Xb.reshape(-1, 2)
     total = 0.0
     for k in range(1, len(traj.times)):
-        u = as_values(traj.fields[k])
+        u = traj.fields[k]
         t = float(traj.times[k])
         gh = space.field_gradients(u)                      # (nc, 2)
         ge = case.grad(Xf, t).reshape(X.shape[0], X.shape[1], 2)
         diff = gh[:, None, :] - ge
         total += dt * float(np.einsum("cqd,cqd,q,c->", diff, diff, rule.weights, det))
-        if is_dg:
-            up, um, ub = space.traces(u, fd)
-            jump_sq = np.einsum("eq,q->", (up - um) ** 2, fd.rule.weights)
-            gvals = np.asarray(case.u(Xb, t), dtype=float).reshape(ub.shape)
-            bjump_sq = np.einsum("eq,q->", (ub - gvals) ** 2, fd.rule.weights)
-            total += dt * gamma * float(jump_sq + bjump_sq)
+        total += dt * params.penalty_gamma * space.penalty_jump_sq(u, case.u, t)
     return float(np.sqrt(total))
 
 
@@ -381,7 +371,6 @@ class StudyResult:
     scheme: str
     rows: list
     stability: list = field(default_factory=list)
-    trajectories: list = field(default_factory=list)
 
     def last_energy_rate(self):
         return self.rows[-1].rate_energy
@@ -393,27 +382,25 @@ class StudyResult:
 def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25,
                       t_final=1.0, kernel_spec=None, caputo_order=None,
                       box=(0.0, 0.0, 1.0, 1.0), newton_tol=1e-10, newton_cap=25,
-                      keep_trajectories=False, check_stability=None,
                       linear_solver="gmres"):
     """Refinement study with dt proportional to h (dt = coupling * h).
 
     Runs ``levels`` meshes obtained by doubling ``base_n`` and reports
     nodal-max L2 and energy-norm errors with rates log2(e_i / e_{i+1}).
     The case's self-consistency gate runs first.  ``linear_solver`` is
-    passed to every level's BackwardEulerSolver.
+    passed to every level's BackwardEulerSolver.  Cases with homogeneous
+    Dirichlet data also get each level's ``stability_check`` report.
     """
     if levels < 2:
         raise ValueError("a study needs at least 2 levels")
     if scheme not in SPACES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {sorted(SPACES)}")
     case.self_check(box=box)
-    if check_stability is None:
-        check_stability = case.homogeneous_bc
     f = forcing(case, params, kernel_spec, caputo_order)
     bc = None if case.homogeneous_bc else case.boundary
 
     side = max(box[2] - box[0], box[3] - box[1])
-    rows, reports, trajs = [], [], []
+    rows, reports = [], []
     for lev in range(levels):
         n = base_n * 2**lev
         h = side / n
@@ -436,8 +423,6 @@ def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25
             rate_en = float(np.log2(rows[-1].err_energy / e_en))
         rows.append(StudyRow(lev, n, h, grid.delta_t, space.n_dofs,
                              e_l2, e_en, rate_l2, rate_en, newton_max))
-        if check_stability:
+        if case.homogeneous_bc:
             reports.append(stability_check(traj, space, params, f, case.initial))
-        if keep_trajectories:
-            trajs.append((space, traj))
-    return StudyResult(case.name, scheme, rows, reports, trajs)
+    return StudyResult(case.name, scheme, rows, reports)

@@ -29,7 +29,7 @@ coupling is eliminated per dof with its closed-form implicit Euler update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,15 +85,23 @@ class StepRecord:
 class Trajectory:
     """Solution fields u_h^0..u_h^N plus diagnostics (and v for FHN runs)."""
 
-    scheme: str
     times: np.ndarray
     fields: list
     records: list
     v_fields: list | None = None
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.fields)
+
+
+def _norm(F):
+    """Euclidean norm of F, finite whenever F is and the norm is
+    representable: a sum of squares that overflows is redone on F / max|F|."""
+    rnorm = float(np.linalg.norm(F))
+    if np.isinf(rnorm) and np.all(np.isfinite(F)):
+        m = np.abs(F).max()
+        rnorm = float(m * np.linalg.norm(F / m))
+    return rnorm
 
 
 def fhn_v_update(v_prev, u_new, eps, rho, delta_t):
@@ -102,7 +110,7 @@ def fhn_v_update(v_prev, u_new, eps, rho, delta_t):
 
 
 class BackwardEulerSolver:
-    """Time stepper for one scheme ("cr" or "dg") on one space.
+    """Time stepper on one space; the space's class is the scheme.
 
     Parameters
     ----------
@@ -135,7 +143,6 @@ class BackwardEulerSolver:
         self.newton_tol = float(newton_tol)
         self.newton_cap = int(newton_cap)
         self.linear_solver = linear_solver
-        self.scheme = space.kind
 
         dt = grid.delta_t
         self.M = forms.assemble_mass(space)
@@ -242,7 +249,7 @@ class BackwardEulerSolver:
         u = u_prev.copy()
         u[bdofs] = bvals
         F = self._residual(u, b, datum)
-        rnorm = float(np.linalg.norm(F))
+        rnorm = _norm(F)
         history = [rnorm]
         iters = 0
         stats = linalg.SolveStats()
@@ -255,7 +262,7 @@ class BackwardEulerSolver:
             u[bdofs] = bvals
             F = self._residual(u, b, datum)
             iters += 1
-            rnorm = float(np.linalg.norm(F))
+            rnorm = _norm(F)
             history.append(rnorm)
             if rnorm <= self.newton_tol:
                 break
@@ -278,10 +285,10 @@ class BackwardEulerSolver:
         if self.u0 is None:
             u = np.zeros(space.n_dofs)
         else:
-            u = space.interpolate(self.u0).values
+            u = space.interpolate(self.u0)
         v = None
         if self.fhn is not None:
-            v = (space.interpolate(self.v0).values if self.v0 is not None
+            v = (space.interpolate(self.v0) if self.v0 is not None
                  else np.zeros(space.n_dofs))
 
         fields = [u.copy()]
@@ -318,15 +325,7 @@ class BackwardEulerSolver:
             energy_cum += dt * float(u @ (self.N_energy @ u))
             records.append(self._record(k, k * dt, u, iters, rnorm, hist, energy_cum, stats))
 
-        meta = {
-            "scheme": self.scheme,
-            "n_dofs": space.n_dofs,
-            "delta_t": dt,
-            "newton_tol": self.newton_tol,
-            "volume_quad_degree": forms.nonlinear_quad_degree(self.params.delta),
-            "weights": "power-law-closed-form" if self.weights is not None else "none",
-        }
-        return Trajectory(self.scheme, grid.times, fields, records, v_fields, meta)
+        return Trajectory(grid.times, fields, records, v_fields)
 
     def _record(self, k, t, u, iters, rnorm, hist, energy_cum, stats):
         l2 = float(np.sqrt(max(u @ (self.M @ u), 0.0)))

@@ -7,14 +7,14 @@ the mean of the inter-element jump vanish on every edge.
 
 A space also carries what its scheme adds to the one residual of the
 solver: its diffusion and energy-norm matrices, its convection form and
-how its Dirichlet datum enters.  CR imposes the datum strongly at the
-boundary midpoints (``boundary_dofs``, ``boundary_values``) and has no
-weakly imposed part.
+how its Dirichlet datum enters; and, outside the solver, the jump part
+of its energy-norm error and the name of its VTK writer.  CR imposes the
+datum strongly at the boundary midpoints (``boundary_dofs``,
+``boundary_values``) and has no weakly imposed part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,66 +23,12 @@ from . import forms
 from .linalg import BlockPattern
 from .quadrature import triangle_rule
 
-__all__ = ["DofMap", "FieldVector", "P1Space", "CRSpace", "cr_dof_map"]
+__all__ = ["P1Space", "CRSpace"]
 
 #: Reference gradients of the barycentric coordinates (rows).
 BARY_REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 #: Reference gradients of the CR basis phi_i = 1 - 2 lambda_i.
 CR_REF_GRADS = -2.0 * BARY_REF_GRADS
-
-
-@dataclass
-class DofMap:
-    """Cell-to-dof connectivity for CR (per-edge) or DG (per-cell) layouts."""
-
-    kind: str                     # "cr" | "dg"
-    n_dofs: int
-    cell_dofs: np.ndarray         # (n_cells, 3) global dof indices
-    dof_locations: np.ndarray     # (n_dofs, 2) representative points
-    boundary_dofs: np.ndarray     # sorted indices; empty for DG
-
-    def __post_init__(self):
-        if self.kind not in ("cr", "dg"):
-            raise ValueError(f"unknown dof map kind {self.kind!r}")
-        if self.cell_dofs.min(initial=0) < 0 or self.cell_dofs.max(initial=-1) >= self.n_dofs:
-            raise ValueError("cell_dofs index out of range")
-        if len(self.dof_locations) != self.n_dofs:
-            raise ValueError("dof_locations length mismatch")
-
-
-class FieldVector:
-    """Coefficient vector of a discrete field relative to a DofMap."""
-
-    def __init__(self, dofmap, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (dofmap.n_dofs,):
-            raise ValueError(f"expected {dofmap.n_dofs} values, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        self.dofmap = dofmap
-        self.values = values
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype) if dtype else self.values
-
-    def copy(self):
-        return FieldVector(self.dofmap, self.values.copy())
-
-
-def as_values(u):
-    """Accept a FieldVector or a bare coefficient array."""
-    return u.values if isinstance(u, FieldVector) else np.asarray(u, dtype=float)
-
-
-def cr_dof_map(mesh):
-    """One dof per edge; boundary dofs are the ones on boundary edges."""
-    return DofMap(
-        kind="cr",
-        n_dofs=mesh.n_edges,
-        cell_dofs=mesh.cell_edges.copy(),
-        dof_locations=mesh.edge_midpoints.copy(),
-        boundary_dofs=np.flatnonzero(mesh.boundary_flags),
-    )
 
 
 def _inverse_jacobians(mesh):
@@ -101,15 +47,14 @@ def _inverse_jacobians(mesh):
 class P1Space:
     """Per-cell geometry and volume quadrature shared by the CR and DG spaces.
 
-    Subclasses pass their dof map and the reference gradients of their
-    basis and define ``basis_values``.
+    Subclasses set their dofs (``n_dofs``; ``cell_dofs`` (n_cells, 3);
+    ``dof_locations`` (n_dofs, 2); ``boundary_dofs``, the sorted dofs the
+    Dirichlet datum fixes strongly), pass the reference gradients of
+    their basis and define ``basis_values``.
     """
 
-    def __init__(self, mesh, dofmap, ref_grads):
+    def __init__(self, mesh, ref_grads):
         self.mesh = mesh
-        self.dofmap = dofmap
-        self.cell_dofs = dofmap.cell_dofs
-        self.n_dofs = dofmap.n_dofs
         inv, det = _inverse_jacobians(mesh)
         self.inv_jacobians = inv
         self.det_jacobians = det                       # = 2 * cell area
@@ -136,25 +81,27 @@ class P1Space:
 
     def field_gradients(self, u):
         """Piecewise-constant gradient of a field, (n_cells, 2)."""
-        vals = as_values(u)
-        return np.einsum("cid,ci->cd", self.grads, vals[self.cell_dofs])
+        return np.einsum("cid,ci->cd", self.grads, u[self.cell_dofs])
 
     def interpolate(self, g):
-        """Nodal interpolant: dof value = g(dof location)."""
-        vals = np.asarray(g(self.dofmap.dof_locations), dtype=float)
-        return FieldVector(self.dofmap, np.broadcast_to(vals, (self.n_dofs,)).copy())
+        """Nodal interpolant: the coefficients g(dof locations), (n_dofs,).
 
-    @property
-    def boundary_dofs(self):
-        """Dofs whose values the Dirichlet datum fixes strongly; empty for DG."""
-        return self.dofmap.boundary_dofs
+        ``g`` may return one value per dof or a scalar; any other length,
+        or a value that is not finite, raises ValueError.
+        """
+        vals = np.asarray(g(self.dof_locations), dtype=float)
+        if vals.shape not in ((), (1,), (self.n_dofs,)):
+            raise ValueError(f"expected {self.n_dofs} values, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
+        return np.broadcast_to(vals, (self.n_dofs,)).copy()
 
     def boundary_values(self, g, t):
         """Datum g(., t) at the ``boundary_dofs``; zero when g is None."""
         b = self.boundary_dofs
         if g is None or not len(b):
             return np.zeros(len(b))
-        vals = np.asarray(g(self.dofmap.dof_locations[b], t), dtype=float)
+        vals = np.asarray(g(self.dof_locations[b], t), dtype=float)
         return np.broadcast_to(vals, (len(b),)).copy()
 
     def weak_dirichlet(self, g, t, penalty_gamma):
@@ -167,12 +114,17 @@ class P1Space:
 
 
 class CRSpace(P1Space):
-    """CR dof map plus the per-cell geometry all assembly loops need."""
+    """One dof per edge; the boundary dofs are those on boundary edges."""
 
-    kind = "cr"
+    #: Name of this space's writer in ``vtk_io``.
+    vtk_writer = "write_cr_vtk"
 
     def __init__(self, mesh):
-        super().__init__(mesh, cr_dof_map(mesh), CR_REF_GRADS)
+        self.n_dofs = mesh.n_edges
+        self.cell_dofs = mesh.cell_edges
+        self.dof_locations = mesh.edge_midpoints
+        self.boundary_dofs = np.flatnonzero(mesh.boundary_flags)
+        super().__init__(mesh, CR_REF_GRADS)
 
     @cached_property
     def pattern(self):
@@ -194,3 +146,7 @@ class CRSpace(P1Space):
     def convection(self, u, params, datum, **parts):
         """``forms.convection_cr``; the face datum is always None here."""
         return forms.convection_cr(self, u, params, **parts)
+
+    def penalty_jump_sq(self, u, exact, t):
+        """Jump part of the energy-norm error: 0.0, the CR norm has none."""
+        return 0.0

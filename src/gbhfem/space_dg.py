@@ -19,21 +19,9 @@ import numpy as np
 from . import forms
 from .linalg import BlockPattern
 from .quadrature import edge_rule
-from .space_cr import BARY_REF_GRADS, DofMap, P1Space, as_values
+from .space_cr import BARY_REF_GRADS, P1Space
 
-__all__ = ["DGSpace", "dg_dof_map"]
-
-
-def dg_dof_map(mesh):
-    """Three dofs per cell at the cell's vertices, globally discontinuous."""
-    nc = mesh.n_cells
-    return DofMap(
-        kind="dg",
-        n_dofs=3 * nc,
-        cell_dofs=np.arange(3 * nc, dtype=np.int64).reshape(nc, 3),
-        dof_locations=mesh.vertices[mesh.cells].reshape(-1, 2).copy(),
-        boundary_dofs=np.empty(0, dtype=np.int64),
-    )
+__all__ = ["DGSpace"]
 
 
 class _FaceData:
@@ -56,12 +44,19 @@ def _trace_products(Ta, Tb):
 
 
 class DGSpace(P1Space):
-    """DG dof map plus cached cell and face geometry."""
+    """Three dofs per cell at the cell's vertices, globally discontinuous,
+    plus cached cell and face geometry.  No dof is fixed strongly."""
 
-    kind = "dg"
+    #: Name of this space's writer in ``vtk_io``.
+    vtk_writer = "write_dg_vtk"
 
     def __init__(self, mesh):
-        super().__init__(mesh, dg_dof_map(mesh), BARY_REF_GRADS)
+        nc = mesh.n_cells
+        self.n_dofs = 3 * nc
+        self.cell_dofs = np.arange(3 * nc, dtype=np.int64).reshape(nc, 3)
+        self.dof_locations = mesh.vertices[mesh.cells].reshape(-1, 2)
+        self.boundary_dofs = np.empty(0, dtype=np.int64)
+        super().__init__(mesh, BARY_REF_GRADS)
         self._face_cache = {}
 
     @cached_property
@@ -178,8 +173,21 @@ class DGSpace(P1Space):
     def traces(self, u, fd):
         """Plus/minus trace values on interior edges and plus traces on
         boundary edges, each (n_edges, nq)."""
-        vals = as_values(u)
-        up = np.einsum("eqi,ei->eq", fd.Tp, vals[fd.pdofs])
-        um = np.einsum("eqi,ei->eq", fd.Tm, vals[fd.mdofs])
-        ub = np.einsum("eqi,ei->eq", fd.Tb, vals[fd.bdofs])
+        up = np.einsum("eqi,ei->eq", fd.Tp, u[fd.pdofs])
+        um = np.einsum("eqi,ei->eq", fd.Tm, u[fd.mdofs])
+        ub = np.einsum("eqi,ei->eq", fd.Tb, u[fd.bdofs])
         return up, um, ub
+
+    def penalty_jump_sq(self, u, exact, t):
+        """Jump part of the energy-norm error of u against exact(., t).
+
+        The sum over edges of ||[[u - exact]]||^2 / h_E, with exact's
+        trace as the exterior value on boundary edges; the DG energy norm
+        weighs it by the penalty scale.
+        """
+        fd = self.face_data()
+        up, um, ub = self.traces(u, fd)
+        jump_sq = np.einsum("eq,q->", (up - um) ** 2, fd.rule.weights)
+        gvals = np.asarray(exact(fd.Xb.reshape(-1, 2), t), dtype=float).reshape(ub.shape)
+        bjump_sq = np.einsum("eq,q->", (ub - gvals) ** 2, fd.rule.weights)
+        return float(jump_sq + bjump_sq)

@@ -199,7 +199,7 @@ def test_criterion_09_jacobians_vs_central_differences():
     weights = memory_weights(SQRT_KERNEL, dt, 16)
     M = assemble_mass(space)
     A = assemble_stiffness_cr(space)
-    u = space.interpolate(lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])).values
+    u = space.interpolate(lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
     u_prev = 0.9 * u
     lin = (M / dt + (params.nu + params.eta * dt * weights.diagonal) * A).tocsr()
 

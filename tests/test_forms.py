@@ -99,7 +99,7 @@ def test_stiffness_dg_symmetry_and_consistency():
     # continuous interpolant of g vanishing on the boundary: face terms drop,
     # energy approximates the true Dirichlet energy
     g = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-    v = space.interpolate(g).values
+    v = space.interpolate(g)
     got = float(v @ (A @ v))
     grads = space.field_gradients(v)
     broken = float((0.5 * space.det_jacobians * (grads**2).sum(axis=1)).sum())
@@ -210,7 +210,7 @@ def test_convection_dg_matches_volume_form_for_continuous_fields():
     space = dg_space(4)
     params = ModelParams()
     g = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-    u = space.interpolate(g).values
+    u = space.interpolate(g)
     res, _ = convection_dg(space, u, params)
     oracle = dense_volume_skew_residual(space, u, params)
     tests = [
@@ -219,7 +219,7 @@ def test_convection_dg_matches_volume_form_for_continuous_fields():
         lambda x: x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]),
     ]
     for gv in tests:
-        v = space.interpolate(gv).values
+        v = space.interpolate(gv)
         assert abs(float(v @ res) - float(v @ oracle)) < 1e-10
 
 

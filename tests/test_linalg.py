@@ -125,8 +125,7 @@ def test_add_scaled():
     for space in (CRSpace(generate_rect_mesh((0, 0, 1, 1), 3)),
                   DGSpace(generate_rect_mesh((0, 0, 1, 1), 3))):
         M = assemble_mass(space)
-        A = (assemble_stiffness_cr(space) if space.kind == "cr"
-             else assemble_stiffness_dg(space, 40.0))
+        A = space.diffusion_matrices(40.0)[1]
         pattern = space.pattern
         assert abs(pattern.matrix(M.data + 0.0 * A.data) - M).max() == 0.0
         assert abs(pattern.matrix(M.data - M.data)).max() == 0.0

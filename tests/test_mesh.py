@@ -64,6 +64,29 @@ def test_generation_deterministic():
     assert np.array_equal(ra.cells, rb.cells)
 
 
+def _rect_cells_by_loop(n):
+    """Reference cell numbering: two triangles per quad, quads row by row."""
+    cells = []
+    for iy in range(n):
+        for ix in range(n):
+            v00 = iy * (n + 1) + ix
+            v10 = v00 + 1
+            v01 = v00 + (n + 1)
+            v11 = v01 + 1
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    return np.array(cells, dtype=np.int64)
+
+
+@pytest.mark.parametrize("box, n", [(UNIT, 1), (UNIT, 2), (UNIT, 7), ((-1.0, 0.5, 2.0, 1.5), 7)])
+def test_generated_cells_match_loop(box, n):
+    m = generate_rect_mesh(box, n)
+    ref = Mesh(m.vertices, _rect_cells_by_loop(n))
+    assert np.array_equal(m.cells, ref.cells) and m.cells.dtype == np.int64
+    for table in ("edges", "cell_edges", "edge_cells", "edge_normals"):
+        assert np.array_equal(getattr(m, table), getattr(ref, table))
+
+
 def test_generate_errors():
     with pytest.raises(ValueError):
         generate_rect_mesh(UNIT, 0)

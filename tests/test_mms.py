@@ -253,7 +253,7 @@ def test_error_l2_zero_and_positive():
     zero = lambda x, t: np.zeros(len(x))
     assert mms.error_l2(space, np.zeros(space.n_dofs), zero, 0.0) == 0.0
     case = mms.type_one()
-    u = space.interpolate(lambda x: case.u(x, 0.5)).values
+    u = space.interpolate(lambda x: case.u(x, 0.5))
     assert mms.error_l2(space, u, case.u, 0.5) > 0.0
 
 
@@ -262,7 +262,7 @@ def test_interpolant_l2_error_second_order():
     errs = []
     for n in (4, 8, 16):
         space = CRSpace(generate_rect_mesh(UNIT, n))
-        u = space.interpolate(lambda x: case.u(x, 0.5)).values
+        u = space.interpolate(lambda x: case.u(x, 0.5))
         errs.append(mms.error_l2(space, u, case.u, 0.5))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) >= 1.8
@@ -276,9 +276,9 @@ def test_energy_error_zero_for_linear_exact():
         lambda x, t: np.zeros(len(x)), homogeneous_bc=False)
     space = CRSpace(generate_rect_mesh(UNIT, 3))
     times = np.linspace(0.0, 1.0, 5)
-    fields = [space.interpolate(lambda x, tt=t: lin.u(x, tt)).values for t in times]
-    traj = Trajectory("cr", times, fields, records=[])
-    assert mms.error_energy(space, traj, lin) <= 1e-10
+    fields = [space.interpolate(lambda x, tt=t: lin.u(x, tt)) for t in times]
+    traj = Trajectory(times, fields, records=[])
+    assert mms.error_energy(space, traj, lin, ModelParams()) <= 1e-10
 
 
 def test_spatial_rate_isolated_at_fixed_dt():

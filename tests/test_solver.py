@@ -195,6 +195,21 @@ def test_non_finite_residual_fails_before_any_solve(bad, make_space, linear_solv
     assert solves == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # ||F||^2 overflows on purpose
+@pytest.mark.parametrize("make_space", [CRSpace, DGSpace])
+def test_huge_finite_residual_is_reported_finite(make_space):
+    # ||F||^2 overflows, but ||F|| itself is a double; the one correction
+    # allowed leaves a rounding-level residual (about 1e-16 ||F||), so the
+    # step fails at the iteration cap with a finite norm
+    space = make_space(generate_rect_mesh(UNIT, 2))
+    s = BackwardEulerSolver(space, ModelParams(alpha=0.0, beta=0.0), TimeGrid(1.0, 1),
+                            forcing=lambda x, t: np.full(len(x), 1e200),
+                            newton_cap=1, linear_solver="lu")
+    with pytest.raises(StepFailureError, match=r"residual \d\.\d{3}e\+\d+ after 1 ") as info:
+        s.run()
+    assert np.isfinite(info.value.residual) and info.value.residual > 1e150
+
+
 def test_fhn_v_update_recurrence():
     # u = 0, rho = 1: v^k = (1 + dt*eps)^(-k)
     dt, eps = 0.2, 0.3
@@ -373,7 +388,7 @@ def test_one_jacobian_per_newton_iteration(make, monkeypatch):
         return wrapper
 
     s = make()
-    name = "convection_cr" if s.scheme == "cr" else "convection_dg"
+    name = "convection_cr" if isinstance(s.space, CRSpace) else "convection_dg"
     monkeypatch.setattr(forms, name, counting(getattr(forms, name)))
     traj = s.run()
     iters = sum(r.newton_iters for r in traj.records)
@@ -404,7 +419,7 @@ def test_newton_matrix_parts_share_one_pattern(make):
     s = make()
     space = s.space
     u = np.random.default_rng(4).uniform(-1, 1, space.n_dofs)
-    conv = forms.convection_cr if s.scheme == "cr" else forms.convection_dg
+    conv = forms.convection_cr if isinstance(s.space, CRSpace) else forms.convection_dg
     parts = [s.M, s.A, s.G, s.N_energy, s.L_base, conv(space, u, s.params)[1],
              forms.reaction(space, u, s.params)[1], s._newton_matrix(u)]
     for A in parts:
@@ -458,7 +473,7 @@ def per_term_residual(s, u, u_prev, load, mem_known, cap_known, fhn_const,
     if nitsche_k is not None:
         F -= p.nu * nitsche_k
     if p.alpha > 0.0:
-        if s.scheme == "cr":
+        if isinstance(s.space, CRSpace):
             F += forms.convection_cr(s.space, u, p, need_jac=False)[0]
         else:
             F += forms.convection_dg(s.space, u, p, boundary_values=flux_datum,
@@ -494,7 +509,7 @@ def test_residual_and_newton_matrix_match_the_per_term_formula(make):
     u[space.boundary_dofs] = bvals
     load = forms.assemble_load(space, s.forcing, (k - 1) * dt, t_k)
     flux_datum = nitsche_k = fhn_const = None
-    if s.scheme == "dg" and s.bc is not None:
+    if isinstance(s.space, DGSpace) and s.bc is not None:
         flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
         nitsche_k = forms.dirichlet_rhs_dg(space, flux_datum, p.penalty_gamma)
         assert np.array_equal(datum, flux_datum) and np.array_equal(nitsche, nitsche_k)
@@ -506,7 +521,7 @@ def test_residual_and_newton_matrix_match_the_per_term_formula(make):
     F = s._residual(u, b, datum)
     assert np.linalg.norm(F - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    conv = (forms.convection_cr(space, u, p) if s.scheme == "cr"
+    conv = (forms.convection_cr(space, u, p) if isinstance(space, CRSpace)
             else forms.convection_dg(space, u, p, boundary_values=flux_datum))
     keep = np.ones(space.n_dofs)
     keep[space.boundary_dofs] = 0.0
@@ -545,7 +560,7 @@ def test_trajectory_solves_the_per_term_equations(make):
     for k in range(1, len(U)):
         t_k = k * dt
         flux_datum = nitsche_k = fhn_const = None
-        if s.scheme == "dg" and s.bc is not None:
+        if isinstance(space, DGSpace) and s.bc is not None:
             flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
             nitsche_k = forms.dirichlet_rhs_dg(space, flux_datum, p.penalty_gamma)
         own.append(s.A @ U[k] - (0.0 if nitsche_k is None else nitsche_k))

@@ -4,20 +4,20 @@ import pytest
 from gbhfem.forms import assemble_load, assemble_stiffness_cr
 from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
-from gbhfem.space_cr import CRSpace, FieldVector, cr_dof_map
+from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
 def test_dof_counts():
-    m1 = generate_rect_mesh(UNIT, 1)
-    dm = cr_dof_map(m1)
-    assert dm.n_dofs == 5 and len(dm.boundary_dofs) == 4
-    m2 = generate_rect_mesh(UNIT, 2)
-    dm2 = cr_dof_map(m2)
-    assert dm2.n_dofs == 16 and len(dm2.boundary_dofs) == 8
-    for row in dm2.cell_dofs:
+    s1 = CRSpace(generate_rect_mesh(UNIT, 1))
+    assert s1.n_dofs == 5 and len(s1.boundary_dofs) == 4
+    s2 = CRSpace(generate_rect_mesh(UNIT, 2))
+    assert s2.n_dofs == 16 and len(s2.boundary_dofs) == 8
+    assert np.array_equal(s2.boundary_dofs, np.flatnonzero(s2.mesh.boundary_flags))
+    assert s2.dof_locations.shape == (16, 2)
+    for row in s2.cell_dofs:
         assert len(set(row)) == 3
 
 
@@ -50,7 +50,7 @@ def test_interpolate_linear_has_zero_h1_error():
 def test_interpolate_zero():
     space = CRSpace(generate_rect_mesh(UNIT, 2))
     u = space.interpolate(lambda x: np.zeros(len(x)))
-    assert u.dofmap is space.dofmap and np.all(u.values == 0.0)
+    assert isinstance(u, np.ndarray) and u.shape == (space.n_dofs,) and np.all(u == 0.0)
 
 
 def broken_h1_interp_error(space, g, grad_g, degree=5):
@@ -123,18 +123,21 @@ def test_dirichlet_traveling_wave_datum(dirichlet_system):
     u = u0 - solve(J, F)
     bvals = space.boundary_values(g, 0.0)
     for i, dof in enumerate(space.boundary_dofs[:5]):
-        msum = space.dofmap.dof_locations[dof].sum()
+        msum = space.dof_locations[dof].sum()
         assert abs(bvals[i] - 1.0 / (1.0 + np.exp(re * msum / 2.0))) < 1e-14
     assert np.array_equal(u[space.boundary_dofs], bvals)
 
 
-def test_field_vector_validation():
-    m = generate_rect_mesh(UNIT, 1)
-    dm = cr_dof_map(m)
-    with pytest.raises(ValueError):
-        FieldVector(dm, np.zeros(3))
-    with pytest.raises(ValueError):
-        FieldVector(dm, np.full(dm.n_dofs, np.nan))
+@pytest.mark.parametrize("make", [CRSpace, DGSpace])
+def test_interpolate_rejects_bad_datum(make):
+    space = make(generate_rect_mesh(UNIT, 1))
+    with pytest.raises(ValueError, match="expected"):
+        space.interpolate(lambda x: np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        space.interpolate(lambda x: np.full(len(x), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        space.interpolate(lambda x: np.inf)
+    assert np.array_equal(space.interpolate(lambda x: 2.0), np.full(space.n_dofs, 2.0))
 
 
 @pytest.mark.parametrize("make", [CRSpace, DGSpace])

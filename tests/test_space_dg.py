@@ -1,18 +1,21 @@
 import numpy as np
 
-from gbhfem.forms import dg_norm_matrix
+from gbhfem.forms import assemble_stiffness_cr, dg_norm_matrix
 from gbhfem.mesh import Mesh, generate_rect_mesh, refine_uniform
-from gbhfem.space_dg import DGSpace, dg_dof_map
+from gbhfem.space_cr import CRSpace
+from gbhfem.space_dg import DGSpace
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
 def test_dof_counts_and_disjointness():
-    assert dg_dof_map(generate_rect_mesh(UNIT, 1)).n_dofs == 6
-    dm = dg_dof_map(generate_rect_mesh(UNIT, 2))
-    assert dm.n_dofs == 24
+    assert DGSpace(generate_rect_mesh(UNIT, 1)).n_dofs == 6
+    space = DGSpace(generate_rect_mesh(UNIT, 2))
+    assert space.n_dofs == 24 and len(space.boundary_dofs) == 0
+    mesh = space.mesh
+    assert np.array_equal(space.dof_locations[space.cell_dofs], mesh.vertices[mesh.cells])
     seen = set()
-    for row in dm.cell_dofs:
+    for row in space.cell_dofs:
         assert not seen.intersection(row)
         seen.update(row)
 
@@ -134,8 +137,21 @@ def test_dg_norm_equals_broken_gradient_for_continuous_field():
     m = generate_rect_mesh(UNIT, 4)
     space = DGSpace(m)
     g = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-    u = space.interpolate(g).values
+    u = space.interpolate(g)
     N = dg_norm_matrix(space, 40.0)
     grads = space.field_gradients(u)
     broken = float((0.5 * space.det_jacobians * (grads**2).sum(axis=1)).sum())
     assert abs(float(u @ (N @ u)) - broken) < 1e-10
+
+
+def test_penalty_jump_sq_is_the_norm_matrix_jump_part():
+    # against a zero exact solution, gamma times the error norm's jump sum
+    # is the jump penalty of the solver's energy-norm Gram matrix
+    space = DGSpace(generate_rect_mesh(UNIT, 3))
+    u = np.random.default_rng(5).uniform(-1, 1, space.n_dofs)
+    zero = lambda x, t: np.zeros(len(x))
+    N, G = dg_norm_matrix(space, 40.0), assemble_stiffness_cr(space)
+    jump = 40.0 * space.penalty_jump_sq(u, zero, 0.0)
+    assert abs(jump - u @ ((N - G) @ u)) <= 1e-12 * jump
+    cr = CRSpace(generate_rect_mesh(UNIT, 3))
+    assert cr.penalty_jump_sq(np.ones(cr.n_dofs), zero, 0.0) == 0.0
