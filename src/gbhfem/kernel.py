@@ -17,6 +17,7 @@ Caputo fractional derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -170,11 +171,35 @@ def caputo_weights(mu_c, delta_t, n_steps):
 
 
 def _profile_terms(profile):
-    terms = [(float(c), float(p)) for c, p in profile]
+    terms = tuple((float(c), float(p)) for c, p in profile)
     for _, p in terms:
         if p <= -1.0:
             raise ValueError(f"profile power {p} must exceed -1")
     return terms
+
+
+def _power_sum(terms, t):
+    """sum of coef * t^power over terms for t > 0, and 0 for t <= 0."""
+    t = np.asarray(t, dtype=float)
+    out = 0.0
+    for coef, power in terms:
+        out = out + coef * t**power
+    out = np.where(t > 0.0, out, 0.0)
+    return out if out.ndim else float(out)
+
+
+# The t-independent factors of convolve_power and caputo_power, per
+# (profile terms, order): a forcing evaluates the same ones at every time.
+
+@lru_cache(maxsize=64)
+def _beta_terms(terms, mu):
+    return tuple((c * beta_fn(1.0 - mu, p + 1.0), p + 1.0 - mu) for c, p in terms)
+
+
+@lru_cache(maxsize=64)
+def _gamma_terms(terms, mu_c):
+    return tuple((c * gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - mu_c), p - mu_c)
+                 for c, p in terms if p != 0.0)
 
 
 def convolve_power(profile, spec, t):
@@ -186,14 +211,8 @@ def convolve_power(profile, spec, t):
     """
     if spec.kind == "callable":
         raise ValueError("closed-form convolution needs a power-law kernel")
-    mu = spec.mu
-    terms = _profile_terms(profile)
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    for c, p in terms:
-        out = out + np.where(pos, c * beta_fn(1.0 - mu, p + 1.0) * t**(p + 1.0 - mu), 0.0)
-    return out if out.ndim else float(out)
+    terms = _beta_terms(_profile_terms(profile), spec.mu)
+    return _power_sum(terms, t)
 
 
 def caputo_power(profile, mu_c, t):
@@ -204,13 +223,5 @@ def caputo_power(profile, mu_c, t):
     """
     if not 0.0 < mu_c < 1.0:
         raise ValueError(f"caputo order must lie in (0, 1), got {mu_c!r}")
-    terms = _profile_terms(profile)
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    for c, p in terms:
-        if p == 0.0:
-            continue
-        coef = c * gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - mu_c)
-        out = out + np.where(pos, coef * t**(p - mu_c), 0.0)
-    return out if out.ndim else float(out)
+    terms = _gamma_terms(_profile_terms(profile), float(mu_c))
+    return _power_sum(terms, t)

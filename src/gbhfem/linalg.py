@@ -8,11 +8,14 @@ sums of them are sums of ``data`` vectors.  Every solve meets
 
 * "lu": SuperLU of A itself with COLAMD ordering, one factorization per
   call; deterministic for a fixed matrix.
-* "gmres": Newton-Krylov.  GMRES on A, right-preconditioned by a fixed
+* "gmres": Newton-Krylov.  GMRES on A, right-preconditioned by the
   factor of a nearby matrix P (``factorize``, MMD ordering on A^T + A),
-  so the solver factors the constant part of its Newton matrix once per
-  run.  A call whose GMRES misses the tolerance falls back to the "lu"
-  path.
+  which the solver keeps across Newton iterations and steps and rebuilds
+  only when GMRES starts to need many iterations.  A call whose GMRES
+  misses the tolerance falls back to the "lu" path.
+
+Norms are the overflow-safe ``norm``, so a huge right-hand side keeps a
+finite tolerance.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError
 
-__all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "canonical_csr"]
+__all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "canonical_csr", "norm"]
 
 SOLVE_RTOL = 1e-10
 GMRES_RESTART = 60
+#: a Newton solver whose last GMRES solve took more iterations than this
+#: factors its current matrix as the new preconditioner
+REFRESH_KRYLOV_ITERS = 10
 
 
 @dataclass
@@ -37,6 +43,17 @@ class SolveStats:
 
     krylov_iters: int = 0
     lu_fallbacks: int = 0
+    precond_refreshes: int = 0    # preconditioner factors the caller rebuilt
+
+
+def norm(v):
+    """Euclidean norm of v, finite whenever v is and the norm is
+    representable: a sum of squares that overflows is redone on v / max|v|."""
+    vnorm = float(np.linalg.norm(v))
+    if np.isinf(vnorm) and np.all(np.isfinite(v)):
+        m = np.abs(v).max()
+        vnorm = float(m * np.linalg.norm(v / m))
+    return vnorm
 
 
 def canonical_csr(A):
@@ -116,7 +133,7 @@ def factorize(A):
 def _residual(A, x, b):
     if not np.all(np.isfinite(x)):
         return np.inf
-    return float(np.linalg.norm(A @ x - b))
+    return norm(A @ x - b)
 
 
 def _direct(A, b, tol):
@@ -149,8 +166,9 @@ def _gmres(A, b, tol, precond, maxiter, stats):
         nonlocal iters
         iters += 1
 
-    bnorm = np.linalg.norm(b)
-    target = max(min(0.1 * tol, bnorm**2), 1e-12 * bnorm)
+    bnorm = norm(b)
+    # bnorm * bnorm is inf on overflow, where a float's ** 2 would raise
+    target = max(min(0.1 * tol, bnorm * bnorm), 1e-12 * bnorm)
     y, _ = spla.gmres(AP, b, rtol=0.0, atol=target, restart=GMRES_RESTART,
                       maxiter=maxiter, callback=count, callback_type="pr_norm")
     if stats is not None:
@@ -179,7 +197,7 @@ def solve(A, b, method="lu", precond=None, stats=None, gmres_maxiter=3):
         raise ValueError(f"unknown solve method {method!r}")
     if method == "gmres" and precond is None:
         raise ValueError("gmres needs a preconditioner")
-    tol = SOLVE_RTOL * (1.0 + np.linalg.norm(b))
+    tol = SOLVE_RTOL * (1.0 + norm(b))
 
     if method == "gmres":
         x = _gmres(A, b, tol, precond, gmres_maxiter, stats)

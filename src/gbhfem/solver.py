@@ -12,9 +12,15 @@ F(u) = L_base u + alpha B(u) - beta C(u) - b_k and one Newton matrix
 L_base + J_conv - J_react: the constant L_base holds the mass, diffusion,
 memory/Caputo diagonal and FitzHugh-Nagumo parts, and b_k every
 u-independent term of the step (load, previous iterate, history sums,
-Nitsche vector).  L_base is factored once per run, on the first Newton
-solve, and preconditions GMRES on the exact Jacobian (Newton-Krylov);
+Nitsche vector).  Every Newton correction is GMRES on the exact Jacobian
+(Newton-Krylov), right-preconditioned by a lagged factor: L_base is
+factored on the run's first Newton solve, and whenever a GMRES solve
+needs more than ``linalg.REFRESH_KRYLOV_ITERS`` iterations the next Newton
+matrix is factored in its place and kept across iterations and steps
+(Knoll & Keyes, J. Comput. Phys. 193 (2004) 357);
 ``linear_solver="lu"`` factors every Newton matrix directly instead.
+From step 2 on, Newton starts from the linear extrapolation
+2 u^{k-1} - u^{k-2} with the datum pinned, step 1 from u^0.
 All matrices share the space's CSR pattern, so a Newton matrix is a sum
 of ``data`` vectors, and a Jacobian is built only for the iterations
 that solve with it.
@@ -79,6 +85,7 @@ class StepRecord:
     energy_cum: float         # dt * sum_{j<=k} |||u^j|||^2 in the scheme norm
     krylov_iters: int = 0     # GMRES iterations over the step's Newton solves
     lu_fallbacks: int = 0     # Newton solves that GMRES missed and LU redid
+    precond_refreshes: int = 0  # preconditioner factors rebuilt in the step
 
 
 @dataclass
@@ -92,16 +99,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.fields)
-
-
-def _norm(F):
-    """Euclidean norm of F, finite whenever F is and the norm is
-    representable: a sum of squares that overflows is redone on F / max|F|."""
-    rnorm = float(np.linalg.norm(F))
-    if np.isinf(rnorm) and np.all(np.isfinite(F)):
-        m = np.abs(F).max()
-        rnorm = float(m * np.linalg.norm(F / m))
-    return rnorm
 
 
 def fhn_v_update(v_prev, u_new, eps, rho, delta_t):
@@ -181,9 +178,10 @@ class BackwardEulerSolver:
         self.L_base = space.pattern.matrix(mass_coef * self.M.data
                                            + self._stiff_coef * self.A.data)
         self._bc_zero, self._bc_one = space.pattern.dirichlet_slots(space.boundary_dofs)
-        # factor of the constrained L_base, built on the first Newton solve
-        # so that construction stays cheap
+        # the lagged preconditioner factor and the last GMRES iteration
+        # count; run() resets both, so construction factors nothing
         self._precond = None
+        self._last_krylov = 0
 
     # -- per-step pieces -------------------------------------------------
 
@@ -239,17 +237,28 @@ class BackwardEulerSolver:
             return linalg.solve(J, F, method=self.linear_solver)
         if self._precond is None:
             self._precond = linalg.factorize(self._newton_matrix())
-        return linalg.solve(J, F, method="gmres", precond=self._precond.solve,
-                            stats=stats)
+        elif self._last_krylov > linalg.REFRESH_KRYLOV_ITERS:
+            self._precond = None            # free the old factor first
+            self._precond = linalg.factorize(J)
+            stats.precond_refreshes += 1
+        before = stats.krylov_iters
+        x = linalg.solve(J, F, method="gmres", precond=self._precond.solve,
+                         stats=stats)
+        self._last_krylov = stats.krylov_iters - before
+        return x
 
-    def step(self, k, u_prev, mem_known, cap_known, v_prev=None):
-        """Advance one step; returns (u_k, v_k, Nitsche vector, record-tuple)."""
+    def step(self, k, u_prev, mem_known, cap_known, v_prev=None, guess=None):
+        """Advance one step; returns (u_k, v_k, Nitsche vector, record-tuple).
+
+        Newton starts from ``guess`` (``u_prev`` when None) with the
+        datum pinned.
+        """
         bvals, datum, nitsche, b = self._step_data(k, u_prev, mem_known, cap_known, v_prev)
         bdofs = self.space.boundary_dofs
-        u = u_prev.copy()
+        u = (u_prev if guess is None else guess).copy()
         u[bdofs] = bvals
         F = self._residual(u, b, datum)
-        rnorm = _norm(F)
+        rnorm = linalg.norm(F)
         history = [rnorm]
         iters = 0
         stats = linalg.SolveStats()
@@ -262,7 +271,7 @@ class BackwardEulerSolver:
             u[bdofs] = bvals
             F = self._residual(u, b, datum)
             iters += 1
-            rnorm = _norm(F)
+            rnorm = linalg.norm(F)
             history.append(rnorm)
             if rnorm <= self.newton_tol:
                 break
@@ -296,6 +305,8 @@ class BackwardEulerSolver:
         energy_cum = 0.0
         records = [self._record(0, 0.0, u, 0, 0.0, (), energy_cum, linalg.SolveStats())]
 
+        self._precond = None                # nothing carries over between runs
+        self._last_krylov = 0
         mem_hist = np.zeros((n, space.n_dofs)) if self.weights is not None else None
         cap_hist = np.zeros((n, space.n_dofs)) if self.cweights is not None else None
 
@@ -309,8 +320,9 @@ class BackwardEulerSolver:
                 c_row = self.cweights.row(k)[: k - 1]
                 cap_known = c_row @ cap_hist[: k - 1]
 
+            guess = None if k == 1 else 2.0 * u - fields[-2]
             u_new, v_new, nitsche, (iters, rnorm, hist, stats) = self.step(
-                k, u, mem_known, cap_known, v)
+                k, u, mem_known, cap_known, v, guess)
 
             if self.weights is not None:
                 mem_hist[k - 1] = self.A @ u_new - nitsche
@@ -331,7 +343,7 @@ class BackwardEulerSolver:
         l2 = float(np.sqrt(max(u @ (self.M @ u), 0.0)))
         gn = float(np.sqrt(max(u @ (self.G @ u), 0.0)))
         return StepRecord(k, t, iters, rnorm, hist, l2, gn, energy_cum,
-                          stats.krylov_iters, stats.lu_fallbacks)
+                          stats.krylov_iters, stats.lu_fallbacks, stats.precond_refreshes)
 
 
 @dataclass

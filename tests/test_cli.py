@@ -147,6 +147,48 @@ beta = 0
     assert float(last[7]) > 0.5  # energy rate present and sensible
 
 
+def test_simulate_outputs_byte_identical_with_preconditioner_refreshes(tmp_path, monkeypatch):
+    # a DG spiral whose GMRES solves refresh the preconditioner factor
+    # writes the same diagnostics.csv and VTK bytes on every run
+    import gbhfem.linalg as linalg
+    factorize = linalg.factorize
+    factored = []
+    monkeypatch.setattr(linalg, "factorize", lambda A: factored.append(1) or factorize(A))
+    text = """\
+[run]
+scheme = dg
+case = spiral
+mesh_n = 8
+n_steps = 3
+t_final = 3
+domain = 0, 0, 300, 300
+snapshot_interval = 1
+
+[model]
+nu = 4
+alpha = 0.1
+beta = 1
+reaction_gamma = 0.25
+eta = 0.01
+
+[kernel]
+mu = 0.5
+
+[fhn]
+eps = 0.005
+rho = 1
+"""
+    cfg = write(tmp_path, text)
+    outputs = []
+    for name in ("a", "b"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        files = sorted((tmp_path / name).iterdir())
+        outputs.append({f.name: f.read_bytes() for f in files})
+    assert len(factored) > 2                  # one L_base factor per run, plus refreshes
+    assert "diagnostics.csv" in outputs[0] and len(outputs[0]) == 5
+    assert outputs[0] == outputs[1]
+
+
 def test_convergence_forwards_linear_solver(tmp_path, monkeypatch):
     # [run] linear_solver reaches every level's solver: LU makes no Krylov
     # iterations and agrees with the default Newton-Krylov CSV

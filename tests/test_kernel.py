@@ -132,6 +132,68 @@ def test_caputo_power_closed_form():
     assert abs(got - 2.0 * np.sqrt(t / np.pi)) < 1e-13
 
 
+def per_call_convolve_power(profile, spec, t):
+    """convolve_power with its Beta factors evaluated at every call (the
+    reference oracle of the cached factors)."""
+    from scipy.special import beta as beta_fn
+    mu = spec.mu
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0.0
+    for c, p in profile:
+        out = out + np.where(pos, c * beta_fn(1.0 - mu, p + 1.0) * t**(p + 1.0 - mu), 0.0)
+    return out if out.ndim else float(out)
+
+
+def per_call_caputo_power(profile, mu_c, t):
+    """caputo_power with its Gamma factors evaluated at every call."""
+    from scipy.special import gamma as gamma_fn
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0.0
+    for c, p in profile:
+        if p == 0.0:
+            continue
+        coef = c * gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - mu_c)
+        out = out + np.where(pos, coef * t**(p - mu_c), 0.0)
+    return out if out.ndim else float(out)
+
+
+PROFILES = [[(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)], [(2.0, 1.5)], [(1.0, 0.0)],
+            [(0.5, 0.75), (-3.0, 2.0), (1e-3, 1.0)]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # negative powers of t = 0
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 0.9])
+def test_power_closed_forms_bit_identical_to_per_call_factors(profile, mu):
+    ts = [0.0, 1e-300, 0.37, 1.0, 2.5, np.linspace(0.0, 3.0, 31)]
+    for t in ts:
+        for _ in range(2):                  # the second call hits the cache
+            assert np.array_equal(convolve_power(profile, KernelSpec(mu=mu), t),
+                                  per_call_convolve_power(profile, KernelSpec(mu=mu), t))
+            if mu > 0.0:
+                assert np.array_equal(caputo_power(profile, mu, t),
+                                      per_call_caputo_power(profile, mu, t))
+    assert type(convolve_power(profile, KernelSpec(mu=mu), 0.5)) is float
+
+
+def test_manufactured_forcing_bit_identical_to_per_call_factors(monkeypatch):
+    from gbhfem import mms
+    from gbhfem.forms import ModelParams
+
+    case = mms.type_one()
+    params = ModelParams(eta=1.0)
+    spec = KernelSpec(mu=0.5, caputo_order=0.5)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (40, 2))
+    times = np.linspace(0.0, 1.0, 17)
+    got = [mms.forcing(case, params, spec)(x, t) for t in times]
+    monkeypatch.setattr(mms, "convolve_power", per_call_convolve_power)
+    monkeypatch.setattr(mms, "caputo_power", per_call_caputo_power)
+    want = [mms.forcing(case, params, spec)(x, t) for t in times]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_discrete_positivity():
     # sum_k sum_j omega_kj dt^2 v_j v_k >= 0 for the power-law family
     rng = np.random.default_rng(9)

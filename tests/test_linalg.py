@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import gbhfem.linalg as linalg
 from gbhfem.errors import SingularMatrixError
 from gbhfem.forms import (assemble_load, assemble_mass, assemble_stiffness_cr,
                           assemble_stiffness_dg)
@@ -94,6 +95,17 @@ def test_gmres_fallback_keeps_singular_error():
     with pytest.raises(SingularMatrixError):
         solve(A, np.array([1.0, 1.0]), method="gmres", precond=lambda v: v, stats=stats)
     assert stats.lu_fallbacks == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # squares overflow on purpose
+def test_huge_rhs_keeps_a_finite_tolerance():
+    # 1 + ||b|| overflowed to inf once b's entries passed about 1e154, and
+    # GMRES then accepted x = 0
+    b = np.full(4, 1e200)
+    for method, precond in (("gmres", lambda v: v), ("lu", None)):
+        assert np.array_equal(solve(sp.identity(4, format="csr"), b, method=method,
+                                    precond=precond), b)
+    assert linalg.norm(b) == 2e200
 
 
 def test_gmres_requires_preconditioner():

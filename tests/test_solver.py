@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -210,6 +212,23 @@ def test_huge_finite_residual_is_reported_finite(make_space):
     assert np.isfinite(info.value.residual) and info.value.residual > 1e150
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # ||F||^2 overflows on purpose
+def test_huge_forcing_krylov_reduces_residual_as_far_as_lu():
+    # the solve tolerance 1e-10 (1 + ||F||) stays finite, so GMRES cannot
+    # accept x = 0 for a residual whose squares overflow
+    residual = {}
+    for linear_solver in ("gmres", "lu"):
+        s = BackwardEulerSolver(CRSpace(generate_rect_mesh(UNIT, 2)),
+                                ModelParams(alpha=0.0, beta=0.0), TimeGrid(1.0, 1),
+                                forcing=lambda x, t: np.full(len(x), 1e200),
+                                newton_cap=1, linear_solver=linear_solver)
+        with pytest.raises(StepFailureError) as info:
+            s.run()
+        residual[linear_solver] = info.value.residual
+    assert residual["lu"] < 1e190
+    assert residual["gmres"] <= 2.0 * residual["lu"]
+
+
 def test_fhn_v_update_recurrence():
     # u = 0, rho = 1: v^k = (1 + dt*eps)^(-k)
     dt, eps = 0.2, 0.3
@@ -323,7 +342,7 @@ def _spiral_dg(**kw):
         kernel_spec=KernelSpec(mu=0.5), **kw)
 
 
-@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+@pytest.mark.parametrize("make", [_wave_cr, _memory_caputo_cr, _spiral_dg])
 def test_newton_krylov_matches_direct_lu(make):
     default = make()
     assert default.linear_solver == "gmres"
@@ -336,8 +355,11 @@ def test_newton_krylov_matches_direct_lu(make):
     assert all(r.krylov_iters == 0 and r.lu_fallbacks == 0 for r in direct.records)
 
 
-@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+@pytest.mark.parametrize("make", [_wave_cr, _memory_caputo_cr, _spiral_dg])
 def test_preconditioner_factored_once_per_run(make, monkeypatch):
+    # L_base is factored once per run; a Newton matrix only when GMRES has
+    # started to need many iterations, which the CR miniatures never do
+    # and the DG spiral does
     calls = []
     splu = linalg.spla.splu
 
@@ -348,11 +370,53 @@ def test_preconditioner_factored_once_per_run(make, monkeypatch):
     monkeypatch.setattr(linalg.spla, "splu", counting)
     s = make()
     assert calls == []                      # construction factors nothing
-    s.run()
-    assert calls == ["MMD_AT_PLUS_A"]
+    traj = s.run()
+    refreshes = sum(r.precond_refreshes for r in traj.records)
+    assert calls == ["MMD_AT_PLUS_A"] * (1 + refreshes)
+    if isinstance(s.space, DGSpace):
+        assert refreshes >= 1
+    else:
+        assert refreshes == 0
     calls.clear()
     traj = make(linear_solver="lu").run()
     assert len(calls) == sum(r.newton_iters for r in traj.records)
+    assert all(r.precond_refreshes == 0 for r in traj.records)
+
+
+def test_no_factor_is_held_while_another_is_built(monkeypatch):
+    # a refresh frees the old factor before it builds the new one, and a
+    # second run frees the first run's, so two factors never coexist
+    factorize = linalg.factorize
+    built = []
+
+    class Factor:
+        def __init__(self, A):
+            self.lu = factorize(A)
+
+        def solve(self, v):
+            return self.lu.solve(v)
+
+    def guarded(A):
+        assert s._precond is None
+        assert all(ref() is None for ref in built)
+        factor = Factor(A)
+        built.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(linalg, "factorize", guarded)
+    s = _spiral_dg()
+    refreshes = [sum(r.precond_refreshes for r in s.run().records) for _ in range(2)]
+    assert len(built) == 2 + sum(refreshes) and min(refreshes) >= 1
+
+
+@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+def test_runs_are_bit_identical(make):
+    # the refresh state starts afresh in every run
+    s = make()
+    runs = [s.run(), s.run(), make().run(), make().run()]
+    for traj in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(traj.fields, runs[0].fields))
+        assert traj.records == runs[0].records
 
 
 def test_missed_krylov_solve_falls_back_to_lu(monkeypatch):
@@ -546,13 +610,10 @@ def test_dg_datum_evaluated_once_per_step(monkeypatch):
     assert times == list(traj.times[1:])
 
 
-@pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_dg, _spiral_dg])
-def test_trajectory_solves_the_per_term_equations(make):
-    # rebuilds every step's history sums from the stored fields, so run()'s
-    # memory (diffusion minus Nitsche vector), Caputo and FHN bookkeeping
-    # is checked end to end
-    s = make()
-    traj = s.run()
+def per_step_terms(s, traj):
+    """For each step k of ``traj``: k and the u-independent arguments of
+    ``per_term_residual``, with every history sum rebuilt from the stored
+    fields."""
     space, p = s.space, s.params
     dt = s.grid.delta_t
     U = traj.fields
@@ -575,6 +636,47 @@ def test_trajectory_solves_the_per_term_equations(make):
             eps, rho = s.fhn
             fhn_const = (s.M @ traj.v_fields[k - 1]) / (1.0 + dt * eps * rho)
         load = forms.assemble_load(space, s.forcing, (k - 1) * dt, t_k)
-        F = per_term_residual(s, U[k], U[k - 1], load, mem_known, cap_known, fhn_const,
-                              nitsche_k, flux_datum)
+        yield k, (load, mem_known, cap_known, fhn_const, nitsche_k, flux_datum)
+
+
+@pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_dg, _spiral_dg])
+def test_trajectory_solves_the_per_term_equations(make):
+    # rebuilds every step's history sums from the stored fields, so run()'s
+    # memory (diffusion minus Nitsche vector), Caputo and FHN bookkeeping
+    # is checked end to end
+    s = make()
+    traj = s.run()
+    U = traj.fields
+    for k, terms in per_step_terms(s, traj):
+        F = per_term_residual(s, U[k], U[k - 1], *terms)
         assert np.linalg.norm(F) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_cr, _wave_dg, _spiral_dg])
+def test_newton_starts_from_the_extrapolated_field(make):
+    # residual_history[0] is the residual at u^0 on step 1 and at
+    # 2u^{k-1} - u^{k-2}, datum pinned, on every later step
+    s = make()
+    traj = s.run()
+    U = traj.fields
+    bdofs = s.space.boundary_dofs
+    for k, terms in per_step_terms(s, traj):
+        start = U[0].copy() if k == 1 else 2.0 * U[k - 1] - U[k - 2]
+        start[bdofs] = s.space.boundary_values(s.bc, k * s.grid.delta_t)
+        r_start = np.linalg.norm(per_term_residual(s, start, U[k - 1], *terms))
+        r_prev = np.linalg.norm(per_term_residual(s, U[k - 1], U[k - 1], *terms))
+        got = traj.records[k].residual_history[0]
+        assert abs(got - r_start) <= 1e-10 * (1.0 + r_start)
+        if k > 1:
+            assert abs(got - r_prev) > 1e-6 * r_prev
+
+
+def test_extrapolated_start_saves_newton_iterations(monkeypatch):
+    def newton_total(s):
+        return sum(r.newton_iters for r in s.run().records)
+
+    extrapolated = newton_total(_memory_caputo_cr())
+    s = _memory_caputo_cr()
+    step = s.step
+    monkeypatch.setattr(s, "step", lambda *args: step(*args[:-1]))   # start at u^{k-1}
+    assert extrapolated < newton_total(s)
