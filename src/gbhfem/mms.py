@@ -7,6 +7,13 @@ power-family time profiles, a singularity-absorbing Gauss-Jacobi rule
 otherwise) and the optional Caputo term (power-family profiles only).
 Every case passes a finite-difference self-consistency gate before a
 study is allowed to run.
+
+A planar case (``ManufacturedCase.planar``: u depends on the points only
+through x + y, as the traveling wave does) has its forcing evaluated once
+per distinct value of x + y on a read-only point set and scattered back;
+each representative point has bit-for-bit the same x + y as the points it
+stands for, so the values are those of the per-point evaluation, which
+writable point arrays still get.
 """
 
 from __future__ import annotations
@@ -50,6 +57,12 @@ class ManufacturedCase:
     points are read-only) and returns those values, read-only, at every
     time, so the forcing, the exact solution and the error norms of a run
     reuse them.  Writable point arrays are evaluated afresh on each call.
+
+    ``planar`` declares that ``u`` and its derivatives depend on the
+    points only through the float x[:, 0] + x[:, 1].  It is a fact about
+    the case, not an option: ``traveling_wave`` sets it and ``self_check``
+    verifies it.  The forcing of a planar case, called on a read-only
+    point set, is evaluated once per distinct x + y (see ``forcing``).
     """
 
     name: str
@@ -61,6 +74,7 @@ class ManufacturedCase:
     time_profile: list | None = None
     spatial: object = None
     spatial_lap: object = None
+    planar: bool = field(default=False, init=False)
 
     def initial(self, x):
         return self.u(x, 0.0)
@@ -87,11 +101,11 @@ class ManufacturedCase:
         ])
         t = rng.uniform(*t_range, n_probes)
 
-        def check(name, exact, approx):
+        def check(name, exact, approx, against="finite differences"):
             err = np.max(np.abs(exact - approx) / (np.abs(exact) + 1.0))
             if not err <= tol:
                 raise ValueError(
-                    f"case {self.name}: {name} disagrees with finite differences "
+                    f"case {self.name}: {name} disagrees with {against} "
                     f"(relative error {err:.3e})")
 
         def u_at(dx, dy, dt):
@@ -114,6 +128,14 @@ class ManufacturedCase:
                   + (grad_at(0, h)[:, 1] - grad_at(0, -h)[:, 1])) / (2 * h)
         check("laplacian", np.array([self.lap(x[i:i + 1], t[i])[0] for i in range(n_probes)]),
               fd_lap)
+        if self.planar:
+            d = 0.1 * min(xmax - xmin, ymax - ymin)
+            both = np.vstack([x, x + [d, -d]])
+            t_mid = 0.5 * (t_range[0] + t_range[1])
+            for name in ("u", "u_t", "grad", "lap"):
+                v = getattr(self, name)(both, t_mid)
+                check(name, v[:n_probes], v[n_probes:], "its value at (x + d, y - d) "
+                      "although the case is declared planar")
         return True
 
 
@@ -126,29 +148,37 @@ def _frozen(x):
     return x is None
 
 
+def _read_only(a):
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
 def _per_point_set(fn):
     """fn(x), remembered for the last read-only point set x.
 
-    A call hits when x is read-only down to the owner of its memory
-    (``_frozen``) and views the same memory as the remembered argument
-    with the same shape, strides and dtype.  The remembered argument is
-    kept alive, so no other array can take over its memory meanwhile.
-    Writable arguments go straight to fn.
+    fn returns an array or a tuple of arrays; the remembered value is
+    read-only (each array of a tuple).  A call hits when x is read-only
+    down to the owner of its memory (``_frozen``) and views the same
+    memory as the remembered argument with the same shape, strides and
+    dtype.  The remembered argument is kept alive, so no other array can
+    take over its memory meanwhile.  Writable arguments go straight to fn.
     """
     last = None            # (argument, key, read-only value)
 
-    def spatial(x):
+    def cached(x):
         nonlocal last
         if not _frozen(x):
             return fn(x)
         key = (x.ctypes.data, x.shape, x.strides, x.dtype)
         if last is None or last[1] != key:
-            value = np.asarray(fn(x))
-            value.flags.writeable = False
+            value = fn(x)
+            value = (tuple(map(_read_only, value)) if isinstance(value, tuple)
+                     else _read_only(value))
             last = (x, key, value)
         return last[2]
 
-    return spatial
+    return cached
 
 
 def _separable(name, profile, dprofile, S, gradS, lapS, homogeneous):
@@ -241,8 +271,19 @@ def traveling_wave(reynolds):
         e = E(x, t)
         return 2.0 * r**2 * e * (e - 1.0) / (1.0 + e) ** 3
 
-    return ManufacturedCase(f"traveling_wave_re{int(reynolds)}", u, u_t, grad, lap,
+    case = ManufacturedCase(f"traveling_wave_re{int(reynolds)}", u, u_t, grad, lap,
                             homogeneous_bc=False)
+    case.planar = True
+    return case
+
+
+def _planar_reduction(x):
+    """(representative points, inverse) of the distinct values of x + y.
+
+    ``reps[inv]`` has, row by row, bit-for-bit the same x + y as x.
+    """
+    _, idx, inv = np.unique(x[:, 0] + x[:, 1], return_index=True, return_inverse=True)
+    return x[idx], inv
 
 
 @functools.lru_cache(maxsize=16)
@@ -281,6 +322,11 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
     otherwise; the Caputo term requires a power-family profile.  The
     Caputo order is ``caputo_order``, else ``kernel_spec.caputo_order``
     (ValueError when both are set and differ).
+
+    For a planar case and a read-only point set, f is evaluated on one
+    representative point per distinct x + y (remembered per point set)
+    and scattered back; the values are bit-identical to the per-point
+    evaluation, which writable point arrays get.
     """
     p = params
     caputo_order = resolve_caputo_order(kernel_spec, caputo_order)
@@ -309,7 +355,17 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
             val += caputo_power(case.time_profile, caputo_order, t) * case.spatial(x)
         return val
 
-    return f
+    if not case.planar:
+        return f
+    reduce = _per_point_set(_planar_reduction)
+
+    def planar_f(x, t):
+        if not _frozen(x):
+            return f(x, t)
+        reps, inv = reduce(x)
+        return f(reps, t)[inv]
+
+    return planar_f
 
 
 def error_l2(space, u, exact, t, degree=5):

@@ -294,6 +294,47 @@ reynolds = 50
     assert vals.min() >= -0.05 and vals.max() <= 1.05
 
 
+@pytest.mark.parametrize("scheme", ["cr", "dg"])
+def test_simulate_traveling_wave_planar_forcing_byte_identical(tmp_path, monkeypatch, scheme):
+    # the forcing evaluated once per distinct x + y writes the same
+    # diagnostics.csv and VTK bytes as the per-point forcing
+    text = f"""\
+[run]
+scheme = {scheme}
+case = traveling_wave
+mesh_n = 8
+n_steps = 16
+t_final = 1.0
+snapshot_interval = 0.25
+
+[model]
+eta = 1.0
+
+[traveling_wave]
+reynolds = 50
+"""
+    cfg = write(tmp_path, text)
+    reductions = []
+    reduce = mms._planar_reduction
+    monkeypatch.setattr(mms, "_planar_reduction", lambda x: reductions.append(x) or reduce(x))
+
+    def simulate(name):
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+    def per_point_wave(reynolds, wave=mms.traveling_wave):
+        case = wave(reynolds)
+        case.planar = False
+        return case
+
+    outputs = [simulate("planar")]
+    monkeypatch.setattr(mms, "traveling_wave", per_point_wave)
+    outputs.append(simulate("per_point"))
+    assert len(reductions) == 1
+    assert "diagnostics.csv" in outputs[0] and len(outputs[0]) == 1 + 5
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_dg_snapshot(tmp_path):
     out = tmp_path / "dg"
     text = """\

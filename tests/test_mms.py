@@ -116,7 +116,7 @@ def test_jacobi_rule_computed_once_per_order(monkeypatch):
 
 
 def _uncached(monkeypatch, make):
-    """The same case with its spatial factors evaluated on every call."""
+    """make(), with every point-set cache of what it builds turned off."""
     with monkeypatch.context() as m:
         m.setattr(mms, "_per_point_set", lambda fn: fn)
         return make()
@@ -218,6 +218,112 @@ def test_point_set_cache_follows_its_argument():
     x -= 0.02
     assert np.array_equal(case.spatial(view), S(x))
     assert not np.array_equal(case.spatial(view), before)
+
+
+def test_planar_is_declared_by_the_traveling_wave_only():
+    assert mms.traveling_wave(50).planar and mms.traveling_wave(100).planar
+    assert not mms.type_one().planar and not mms.type_two().planar
+    assert not zero_case().planar
+
+
+def test_gate_rejects_a_false_planar_declaration():
+    case = mms.type_one()
+    case.planar = True
+    with pytest.raises(ValueError, match="declared planar"):
+        case.self_check()
+
+
+WAVE_SPEC = KernelSpec(mu=0.5)
+
+
+def _wave_params(reynolds, eta):
+    return ModelParams(nu=1.0 / reynolds, eta=eta)
+
+
+@pytest.mark.parametrize("reynolds", [50, 100])
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("scheme", ["cr", "dg"])
+def test_planar_forcing_bit_identical_to_per_point(monkeypatch, reynolds, eta, scheme):
+    # a writable copy of the points takes the per-point path, the oracle
+    params = _wave_params(reynolds, eta)
+    f = mms.forcing(mms.traveling_wave(reynolds), params, WAVE_SPEC)
+    f_raw = _uncached(monkeypatch, lambda: mms.forcing(mms.traveling_wave(reynolds),
+                                                       params, WAVE_SPEC))
+    X = mms.SPACES[scheme](generate_rect_mesh(UNIT, 4)).volume_quad(5)[2].reshape(-1, 2)
+    for t in (0.0, 0.3, 0.3, 0.9):
+        want = f(X.copy(), t)
+        assert np.array_equal(f(X, t), want)
+        assert np.array_equal(f_raw(X, t), want)
+
+
+def test_planar_study_bit_identical_to_per_point(monkeypatch):
+    def study():
+        return mms.convergence_study(case, "cr", _wave_params(50, 1.0), levels=2,
+                                     base_n=4, kernel_spec=WAVE_SPEC)
+
+    case = mms.traveling_wave(50)
+    reduced = study()
+    monkeypatch.setattr(case, "planar", False)
+    assert reduced.rows == study().rows
+
+
+def _count_reductions(monkeypatch):
+    """The point sets that planar forcings reduce from now on."""
+    reductions = []
+    reduce = mms._planar_reduction
+    monkeypatch.setattr(mms, "_planar_reduction", lambda x: reductions.append(x) or reduce(x))
+    return reductions
+
+
+def test_planar_forcing_reduced_once_per_point_set(monkeypatch):
+    # a miniature wave run on two meshes: one np.unique per volume point
+    # set, and lap only ever sees one point per distinct x + y
+    reductions = _count_reductions(monkeypatch)
+    case = mms.traveling_wave(100)
+    case.self_check()
+    rows = []
+    lap = case.lap
+    case.lap = lambda x, t: rows.append(len(x)) or lap(x, t)
+    params = _wave_params(100, 1.0)
+    f = mms.forcing(case, params, WAVE_SPEC)
+    for n in (4, 8):
+        space = CRSpace(generate_rect_mesh(UNIT, n))
+        X = space.volume_quad(5)[2]
+        distinct = len(np.unique(X[..., 0] + X[..., 1]))
+        assert distinct < X.shape[0] * X.shape[1] / 4
+        rows.clear()
+        BackwardEulerSolver(space, params, TimeGrid(1.0, 8), forcing=f, u0=case.initial,
+                            bc=case.boundary, kernel_spec=WAVE_SPEC).run()
+        assert len(rows) == 8 * 3 * (1 + mms.JACOBI_NODES)
+        assert set(rows) == {distinct}
+        assert sum(np.shares_memory(x, X) for x in reductions) == 1
+    assert len(reductions) == 2
+
+
+def test_planar_cache_follows_its_argument(monkeypatch):
+    reductions = _count_reductions(monkeypatch)
+    f = mms.forcing(mms.traveling_wave(100), _wave_params(100, 1.0), WAVE_SPEC)
+    Xa = CRSpace(generate_rect_mesh(UNIT, 2)).volume_quad(5)[2].reshape(-1, 2)
+    Xb = CRSpace(generate_rect_mesh(UNIT, 3)).volume_quad(5)[2].reshape(-1, 2)
+    # level by level, as convergence_study alternates meshes
+    for X in (Xa, Xb, Xa, Xb):
+        assert np.array_equal(f(X, 0.4), f(X.copy(), 0.4))
+    assert np.array_equal(f(Xa[::2], 0.4), f(Xa[::2].copy(), 0.4))
+    assert len(reductions) == 5
+    # writable points, changed in place between calls, give the new values
+    x = np.random.default_rng(4).uniform(0, 1, (12, 2))
+    first = f(x, 0.4)
+    x += 0.01
+    assert np.array_equal(f(x, 0.4), f(x.copy(), 0.4))
+    assert not np.array_equal(f(x, 0.4), first)
+    # a read-only view of writable memory is not a fixed point set
+    view = x.view()
+    view.flags.writeable = False
+    before = f(view, 0.4)
+    x -= 0.02
+    assert np.array_equal(f(view, 0.4), f(x.copy(), 0.4))
+    assert not np.array_equal(f(view, 0.4), before)
+    assert len(reductions) == 5
 
 
 def test_jacobi_convolution_matches_beta_identity():
