@@ -102,9 +102,35 @@ class KernelWeights:
         return float(self.lag_weights[0])
 
 
-def _double_antiderivative_power(x, mu):
-    # K2 with K2'' = t^(-mu): x^(2-mu) / ((1-mu)(2-mu))
-    return x ** (2.0 - mu) / ((1.0 - mu) * (2.0 - mu))
+#: Terms of the binomial series in ``_second_difference``; at lag 2 the
+#: first one left out is below 4^-30 of the sum.
+_SERIES_TERMS = 30
+
+
+def _second_difference(a, m):
+    """(m+1)^a - 2 m^a + (m-1)^a for the lags m >= 1, 1 <= a <= 2.
+
+    The plain difference loses digits to cancellation at long lags (about
+    log10(m^2) of them).  With h = 1/m it equals m^(a-2) * 2 s(h) where
+    s(h) = sum_k C(a, 2k) h^(2k-2), the even binomial series of
+    (1+h)^a + (1-h)^a - 2, whose terms are all nonnegative for 1 <= a <= 2;
+    it converges for m >= 2.  Lag 1 is 2 (2^(a-1) - 1) = 2 expm1((a-1) ln 2).
+    """
+    out = np.empty(len(m))
+    out[m == 1] = 2.0 * np.expm1((a - 1.0) * np.log(2.0))
+    far = m >= 2
+    h2 = 1.0 / m[far] ** 2
+    # C(a, j) by C(a, j+1) = C(a, j) (a - j) / (j + 1); keep the even j
+    coef, binom = [], 1.0
+    for j in range(2 * _SERIES_TERMS):
+        binom *= (a - j) / (j + 1.0)
+        if j % 2:
+            coef.append(binom)
+    s = np.full(len(h2), coef[-1])
+    for c in reversed(coef[:-1]):
+        s = s * h2 + c
+    out[far] = 2.0 * s * m[far] ** (a - 2.0)
+    return out
 
 
 def memory_weights(spec, delta_t, n_steps):
@@ -123,18 +149,12 @@ def memory_weights(spec, delta_t, n_steps):
         mu = spec.mu
         if not 0.0 <= mu < 1.0:
             raise ValueError(f"kernel exponent mu must lie in [0, 1), got {mu!r}")
-        m = np.arange(n_steps, dtype=float)
-        K2 = lambda x: _double_antiderivative_power(x, mu)
+        # second differences of the double antiderivative
+        # K2(t) = t^(2-mu) / ((1-mu)(2-mu)), scaled by dt^-2
+        scale = delta_t**-mu / ((1.0 - mu) * (2.0 - mu))
         lag = np.empty(n_steps)
-        lag[0] = K2(delta_t) / delta_t**2
-        if n_steps > 1:
-            mm = m[1:]
-            lag[1:] = (
-                K2((mm + 1.0) * delta_t) - 2.0 * K2(mm * delta_t) + K2((mm - 1.0) * delta_t)
-            ) / delta_t**2
-        # convexity of K2 makes these second differences nonnegative;
-        # clip pure roundoff noise
-        lag[lag < 0.0] = 0.0
+        lag[0] = scale
+        lag[1:] = scale * _second_difference(2.0 - mu, np.arange(1.0, n_steps))
         return KernelWeights(float(delta_t), n_steps, lag)
 
     from scipy.integrate import dblquad

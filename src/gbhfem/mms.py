@@ -2,11 +2,17 @@
 
 A manufactured case carries the exact solution and its derivatives; the
 forcing is assembled from the strong operator, including the memory
-convolution (closed Beta-identity form for separable cases with
-power-family time profiles, a singularity-absorbing Gauss-Jacobi rule
-otherwise) and the optional Caputo term (power-family profiles only).
-Every case passes a finite-difference self-consistency gate before a
-study is allowed to run.
+convolution and the optional Caputo term.  Every case passes a
+finite-difference self-consistency gate before a study is allowed to run.
+
+A separable case u = P(t) S(x) with a power-family profile P has the
+forcing f(x, t) = sum_i a_i(t) Phi_i(x) over five spatial factors
+(S, lap S, S^d (S_x + S_y), S^(d+1), S^(2d+1)), computed once per
+read-only point set, and scalars a_i(t) from P, its derivative and the
+closed-form (Beta-identity) memory and Caputo terms.  Other cases are
+evaluated point by point, with the memory convolution by a
+singularity-absorbing Gauss-Jacobi rule whose nodes go to ``lap`` in one
+array call.
 
 A planar case (``ManufacturedCase.planar``: u depends on the points only
 through x + y, as the traveling wave does) has its forcing evaluated once
@@ -47,16 +53,22 @@ SPACES = {"cr": CRSpace, "dg": DGSpace}
 class ManufacturedCase:
     """Exact solution with evaluable derivatives.
 
-    ``u``, ``u_t``, ``lap`` map ((n,2) points, t) to (n,) values; ``grad``
-    returns (n, 2).  ``time_profile`` is a list of (coef, power) pairs
-    when u = profile(t) * spatial(x) is separable, enabling closed-form
-    memory and Caputo forcing terms.
+    ``u``, ``u_t``, ``lap`` map ((n, 2) points, t) to (n,) values; ``grad``
+    returns (n, 2).  The time t is a float or an array that broadcasts
+    against the points: an (n,) array pairs one time with each point, and
+    an (m, 1) array gives (m, n) values ((m, n, 2) for ``grad``).
 
-    A separable case computes its spatial factors S, grad S and lap S
-    once per read-only point set (``volume_quad``'s X and the DG boundary
-    points are read-only) and returns those values, read-only, at every
-    time, so the forcing, the exact solution and the error norms of a run
-    reuse them.  Writable point arrays are evaluated afresh on each call.
+    ``time_profile`` is a list of (coef, power) pairs when u =
+    profile(t) * spatial(x) is separable, enabling closed-form memory and
+    Caputo forcing terms; such a case also gives the spatial factors
+    ``spatial``, ``spatial_grad`` and ``spatial_lap`` (S, grad S and lap S
+    as functions of the points alone).
+
+    A separable case computes its spatial factors once per read-only
+    point set (``volume_quad``'s X and the DG boundary points are
+    read-only) and returns those values, read-only, at every time, so the
+    forcing, the exact solution and the error norms of a run reuse them.
+    Writable point arrays are evaluated afresh on each call.
 
     ``planar`` declares that ``u`` and its derivatives depend on the
     points only through the float x[:, 0] + x[:, 1].  It is a fact about
@@ -73,8 +85,15 @@ class ManufacturedCase:
     homogeneous_bc: bool = True
     time_profile: list | None = None
     spatial: object = None
+    spatial_grad: object = None
     spatial_lap: object = None
     planar: bool = field(default=False, init=False)
+
+    def __post_init__(self):
+        if self.time_profile is not None:
+            for name in ("spatial", "spatial_grad", "spatial_lap"):
+                if getattr(self, name) is None:
+                    raise ValueError(f"case {self.name}: a time_profile needs {name}")
 
     def initial(self, x):
         return self.u(x, 0.0)
@@ -109,25 +128,19 @@ class ManufacturedCase:
                     f"(relative error {err:.3e})")
 
         def u_at(dx, dy, dt):
-            return np.array([
-                self.u(x[i:i + 1] + [[dx, dy]], t[i] + dt)[0] for i in range(n_probes)
-            ])
+            return self.u(x + [dx, dy], t + dt)
 
         def grad_at(dx, dy):
-            return np.array([
-                self.grad(x[i:i + 1] + [[dx, dy]], t[i])[0] for i in range(n_probes)
-            ])
+            return self.grad(x + [dx, dy], t)
 
         h = 1e-6
-        check("u_t", np.array([self.u_t(x[i:i + 1], t[i])[0] for i in range(n_probes)]),
-              (u_at(0, 0, h) - u_at(0, 0, -h)) / (2 * h))
-        g = np.array([self.grad(x[i:i + 1], t[i])[0] for i in range(n_probes)])
+        check("u_t", self.u_t(x, t), (u_at(0, 0, h) - u_at(0, 0, -h)) / (2 * h))
+        g = self.grad(x, t)
         check("du/dx", g[:, 0], (u_at(h, 0, 0) - u_at(-h, 0, 0)) / (2 * h))
         check("du/dy", g[:, 1], (u_at(0, h, 0) - u_at(0, -h, 0)) / (2 * h))
         fd_lap = ((grad_at(h, 0)[:, 0] - grad_at(-h, 0)[:, 0])
                   + (grad_at(0, h)[:, 1] - grad_at(0, -h)[:, 1])) / (2 * h)
-        check("laplacian", np.array([self.lap(x[i:i + 1], t[i])[0] for i in range(n_probes)]),
-              fd_lap)
+        check("laplacian", self.lap(x, t), fd_lap)
         if self.planar:
             d = 0.1 * min(xmax - xmin, ymax - ymin)
             both = np.vstack([x, x + [d, -d]])
@@ -181,8 +194,9 @@ def _per_point_set(fn):
     return cached
 
 
-def _separable(name, profile, dprofile, S, gradS, lapS, homogeneous):
+def _separable(name, profile, S, gradS, lapS, homogeneous):
     S, gradS, lapS = _per_point_set(S), _per_point_set(gradS), _per_point_set(lapS)
+    dprofile = _profile_derivative(profile)
 
     def u(x, t):
         return _eval_profile(profile, t) * S(x)
@@ -191,17 +205,23 @@ def _separable(name, profile, dprofile, S, gradS, lapS, homogeneous):
         return _eval_profile(dprofile, t) * S(x)
 
     def grad(x, t):
-        return _eval_profile(profile, t) * gradS(x)
+        return np.asarray(_eval_profile(profile, t))[..., None] * gradS(x)
 
     def lap(x, t):
         return _eval_profile(profile, t) * lapS(x)
 
     return ManufacturedCase(name, u, u_t, grad, lap, homogeneous,
-                            time_profile=list(profile), spatial=S, spatial_lap=lapS)
+                            time_profile=list(profile), spatial=S, spatial_grad=gradS,
+                            spatial_lap=lapS)
 
 
 def _eval_profile(profile, t):
     return sum(c * t**p if p else c for c, p in profile)
+
+
+def _profile_derivative(profile):
+    """The (coef, power) pairs of the time derivative of a power profile."""
+    return [(c * p, p - 1.0) for c, p in profile if p]
 
 
 def type_one():
@@ -221,7 +241,7 @@ def type_one():
         return -2.0 * pi**2 * S(x)
 
     return _separable("type1", [(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)],
-                      [(3.0, 2.0), (-2.0, 1.0)], S, gradS, lapS, True)
+                      S, gradS, lapS, True)
 
 
 def type_two():
@@ -240,7 +260,7 @@ def type_two():
     def lapS(x):
         return -8.0 * pi**2 * S(x)
 
-    return _separable("type2", [(1.0, 1.5)], [(1.5, 0.5)], S, gradS, lapS, True)
+    return _separable("type2", [(1.0, 1.5)], S, gradS, lapS, True)
 
 
 def traveling_wave(reynolds):
@@ -265,7 +285,7 @@ def traveling_wave(reynolds):
     def grad(x, t):
         e = E(x, t)
         gx = -r * e / (1.0 + e) ** 2
-        return np.column_stack([gx, gx])
+        return np.stack([gx, gx], axis=-1)
 
     def lap(x, t):
         e = E(x, t)
@@ -305,10 +325,46 @@ def _jacobi_convolution(lap, mu, x, t, n_nodes=JACOBI_NODES):
     if t <= 0.0:
         return np.zeros(len(x))
     z, w = _jacobi_rule(n_nodes, mu)
-    out = np.zeros(len(x))
-    for zi, wi in zip(z, w):
-        out += wi * lap(x, t * (zi + 1.0) / 2.0)
-    return (t / 2.0) ** (1.0 - mu) * out
+    # one lap call for all nodes; the column sum adds the rows in node
+    # order, bit for bit as a loop over the nodes would (w @ L would not)
+    L = lap(x, (t * (z + 1.0) / 2.0)[:, None])
+    return (t / 2.0) ** (1.0 - mu) * (w[:, None] * L).sum(axis=0)
+
+
+def _separable_forcing(case, p, kernel_spec, caputo_order):
+    """f = sum_i a_i(t) Phi_i(x) for a separable case u = P(t) S(x).
+
+    With u^d = P^d S^d the strong operator expands over the spatial
+    factors S, lap S, S^d (S_x + S_y), S^(d+1) and S^(2d+1); the reaction
+    -beta u (1 - u^d)(u^d - gamma) gives beta gamma P S
+    - beta (1 + gamma) P^(d+1) S^(d+1) + beta P^(2d+1) S^(2d+1).
+    """
+    d, gamma = p.delta, p.reaction_gamma
+    profile = case.time_profile
+    dprofile = _profile_derivative(profile)
+
+    @_per_point_set
+    def factors(x):
+        S, gS, lS = case.spatial(x), case.spatial_grad(x), case.spatial_lap(x)
+        Sd = S**d
+        return np.stack([S, lS, Sd * (gS[:, 0] + gS[:, 1]), Sd * S, Sd * Sd * S])
+
+    def f(x, t):
+        P = _eval_profile(profile, t)
+        a_S = _eval_profile(dprofile, t) + p.beta * gamma * P
+        a_lap = -p.nu * P
+        if p.eta > 0.0:
+            a_lap -= p.eta * convolve_power(profile, kernel_spec, t)
+        if caputo_order is not None:
+            a_S += caputo_power(profile, caputo_order, t)
+        Pd1 = P ** (d + 1)
+        a = np.array([a_S, a_lap, p.alpha * Pd1, -p.beta * (1.0 + gamma) * Pd1,
+                      p.beta * P ** (2 * d + 1)])
+        # einsum sums in numpy's own fixed order; a BLAS product (a @ Phi)
+        # would give bits that depend on its thread count
+        return np.einsum("i,ij->j", a, factors(x))
+
+    return f
 
 
 def forcing(case, params, kernel_spec=None, caputo_order=None):
@@ -317,16 +373,20 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
     f = u_t - nu lap(u) + alpha u^d (u_x + u_y) - beta u(1-u^d)(u^d-gamma)
         - eta int_0^t K(t-s) lap(u)(s) ds  [+ Caputo term].
 
-    The memory convolution uses the Beta-identity closed form for
-    separable power-profile cases and a Gauss-Jacobi quadrature
-    otherwise; the Caputo term requires a power-family profile.  The
+    ``f(x, t)`` takes (n, 2) points and a float time.  A separable case
+    (``time_profile`` set) gets f = sum_i a_i(t) Phi_i(x): five spatial
+    factors, remembered per read-only point set, weighted by scalars from
+    the profile and the Beta-identity closed forms of the memory and
+    Caputo terms.  Other cases are evaluated point by point, with the
+    memory convolution by a Gauss-Jacobi rule (``lap`` called once for
+    all its nodes); the Caputo term requires a power-family profile.  The
     Caputo order is ``caputo_order``, else ``kernel_spec.caputo_order``
     (ValueError when both are set and differ).
 
-    For a planar case and a read-only point set, f is evaluated on one
-    representative point per distinct x + y (remembered per point set)
-    and scattered back; the values are bit-identical to the per-point
-    evaluation, which writable point arrays get.
+    For a non-separable planar case and a read-only point set, f is
+    evaluated on one representative point per distinct x + y (remembered
+    per point set) and scattered back; the values are bit-identical to the
+    per-point evaluation, which writable point arrays get.
     """
     p = params
     caputo_order = resolve_caputo_order(kernel_spec, caputo_order)
@@ -334,7 +394,9 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
         raise ValueError("eta > 0 requires a kernel_spec")
     if p.eta > 0.0 and kernel_spec.kind == "callable":
         raise UnsupportedCaseError("manufactured memory forcing needs a power-law kernel")
-    if caputo_order is not None and case.time_profile is None:
+    if case.time_profile is not None:
+        return _separable_forcing(case, p, kernel_spec, caputo_order)
+    if caputo_order is not None:
         raise UnsupportedCaseError(
             f"case {case.name}: Caputo forcing needs a power-family time profile")
 
@@ -346,13 +408,7 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
                + p.alpha * ud * (g[:, 0] + g[:, 1])
                - p.beta * uval * (1.0 - ud) * (ud - p.reaction_gamma))
         if p.eta > 0.0:
-            if case.time_profile is not None:
-                conv = convolve_power(case.time_profile, kernel_spec, t)
-                val -= p.eta * conv * case.spatial_lap(x)
-            else:
-                val -= p.eta * _jacobi_convolution(case.lap, kernel_spec.mu, x, t)
-        if caputo_order is not None:
-            val += caputo_power(case.time_profile, caputo_order, t) * case.spatial(x)
+            val -= p.eta * _jacobi_convolution(case.lap, kernel_spec.mu, x, t)
         return val
 
     if not case.planar:

@@ -50,6 +50,26 @@ def test_weights_match_numeric_oracle():
         assert abs(w.lag_weights[m] - o) <= 1e-9 * abs(o)
 
 
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+def test_weights_match_mpmath_at_long_lags(mu):
+    # the second differences of the double antiderivative cancel about
+    # log10(m^2) digits at lag m when formed directly
+    mpmath = pytest.importorskip("mpmath")
+    n = 10_000
+    dt = 1.0 / n
+    w = memory_weights(KernelSpec(mu=mu), dt, n).lag_weights
+    wc = caputo_weights(mu, dt, n).lag_weights
+    lags = np.unique(np.r_[0:8, np.geomspace(8, n - 1, 60).astype(int)])
+    with mpmath.workdps(40):
+        a, h = 2 - mpmath.mpf(mu), mpmath.mpf(dt)
+        K2 = lambda m: (m * h) ** a / ((1 - mpmath.mpf(mu)) * a) / h**2
+        gamma = mpmath.gamma(1 - mpmath.mpf(mu))
+        for m in lags:
+            want = K2(1) if m == 0 else K2(m + 1) - 2 * K2(m) + K2(m - 1)
+            assert abs(w[m] - want) <= 1e-14 * want
+            assert abs(wc[m] - want / gamma) <= 1e-14 * want / gamma
+
+
 def test_weights_nonnegative_and_stationary():
     for mu in (0.0, 0.25, 0.5, 0.75):
         w = memory_weights(KernelSpec(mu=mu), 0.05, 12)

@@ -4,7 +4,7 @@ import pytest
 import gbhfem.mms as mms
 from gbhfem.errors import UnsupportedCaseError
 from gbhfem.forms import ModelParams
-from gbhfem.kernel import KernelSpec
+from gbhfem.kernel import KernelSpec, caputo_power, convolve_power
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.solver import BackwardEulerSolver, TimeGrid, Trajectory, stability_check
 from gbhfem.space_cr import CRSpace
@@ -18,7 +18,7 @@ def zero_case():
     return mms.ManufacturedCase(
         "zero", z, z, lambda x, t: np.zeros((len(x), 2)), z,
         time_profile=[(0.0, 0.0)], spatial=lambda x: np.zeros(len(x)),
-        spatial_lap=lambda x: np.zeros(len(x)))
+        spatial_grad=lambda x: np.zeros((len(x), 2)), spatial_lap=lambda x: np.zeros(len(x)))
 
 
 @pytest.mark.parametrize("case", [mms.type_one(), mms.type_two(),
@@ -33,6 +33,35 @@ def test_gate_rejects_wrong_derivatives():
                                   lambda x, t: 1.1 * c.grad(x, t), c.lap)
     with pytest.raises(ValueError):
         broken.self_check()
+
+
+@pytest.mark.parametrize("missing", ["spatial", "spatial_grad", "spatial_lap"])
+def test_time_profile_needs_every_spatial_factor(missing):
+    c = mms.type_one()
+    factors = {name: getattr(c, name) for name in ("spatial", "spatial_grad", "spatial_lap")}
+    factors[missing] = None
+    with pytest.raises(ValueError, match=f"needs {missing}$"):
+        mms.ManufacturedCase("partial", c.u, c.u_t, c.grad, c.lap,
+                             time_profile=c.time_profile, **factors)
+
+
+@pytest.mark.parametrize("case", [mms.type_one(), mms.type_two(),
+                                  mms.traveling_wave(50), mms.traveling_wave(100)])
+def test_case_callables_broadcast_array_times(case):
+    # (n,) times pair with the points; (m, 1) times give one row per time
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 1.0, (9, 2))
+    t = rng.uniform(0.0, 1.0, 9)
+    for name in ("u", "u_t", "grad", "lap"):
+        fn = getattr(case, name)
+        paired = fn(x, t)
+        rows = fn(x, t[:, None])
+        assert rows.shape == (9,) + paired.shape
+        for i in range(9):
+            at_ti = fn(x, t[i])
+            scale = np.abs(at_ti).max()
+            assert np.abs(paired[i] - at_ti[i]).max() <= 1e-14 * scale
+            assert np.abs(rows[i] - at_ti).max() <= 1e-14 * scale
 
 
 def test_forcing_zero_case():
@@ -66,6 +95,39 @@ def test_forcing_type_two_memory_contribution():
         got = f1(x, t) - f0(x, t)
         want = -(3.0 * np.pi / 8.0) * t**2 * case.spatial_lap(x)
         assert np.abs(got - want).max() < 1e-12
+
+
+def pointwise_forcing(case, p, spec, x, t):
+    """The strong operator applied to the exact solution, point by point."""
+    u, g = case.u(x, t), case.grad(x, t)
+    ud = u**p.delta
+    f = (case.u_t(x, t) - p.nu * case.lap(x, t) + p.alpha * ud * (g[:, 0] + g[:, 1])
+         - p.beta * u * (1.0 - ud) * (ud - p.reaction_gamma))
+    if p.eta > 0.0:
+        f -= p.eta * convolve_power(case.time_profile, spec, t) * case.spatial_lap(x)
+    if spec.caputo_order is not None:
+        f += caputo_power(case.time_profile, spec.caputo_order, t) * case.spatial(x)
+    return f
+
+
+@pytest.mark.parametrize("make", [mms.type_one, mms.type_two])
+@pytest.mark.parametrize("delta", [1, 2])
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("caputo", [None, 0.5])
+@pytest.mark.parametrize("points", ["cr", "dg", "writable"])
+def test_separable_forcing_matches_pointwise_formula(make, delta, eta, caputo, points):
+    case = make()
+    p = ModelParams(nu=0.7, alpha=1.3, beta=0.9, reaction_gamma=0.4, delta=delta, eta=eta)
+    spec = KernelSpec(mu=0.5, caputo_order=caputo)
+    if points == "writable":
+        x = np.random.default_rng(8).uniform(0.0, 1.0, (50, 2))
+    else:
+        x = mms.SPACES[points](generate_rect_mesh(UNIT, 3)).volume_quad(5)[2].reshape(-1, 2)
+        assert not x.flags.writeable
+    f = mms.forcing(case, p, spec)
+    for t in (0.0, 0.3, 0.3, 0.9, 1.0):
+        want = pointwise_forcing(case, p, spec, x, t)
+        assert np.abs(f(x, t) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_forcing_caputo_needs_power_profile():
@@ -132,7 +194,8 @@ def test_cached_spatial_factors_bit_identical(monkeypatch, make, caputo, scheme)
     spec = KernelSpec(mu=0.5, caputo_order=caputo)
     space = (CRSpace if scheme == "cr" else DGSpace)(generate_rect_mesh(UNIT, 4))
     Xf = space.volume_quad(5)[2].reshape(-1, 2)
-    f, f_raw = mms.forcing(case, params, spec), mms.forcing(raw, params, spec)
+    f = mms.forcing(case, params, spec)
+    f_raw = _uncached(monkeypatch, lambda: mms.forcing(raw, params, spec))
     for t in (0.0, 0.3, 0.3, 0.9):
         assert np.array_equal(case.u(Xf, t), raw.u(Xf, t))
         assert np.array_equal(case.grad(Xf, t), raw.grad(Xf, t))
@@ -163,9 +226,9 @@ def test_spatial_factors_evaluated_once_per_point_set(monkeypatch):
             return fn(x)
         return spatial
 
-    def counting(name, profile, dprofile, S, gradS, lapS, homogeneous):
-        return separable(name, profile, dprofile, counted("S", S),
-                         counted("gradS", gradS), counted("lapS", lapS), homogeneous)
+    def counting(name, profile, S, gradS, lapS, homogeneous):
+        return separable(name, profile, counted("S", S), counted("gradS", gradS),
+                         counted("lapS", lapS), homogeneous)
 
     monkeypatch.setattr(mms, "_separable", counting)
     case = mms.type_one()
@@ -277,13 +340,14 @@ def _count_reductions(monkeypatch):
 
 def test_planar_forcing_reduced_once_per_point_set(monkeypatch):
     # a miniature wave run on two meshes: one np.unique per volume point
-    # set, and lap only ever sees one point per distinct x + y
+    # set, and lap only ever sees one point per distinct x + y: once for
+    # the diffusion term and once for all Gauss-Jacobi nodes
     reductions = _count_reductions(monkeypatch)
     case = mms.traveling_wave(100)
     case.self_check()
     rows = []
     lap = case.lap
-    case.lap = lambda x, t: rows.append(len(x)) or lap(x, t)
+    case.lap = lambda x, t: rows.append((len(x), np.shape(t))) or lap(x, t)
     params = _wave_params(100, 1.0)
     f = mms.forcing(case, params, WAVE_SPEC)
     for n in (4, 8):
@@ -294,8 +358,8 @@ def test_planar_forcing_reduced_once_per_point_set(monkeypatch):
         rows.clear()
         BackwardEulerSolver(space, params, TimeGrid(1.0, 8), forcing=f, u0=case.initial,
                             bc=case.boundary, kernel_spec=WAVE_SPEC).run()
-        assert len(rows) == 8 * 3 * (1 + mms.JACOBI_NODES)
-        assert set(rows) == {distinct}
+        assert len(rows) == 8 * 3 * 2
+        assert set(rows) == {(distinct, ()), (distinct, (mms.JACOBI_NODES, 1))}
         assert sum(np.shares_memory(x, X) for x in reductions) == 1
     assert len(reductions) == 2
 
