@@ -3,9 +3,13 @@
 Subcommands: ``convergence`` (refinement study, CSV table),
 ``simulate`` (single run, diagnostics CSV + VTK snapshots) and
 ``weights-dump`` (print the memory quadrature weight table).  Runs are
-described by an INI-style ``key = value`` config file; unknown sections
-or keys are rejected with the offending line.  Exit codes: 0 success,
-2 configuration error, 3 solver failure.
+described by an INI-style ``key = value`` config file.  ``_KEYS`` maps
+each (section, key) to its cast and to a field of ``RunConfig``,
+``ModelParams`` or ``KernelSpec``; the defaults and the checks of each
+field live in its dataclass.  Every bad config (unknown section or key,
+a value that does not cast, a value a dataclass rejects, a bad
+``--levels`` override) is a config error naming the offending line.
+Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +31,10 @@ from .forms import ModelParams, nonlinear_quad_degree
 from .kernel import KernelSpec, memory_weights
 from .mesh import generate_rect_mesh
 from .solver import BackwardEulerSolver, TimeGrid
+from .space_dg import EDGE_QUAD_DEGREE
 
 __all__ = ["RunConfig", "parse_config", "cmd_convergence", "cmd_simulate",
            "cmd_weights_dump", "main"]
-
-_SCHEMA = {
-    "run": {"scheme", "case", "mesh_n", "levels", "t_final", "n_steps",
-            "dt_coupling", "domain", "out_dir", "snapshot_interval",
-            "linear_solver"},
-    "model": {"nu", "alpha", "beta", "reaction_gamma", "delta", "eta",
-              "penalty_gamma"},
-    "kernel": {"kind", "mu", "caputo_order"},
-    "newton": {"tol", "max_iter"},
-    "fhn": {"eps", "rho"},
-    "traveling_wave": {"reynolds"},
-}
 
 _CASES = ("type1", "type2", "traveling_wave", "spiral")
 
@@ -69,7 +63,64 @@ class RunConfig:
     reynolds: float = 50.0
     seed: int = 0
     config_hash: str = ""
-    source: Path | None = None
+
+    def __post_init__(self):
+        # one field per check, so a config error can name its line
+        for name, allowed in (("scheme", tuple(mms.SPACES)), ("case", _CASES),
+                              ("linear_solver", ("lu", "gmres"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        for name in ("mesh_n", "n_steps", "t_final", "dt_coupling", "snapshot_interval"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if self.levels < 2:
+            raise ValueError(f"levels must be at least 2, got {self.levels!r}")
+        d = self.domain
+        if len(d) != 4 or not (math.inf > d[2] > d[0] > -math.inf
+                               and math.inf > d[3] > d[1] > -math.inf):
+            raise ValueError("domain needs 4 finite numbers xmin ymin xmax ymax with "
+                             f"xmax > xmin and ymax > ymin, got {d!r}")
+        if not self.newton_tol > 0:
+            raise ValueError(f"newton tol must be positive, got {self.newton_tol!r}")
+        if self.newton_cap < 1:
+            raise ValueError(f"newton max_iter must be at least 1, got {self.newton_cap!r}")
+        if not 0 < self.reynolds < math.inf:
+            raise ValueError(f"reynolds must be positive and finite, got {self.reynolds!r}")
+
+
+def _domain(raw):
+    return tuple(float(p) for p in raw.replace(",", " ").split())
+
+
+#: (section, key) -> (dataclass, field, cast) for every config key
+_KEYS = {
+    ("run", "scheme"): (RunConfig, "scheme", str.lower),
+    ("run", "case"): (RunConfig, "case", str.lower),
+    ("run", "mesh_n"): (RunConfig, "mesh_n", int),
+    ("run", "levels"): (RunConfig, "levels", int),
+    ("run", "t_final"): (RunConfig, "t_final", float),
+    ("run", "n_steps"): (RunConfig, "n_steps", int),
+    ("run", "dt_coupling"): (RunConfig, "dt_coupling", float),
+    ("run", "domain"): (RunConfig, "domain", _domain),
+    ("run", "out_dir"): (RunConfig, "out_dir", Path),
+    ("run", "snapshot_interval"): (RunConfig, "snapshot_interval", float),
+    ("run", "linear_solver"): (RunConfig, "linear_solver", str),
+    ("model", "nu"): (ModelParams, "nu", float),
+    ("model", "alpha"): (ModelParams, "alpha", float),
+    ("model", "beta"): (ModelParams, "beta", float),
+    ("model", "reaction_gamma"): (ModelParams, "reaction_gamma", float),
+    ("model", "delta"): (ModelParams, "delta", int),
+    ("model", "eta"): (ModelParams, "eta", float),
+    ("model", "penalty_gamma"): (ModelParams, "penalty_gamma", float),
+    ("kernel", "kind"): (KernelSpec, "kind", str),
+    ("kernel", "mu"): (KernelSpec, "mu", float),
+    ("kernel", "caputo_order"): (KernelSpec, "caputo_order", float),
+    ("newton", "tol"): (RunConfig, "newton_tol", float),
+    ("newton", "max_iter"): (RunConfig, "newton_cap", int),
+    ("fhn", "eps"): (RunConfig, "fhn_eps", float),
+    ("fhn", "rho"): (RunConfig, "fhn_rho", float),
+    ("traveling_wave", "reynolds"): (RunConfig, "reynolds", float),
+}
 
 
 def _find_line(path, key, section=None):
@@ -100,22 +151,20 @@ def _fail(path, message, key=None, section=None):
     raise ConfigError(f"{where}: {message}")
 
 
-def _build(path, section, cls, values):
-    """``cls(**values)``; a ValueError is reported at the line of the first
-    field that ``cls`` rejects on its own."""
+def _build(path, cls, values, **fixed):
+    """``cls(**values, **fixed)``.  A ValueError is reported at the line of
+    the first field of ``values`` that ``cls`` rejects on its own, with
+    that rejection's message."""
     try:
-        return cls(**values)
+        return cls(**values, **fixed)
     except ValueError as exc:
-        key = next((k for k in values if _rejects(cls, k, values[k])), None)
-        _fail(path, str(exc), key, section)
-
-
-def _rejects(cls, key, value):
-    try:
-        cls(**{key: value})
-    except ValueError:
-        return True
-    return False
+        for name, value in values.items():
+            try:
+                cls(**{name: value})
+            except ValueError as own:
+                section, key = next(k for k, v in _KEYS.items() if v[:2] == (cls, name))
+                _fail(path, str(own), key, section)
+        _fail(path, str(exc))
 
 
 def parse_config(path):
@@ -126,102 +175,52 @@ def parse_config(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except configparser.Error as exc:   # a duplicate key or section has a line
+        line = getattr(exc, "lineno", None)
+        raise ConfigError(f"{path}:{line}: {exc}" if line else f"{path}: {exc}") from exc
 
+    values = {RunConfig: {}, ModelParams: {}, KernelSpec: {}}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if not any(section == s for s, _ in _KEYS):
             _fail(path, f"unknown section [{section}]", section)
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in cp[section].items():
+            if (section, key) not in _KEYS:
                 _fail(path, f"unknown key '{key}' in section [{section}]", key, section)
-
-    cfg = RunConfig()
-    cfg.source = path
-    cfg.config_hash = hashlib.sha256(path.read_bytes()).hexdigest()
-
-    def get(section, key, cast, default):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
+            cls, name, cast = _KEYS[section, key]
             try:
-                return cast(raw)
+                values[cls][name] = cast(raw)
             except (TypeError, ValueError) as exc:
                 _fail(path, f"bad value for {section}.{key}: {raw!r} ({exc})", key, section)
-        return default
 
-    cfg.scheme = get("run", "scheme", str, cfg.scheme).lower()
-    if cfg.scheme not in mms.SPACES:
-        _fail(path, f"scheme must be cr or dg, got {cfg.scheme!r}", "scheme", "run")
-    cfg.case = get("run", "case", str, cfg.case).lower()
-    if cfg.case not in _CASES:
-        _fail(path, f"case must be one of {_CASES}, got {cfg.case!r}", "case", "run")
-    cfg.mesh_n = get("run", "mesh_n", int, cfg.mesh_n)
-    cfg.levels = get("run", "levels", int, cfg.levels)
-    cfg.t_final = get("run", "t_final", float, cfg.t_final)
-    cfg.n_steps = get("run", "n_steps", int, cfg.n_steps)
-    cfg.dt_coupling = get("run", "dt_coupling", float, cfg.dt_coupling)
-    cfg.snapshot_interval = get("run", "snapshot_interval", float, cfg.snapshot_interval)
-    cfg.linear_solver = get("run", "linear_solver", str, cfg.linear_solver)
-    if cfg.linear_solver not in ("lu", "gmres"):
-        _fail(path, "linear_solver must be lu or gmres", "linear_solver", "run")
-    cfg.out_dir = Path(get("run", "out_dir", str, str(cfg.out_dir)))
-    domain_raw = get("run", "domain", str, None)
-    if domain_raw is not None:
-        parts = [p for p in domain_raw.replace(",", " ").split() if p]
-        if len(parts) != 4:
-            _fail(path, "domain needs 4 numbers: xmin ymin xmax ymax", "domain", "run")
-        cfg.domain = tuple(float(p) for p in parts)
-    for key in ("mesh_n", "levels", "n_steps"):
-        if getattr(cfg, key) < 1:
-            _fail(path, f"{key} must be positive", key, "run")
-    if not cfg.t_final > 0:
-        _fail(path, "t_final must be positive", "t_final", "run")
-
-    cfg.model = _build(path, "model", ModelParams, dict(
-        nu=get("model", "nu", float, 1.0),
-        alpha=get("model", "alpha", float, 1.0),
-        beta=get("model", "beta", float, 1.0),
-        reaction_gamma=get("model", "reaction_gamma", float, 0.5),
-        delta=get("model", "delta", int, 1),
-        eta=get("model", "eta", float, 0.0),
-        penalty_gamma=get("model", "penalty_gamma", float, 40.0),
-    ))
-
-    if cp.has_section("kernel") or cfg.model.eta > 0.0:
-        cfg.kernel = _build(path, "kernel", KernelSpec, dict(
-            kind=get("kernel", "kind", str, "power"),
-            mu=get("kernel", "mu", float, 0.5),
-            caputo_order=get("kernel", "caputo_order", float, None),
-        ))
-
-    cfg.newton_tol = get("newton", "tol", float, 1e-10)
-    cfg.newton_cap = get("newton", "max_iter", int, 25)
-
-    if cp.has_section("fhn"):
-        cfg.fhn_eps = get("fhn", "eps", float, None)
-        cfg.fhn_rho = get("fhn", "rho", float, None)
+    model = _build(path, ModelParams, values[ModelParams])
+    kernel = None
+    if cp.has_section("kernel") or model.eta > 0.0:
+        kernel = _build(path, KernelSpec, values[KernelSpec])
+    cfg = _build(path, RunConfig, values[RunConfig], model=model, kernel=kernel,
+                 config_hash=hashlib.sha256(path.read_bytes()).hexdigest())
     if cfg.case == "spiral" and (cfg.fhn_eps is None or cfg.fhn_rho is None):
         _fail(path, "case=spiral requires [fhn] eps and rho (no defaults)", "fhn")
-
-    cfg.reynolds = get("traveling_wave", "reynolds", float, 50.0)
     if cfg.case == "traveling_wave":
-        if not cfg.reynolds > 0:
-            _fail(path, "reynolds must be positive", "reynolds", "traveling_wave")
-        cfg.model = ModelParams(
-            nu=1.0 / cfg.reynolds, alpha=cfg.model.alpha, beta=cfg.model.beta,
-            reaction_gamma=cfg.model.reaction_gamma, delta=cfg.model.delta,
-            eta=cfg.model.eta, penalty_gamma=cfg.model.penalty_gamma)
+        if kernel is not None and kernel.caputo_order is not None:
+            _fail(path, "caputo_order must be unset for case traveling_wave "
+                  "(its forcing has no Caputo term)", "caputo_order", "kernel")
+        cfg.model = replace(model, nu=1.0 / cfg.reynolds)
     return cfg
 
 
 def _case_for(cfg):
-    if cfg.case == "type1":
-        return mms.type_one()
-    if cfg.case == "type2":
-        return mms.type_two()
+    if cfg.case == "spiral":
+        raise ConfigError("case 'spiral' has no manufactured solution")
     if cfg.case == "traveling_wave":
         return mms.traveling_wave(cfg.reynolds)
-    raise ConfigError(f"case {cfg.case!r} has no manufactured solution")
+    return mms.type_one() if cfg.case == "type1" else mms.type_two()
+
+
+def _solver_options(cfg):
+    """Keyword arguments that ``convergence_study`` and
+    ``BackwardEulerSolver`` take alike."""
+    return dict(kernel_spec=cfg.kernel, newton_tol=cfg.newton_tol,
+                newton_cap=cfg.newton_cap, linear_solver=cfg.linear_solver)
 
 
 def _metadata_lines(cfg, extra=()):
@@ -233,8 +232,8 @@ def _metadata_lines(cfg, extra=()):
         f"# nu = {m.nu!r}  alpha = {m.alpha!r}  beta = {m.beta!r}  "
         f"reaction_gamma = {m.reaction_gamma!r}  delta = {m.delta}  eta = {m.eta!r}",
         f"# penalty_gamma = {m.penalty_gamma!r}",
-        f"# quad_volume_degree = {nonlinear_quad_degree(m.delta)}  quad_edge_degree = 5  "
-        f"error_degree = 5",
+        f"# quad_volume_degree = {nonlinear_quad_degree(m.delta)}  "
+        f"quad_edge_degree = {EDGE_QUAD_DEGREE}  error_degree = {mms.ERROR_QUAD_DEGREE}",
         f"# newton_tol = {cfg.newton_tol!r}  newton_cap = {cfg.newton_cap}",
         f"# seed = {cfg.seed}",
     ]
@@ -255,11 +254,9 @@ def _f17(x):
 def cmd_convergence(cfg):
     case = _case_for(cfg)
     result = mms.convergence_study(
-        case, cfg.scheme, cfg.model,
-        levels=cfg.levels, base_n=cfg.mesh_n, coupling=cfg.dt_coupling,
-        t_final=cfg.t_final, kernel_spec=cfg.kernel, box=cfg.domain,
-        newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
-        linear_solver=cfg.linear_solver)
+        case, cfg.scheme, cfg.model, levels=cfg.levels, base_n=cfg.mesh_n,
+        coupling=cfg.dt_coupling, t_final=cfg.t_final, box=cfg.domain,
+        **_solver_options(cfg))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.out_dir / "convergence.csv"
@@ -272,22 +269,15 @@ def cmd_convergence(cfg):
             _f17(r.rate_l2), _f17(r.rate_energy), str(r.newton_max),
         ]))
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     return 0
 
 
 def _initial_spiral(cfg):
     xmin, ymin, xmax, ymax = cfg.domain
     xm, ym = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-
-    def u0(x):
-        return np.where(x[:, 1] >= ym, 1.0, 0.0)
-
-    def v0(x):
-        return np.where(x[:, 0] >= xm, 0.4, 0.0)
-
-    return u0, v0
+    return (lambda x: np.where(x[:, 1] >= ym, 1.0, 0.0),
+            lambda x: np.where(x[:, 0] >= xm, 0.4, 0.0))
 
 
 def cmd_simulate(cfg):
@@ -297,22 +287,13 @@ def cmd_simulate(cfg):
 
     if cfg.case == "spiral":
         u0, v0 = _initial_spiral(cfg)
-        solver = BackwardEulerSolver(
-            space, cfg.model, grid, forcing=None, u0=u0, bc=None,
-            kernel_spec=cfg.kernel, fhn=(cfg.fhn_eps, cfg.fhn_rho), v0=v0,
-            newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
-            linear_solver=cfg.linear_solver)
+        setup = dict(u0=u0, fhn=(cfg.fhn_eps, cfg.fhn_rho), v0=v0)
     else:
         case = _case_for(cfg)
         case.self_check(box=cfg.domain)
-        f = mms.forcing(case, cfg.model, cfg.kernel)
-        bc = None if case.homogeneous_bc else case.boundary
-        solver = BackwardEulerSolver(
-            space, cfg.model, grid, forcing=f, u0=case.initial, bc=bc,
-            kernel_spec=cfg.kernel,
-            newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap,
-            linear_solver=cfg.linear_solver)
-
+        setup = dict(forcing=mms.forcing(case, cfg.model, cfg.kernel), u0=case.initial,
+                     bc=None if case.homogeneous_bc else case.boundary)
+    solver = BackwardEulerSolver(space, cfg.model, grid, **setup, **_solver_options(cfg))
     traj = solver.run()
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,22 +359,17 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config)
         if args.out is not None:
-            cfg.out_dir = Path(args.out)
+            cfg = replace(cfg, out_dir=Path(args.out))
         if args.levels is not None:
-            cfg.levels = args.levels
-        cfg.seed = args.seed
+            try:
+                cfg = replace(cfg, levels=args.levels)
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: --levels {args.levels}: {exc}") from exc
+        return args.func(replace(cfg, seed=args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.func(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StepFailureError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except SingularMatrixError as exc:
+    except (StepFailureError, SingularMatrixError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

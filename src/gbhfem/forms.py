@@ -38,6 +38,8 @@ __all__ = [
 TIME_GAUSS_X, TIME_GAUSS_W = np.polynomial.legendre.leggauss(3)
 TIME_GAUSS_X = 0.5 * (TIME_GAUSS_X + 1.0)
 TIME_GAUSS_W = 0.5 * TIME_GAUSS_W
+#: Triangle quadrature degree of the load vector and the stability bound.
+LOAD_QUAD_DEGREE = 5
 
 
 @dataclass
@@ -342,7 +344,7 @@ def reaction(space, u, params, need_jac=True, need_res=True):
     return res, jac
 
 
-def assemble_load(space, f, t_prev, t_next, degree=5):
+def assemble_load(space, f, t_prev, t_next):
     """Load vector of the interval average f^k = (1/dt) int f(s) ds.
 
     The time average uses a 3-point Gauss rule (exact through t^5)
@@ -353,7 +355,7 @@ def assemble_load(space, f, t_prev, t_next, degree=5):
         raise ValueError("t_next must exceed t_prev")
     if f is None:
         return np.zeros(space.n_dofs)
-    rule, B, X = space.volume_quad(degree)
+    rule, B, X = space.volume_quad(LOAD_QUAD_DEGREE)
     Xf = X.reshape(-1, 2)
     nshape = X.shape[:2]
     favg = np.zeros(nshape)

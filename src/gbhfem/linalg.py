@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError
 
-__all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "canonical_csr", "norm"]
+__all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "norm"]
 
 SOLVE_RTOL = 1e-10
 GMRES_RESTART = 60
@@ -54,14 +54,6 @@ def norm(v):
         m = np.abs(v).max()
         vnorm = float(m * np.linalg.norm(v / m))
     return vnorm
-
-
-def canonical_csr(A):
-    """CSR with sorted column indices and no duplicate entries."""
-    A = sp.csr_matrix(A)
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
 
 
 class BlockPattern:

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 JACOBI_NODES = 48
+#: Triangle quadrature degree of the error norms.
+ERROR_QUAD_DEGREE = 5
 
 #: The space class of each scheme.
 SPACES = {"cr": CRSpace, "dg": DGSpace}
@@ -424,22 +426,22 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
     return planar_f
 
 
-def error_l2(space, u, exact, t, degree=5):
+def error_l2(space, u, exact, t):
     """L2 norm of u_h - exact(., t) by cell quadrature."""
-    rule, B, X = space.volume_quad(degree)
+    rule, B, X = space.volume_quad(ERROR_QUAD_DEGREE)
     uh = u[space.cell_dofs] @ B.T
     ue = np.asarray(exact(X.reshape(-1, 2), t), dtype=float).reshape(uh.shape)
     return float(np.sqrt(np.einsum("cq,q,c->", (uh - ue) ** 2, rule.weights,
                                    space.det_jacobians)))
 
 
-def error_linf_l2(space, traj, case, degree=5):
+def error_linf_l2(space, traj, case):
     """max over time nodes of the L2 error (the reported L-inf-L2 proxy)."""
-    return max(error_l2(space, u, case.u, t, degree)
+    return max(error_l2(space, u, case.u, t)
                for u, t in zip(traj.fields, traj.times))
 
 
-def error_energy(space, traj, case, params, degree=5):
+def error_energy(space, traj, case, params):
     """Discrete energy-norm error sqrt(dt sum_k |||u_h^k - u(t_k)|||^2).
 
     The exact gradient is evaluated by quadrature (not interpolated).
@@ -448,7 +450,7 @@ def error_energy(space, traj, case, params, degree=5):
     on boundary edges; CR: none).
     """
     dt = float(traj.times[1] - traj.times[0])
-    rule, _, X = space.volume_quad(degree)
+    rule, _, X = space.volume_quad(ERROR_QUAD_DEGREE)
     Xf = X.reshape(-1, 2)
     det = space.det_jacobians
     total = 0.0

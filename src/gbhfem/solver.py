@@ -359,7 +359,7 @@ class StabilityReport:
     holds: bool
 
 
-def stability_check(traj, space, params, forcing, u0, quad_degree=5):
+def stability_check(traj, space, params, forcing, u0):
     """Verify sup_k ||u^k||^2 + nu |||u|||^2 <= (||u0||^2 + (1/nu) int ||f||^2) e^{beta (1+gamma^2) T}.
 
     Report-only: returns both sides and a flag.  Intended for runs with
@@ -371,7 +371,7 @@ def stability_check(traj, space, params, forcing, u0, quad_degree=5):
     energy_sq = params.nu * dt * sum(r.grad_norm**2 for r in traj.records[1:])
     lhs = sup_l2_sq + energy_sq
 
-    rule, _, X = space.volume_quad(quad_degree)
+    rule, _, X = space.volume_quad(forms.LOAD_QUAD_DEGREE)
     Xf = X.reshape(-1, 2)
     det = space.det_jacobians
 

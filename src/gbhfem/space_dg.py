@@ -23,6 +23,9 @@ from .space_cr import BARY_REF_GRADS, P1Space
 
 __all__ = ["DGSpace"]
 
+#: Edge quadrature degree of the face terms.
+EDGE_QUAD_DEGREE = 5
+
 
 class _FaceData:
     """Vectorized per-edge trace tables for one edge quadrature rule.
@@ -108,7 +111,7 @@ class DGSpace(P1Space):
             raise RuntimeError("edge vertex not found in adjacent cell")
         return loc
 
-    def face_data(self, degree=5):
+    def face_data(self, degree=EDGE_QUAD_DEGREE):
         """Cached vectorized trace tables for all edges.
 
         For each interior edge: plus/minus cell indices, normal, length,

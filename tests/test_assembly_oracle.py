@@ -15,7 +15,6 @@ from gbhfem.forms import (ModelParams, assemble_mass, assemble_stiffness_cr,
                           assemble_stiffness_dg, convection_cr, convection_dg,
                           dg_boundary_values, dg_norm_matrix,
                           nonlinear_quad_degree, reaction)
-from gbhfem.linalg import canonical_csr
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
@@ -38,7 +37,10 @@ def coo_scatter(space, pieces):
     cols = np.concatenate([_cols(c).ravel() for _, c, _ in pieces])
     vals = np.concatenate([np.asarray(v).ravel() for _, _, v in pieces])
     A = sp.coo_matrix((vals, (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-    return canonical_csr(A)
+    A = A.tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
 
 
 def add_at(space, *pieces):

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gbhfem.mms as mms
-from gbhfem.cli import main, parse_config
+from gbhfem.cli import _KEYS, RunConfig, main, parse_config
 from gbhfem.errors import ConfigError
+from gbhfem.forms import ModelParams
+from gbhfem.kernel import KernelSpec
 from gbhfem.solver import BackwardEulerSolver
 
 MINIMAL = """\
@@ -425,3 +429,100 @@ eps = 0.01
 rho = 1.0
 """
     assert main(["convergence", "--config", str(write(tmp_path, text))]) == 2
+
+
+BAD_BASE = """\
+[run]
+scheme = cr
+case = {case}
+mesh_n = 2
+n_steps = 2
+{extra}"""
+
+# (case, lines appended to [run] and after it, offending key)
+BAD_CONFIGS = {
+    "levels": ("type1", "levels = 1\n", "levels"),
+    "domain_cast": ("type1", "domain = a, b, c, d\n", "domain"),
+    "domain_order": ("type1", "domain = 1, 0, 0, 1\n", "domain"),
+    "dt_coupling": ("type1", "dt_coupling = -0.25\n", "dt_coupling"),
+    "t_final_inf": ("type1", "t_final = inf\n", "t_final"),
+    "domain_inf": ("type1", "domain = 0, 0, inf, 1\n", "domain"),
+    "caputo_wave": ("traveling_wave", "[kernel]\ncaputo_order = 0.5\n", "caputo_order"),
+    "newton_tol": ("type1", "[newton]\ntol = -1\n", "tol"),
+    "newton_max_iter": ("type1", "[newton]\nmax_iter = 0\n", "max_iter"),
+    "newton_both": ("type1", "[newton]\ntol = -1\nmax_iter = 0\n", "tol"),
+    "newton_both_reversed": ("type1", "[newton]\nmax_iter = 0\ntol = -1\n", "max_iter"),
+    "snapshot_interval": ("type1", "snapshot_interval = -1\n", "snapshot_interval"),
+    "reynolds_inf": ("traveling_wave", "[traveling_wave]\nreynolds = inf\n", "reynolds"),
+}
+
+
+def _key_line(text, key):
+    return next(i for i, line in enumerate(text.splitlines(), start=1)
+                if line.split("=")[0].strip() == key)
+
+
+@pytest.mark.parametrize("command", ["convergence", "simulate"])
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_bad_config_is_a_config_error_at_its_line(tmp_path, capsys, command, name):
+    case, extra, key = BAD_CONFIGS[name]
+    text = BAD_BASE.format(case=case, extra=extra)
+    path = write(tmp_path, text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    prefix = f"config error: {path}:{_key_line(text, key)}: "
+    assert err.startswith(prefix), err
+    message = err[len(prefix):]
+    assert key in message
+    other = {"tol": "max_iter", "max_iter": "tol"}.get(key)
+    assert other is None or other not in message
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "simulate"])
+@pytest.mark.parametrize("levels", ["1", "0"])
+def test_bad_levels_override_is_a_config_error(tmp_path, capsys, command, levels):
+    path = write(tmp_path, BAD_BASE.format(case="type1", extra=""))
+    assert main([command, "--config", str(path), "--levels", levels]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: --levels {levels}: levels must be"), err
+
+
+SWEEP_BASE = {
+    "run": {"scheme": "cr", "case": "type1", "mesh_n": "2", "levels": "2",
+            "n_steps": "2", "t_final": "0.5", "out_dir": "out"},
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x", ""])
+def test_no_config_value_raises(tmp_path, monkeypatch, capsys, value):
+    # every key set in turn to a bad or borderline value either runs, is a
+    # config error at that key's line, or is a solver failure
+    monkeypatch.chdir(tmp_path)
+    for section, key in _KEYS:
+        sections = {s: dict(kv) for s, kv in SWEEP_BASE.items()}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                       for s, kv in sections.items())
+        path = write(tmp_path, text)
+        for command in ("convergence", "simulate"):
+            code = main([command, "--config", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (section, key, code)
+            if code == 2:
+                assert err.startswith(f"config error: {path}:{_key_line(text, key)}: "), err
+
+
+def test_duplicate_key_is_a_config_error_at_its_line(tmp_path, capsys):
+    path = write(tmp_path, BAD_BASE.format(case="type1", extra="mesh_n = 3\n"))
+    assert main(["convergence", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:6: ")
+
+
+def test_defaults_are_those_of_the_dataclasses(tmp_path):
+    cfg = parse_config(write(tmp_path, f"[run]\nout_dir = {tmp_path}\n"))
+    assert cfg == replace(RunConfig(), out_dir=tmp_path, config_hash=cfg.config_hash)
+    assert cfg.model == ModelParams()
+    cfg = parse_config(write(tmp_path, f"[run]\nout_dir = {tmp_path}\n[model]\neta = 0.5\n"))
+    assert cfg.model == ModelParams(eta=0.5)
+    assert cfg.kernel == KernelSpec()
