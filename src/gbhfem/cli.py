@@ -86,6 +86,10 @@ class RunConfig:
             raise ValueError(f"newton max_iter must be at least 1, got {self.newton_cap!r}")
         if not 0 < self.reynolds < math.inf:
             raise ValueError(f"reynolds must be positive and finite, got {self.reynolds!r}")
+        if self.fhn_eps is not None and not 0 < self.fhn_eps < math.inf:
+            raise ValueError(f"fhn eps must be positive and finite, got {self.fhn_eps!r}")
+        if self.fhn_rho is not None and not 0 <= self.fhn_rho < math.inf:
+            raise ValueError(f"fhn rho must be nonnegative and finite, got {self.fhn_rho!r}")
 
 
 def _domain(raw):
@@ -199,7 +203,7 @@ def parse_config(path):
     cfg = _build(path, RunConfig, values[RunConfig], model=model, kernel=kernel,
                  config_hash=hashlib.sha256(path.read_bytes()).hexdigest())
     if cfg.case == "spiral" and (cfg.fhn_eps is None or cfg.fhn_rho is None):
-        _fail(path, "case=spiral requires [fhn] eps and rho (no defaults)", "fhn")
+        _fail(path, "case=spiral requires [fhn] eps and rho (no defaults)", "case", "run")
     if cfg.case == "traveling_wave":
         if kernel is not None and kernel.caputo_order is not None:
             _fail(path, "caputo_order must be unset for case traveling_wave "

@@ -23,6 +23,7 @@ Ta_i Tb_j (n_edges, nq, 9) cached with the DG face tables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ __all__ = [
     "ModelParams", "nonlinear_quad_degree",
     "assemble_mass", "assemble_stiffness_cr", "assemble_stiffness_dg",
     "dg_norm_matrix", "dirichlet_rhs_dg", "convection_cr", "convection_dg",
-    "reaction", "assemble_load", "dg_boundary_values",
+    "reaction", "bind_load", "assemble_load", "dg_boundary_values",
 ]
 
 #: Gauss points in time for the interval averages f^k.
@@ -143,7 +144,7 @@ def assemble_stiffness_cr(space):
 
 def _sipg_face_blocks(space, penalty_gamma, penalty_only=False):
     """SIPG face blocks by slot name (the jump Gram matrix if penalty_only)."""
-    fd = space.face_data()
+    fd = space.face_data
     w = fd.rule.weights
     W = w[None, :] * fd.h_int[:, None]
     gh = (penalty_gamma / fd.h_int)[:, None]
@@ -198,7 +199,7 @@ def dirichlet_rhs_dg(space, datum, penalty_gamma):
     boundary data is nu * (A u - r) with r this vector; it collects the
     datum's symmetry and penalty terms.
     """
-    fd = space.face_data()
+    fd = space.face_data
     w = fd.rule.weights
     ghb = penalty_gamma / fd.h_bnd
     gInt = np.einsum("q,eq->e", w, datum) * fd.h_bnd        # int_E g ds
@@ -210,7 +211,7 @@ def dirichlet_rhs_dg(space, datum, penalty_gamma):
 
 def dg_boundary_values(space, g, t):
     """Datum values at the boundary-edge quadrature points, (n_bnd, nq)."""
-    fd = space.face_data()
+    fd = space.face_data
     X = fd.Xb.reshape(-1, 2)
     vals = np.asarray(g(X, t), dtype=float)
     return np.broadcast_to(vals, (X.shape[0],)).reshape(fd.Xb.shape[:2]).copy()
@@ -277,7 +278,7 @@ def convection_dg(space, u, params, boundary_values=None, need_jac=True, need_re
     res_cells, jac_cells = _volume_convection(space, u, alpha, delta, need_res, need_jac)
     n = space.n_dofs
 
-    fd = space.face_data()
+    fd = space.face_data
     w = fd.rule.weights
     up, um, ub = space.traces(u, fd)
     nsum_p = fd.n_int[:, 0] + fd.n_int[:, 1]             # (1,1).n for plus side
@@ -344,24 +345,35 @@ def reaction(space, u, params, need_jac=True, need_res=True):
     return res, jac
 
 
-def assemble_load(space, f, t_prev, t_next):
+def bind_load(space, f):
+    """The load f bound to the load quadrature points: g(t) -> values.
+
+    An ``mms.forcing`` binds itself (``f.on``) and does its point-only
+    work once; any other ``f(points, t)`` is bound as it is.  None stays None.
+    """
+    if f is None:
+        return None
+    X = space.volume_quad(LOAD_QUAD_DEGREE)[2].reshape(-1, 2)
+    return f.on(X) if hasattr(f, "on") else functools.partial(f, X)
+
+
+def assemble_load(space, load, t_prev, t_next):
     """Load vector of the interval average f^k = (1/dt) int f(s) ds.
 
     The time average uses a 3-point Gauss rule (exact through t^5)
-    composed with the volume quadrature.  ``f(points, t)`` must accept an
-    (n, 2) array and a scalar time.  ``f=None`` gives the zero vector.
+    composed with the volume quadrature.  ``load(t)`` is the forcing bound
+    to the load points by ``bind_load``; None gives the zero vector.
     """
     if not t_next > t_prev:
         raise ValueError("t_next must exceed t_prev")
-    if f is None:
+    if load is None:
         return np.zeros(space.n_dofs)
     rule, B, X = space.volume_quad(LOAD_QUAD_DEGREE)
-    Xf = X.reshape(-1, 2)
     nshape = X.shape[:2]
     favg = np.zeros(nshape)
     for xg, wg in zip(TIME_GAUSS_X, TIME_GAUSS_W):
         tau = t_prev + (t_next - t_prev) * xg
-        vals = np.asarray(f(Xf, tau), dtype=float)
-        favg += wg * np.broadcast_to(vals, (Xf.shape[0],)).reshape(nshape)
+        vals = np.asarray(load(tau), dtype=float)
+        favg += wg * np.broadcast_to(vals, (nshape[0] * nshape[1],)).reshape(nshape)
     out_cells = ((favg * rule.weights) @ B) * space.det_jacobians[:, None]
     return _scatter(space.n_dofs, space.cell_dofs, out_cells)

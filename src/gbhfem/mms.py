@@ -7,19 +7,21 @@ finite-difference self-consistency gate before a study is allowed to run.
 
 A separable case u = P(t) S(x) with a power-family profile P has the
 forcing f(x, t) = sum_i a_i(t) Phi_i(x) over five spatial factors
-(S, lap S, S^d (S_x + S_y), S^(d+1), S^(2d+1)), computed once per
-read-only point set, and scalars a_i(t) from P, its derivative and the
-closed-form (Beta-identity) memory and Caputo terms.  Other cases are
-evaluated point by point, with the memory convolution by a
+(S, lap S, S^d (S_x + S_y), S^(d+1), S^(2d+1)) and scalars a_i(t) from P,
+its derivative and the closed-form (Beta-identity) memory and Caputo
+terms.  The forcing of other cases takes the memory convolution by a
 singularity-absorbing Gauss-Jacobi rule whose nodes go to ``lap`` in one
-array call.
+array call.  A planar case (``ManufacturedCase.planar``:
+u depends on the points only through x + y, as the traveling wave does)
+can be evaluated once per distinct value of x + y.
 
-A planar case (``ManufacturedCase.planar``: u depends on the points only
-through x + y, as the traveling wave does) has its forcing evaluated once
-per distinct value of x + y on a read-only point set and scattered back;
-each representative point has bit-for-bit the same x + y as the points it
-stands for, so the values are those of the per-point evaluation, which
-writable point arrays still get.
+The forcing and the exact solution are evaluated point by point; callers
+that evaluate them on one fixed point set at many times bind them to it
+(``f.on(points)``, ``ManufacturedCase.on``).  The bind does the work that
+depends on the points alone once: it evaluates the spatial factors, or
+picks one representative point per distinct x + y, which has bit-for-bit
+the x + y of the points it stands for.  Bound values are bit for bit the
+per-point ones.
 """
 
 from __future__ import annotations
@@ -66,17 +68,11 @@ class ManufacturedCase:
     ``spatial``, ``spatial_grad`` and ``spatial_lap`` (S, grad S and lap S
     as functions of the points alone).
 
-    A separable case computes its spatial factors once per read-only
-    point set (``volume_quad``'s X and the DG boundary points are
-    read-only) and returns those values, read-only, at every time, so the
-    forcing, the exact solution and the error norms of a run reuse them.
-    Writable point arrays are evaluated afresh on each call.
-
     ``planar`` declares that ``u`` and its derivatives depend on the
     points only through the float x[:, 0] + x[:, 1].  It is a fact about
     the case, not an option: ``traveling_wave`` sets it and ``self_check``
-    verifies it.  The forcing of a planar case, called on a read-only
-    point set, is evaluated once per distinct x + y (see ``forcing``).
+    verifies it.  The bound forcing of a planar case is evaluated once
+    per distinct x + y (see ``forcing``).
     """
 
     name: str
@@ -102,6 +98,16 @@ class ManufacturedCase:
 
     def boundary(self, x, t):
         return self.u(x, t)
+
+    def on(self, points):
+        """(u(t), grad(t)): ``u`` and ``grad`` bound to the (n, 2) points;
+        a separable case evaluates S and grad S here, once."""
+        if self.time_profile is None:
+            return functools.partial(self.u, points), functools.partial(self.grad, points)
+        profile = self.time_profile
+        S, gradS = self.spatial(points), self.spatial_grad(points)
+        return (lambda t: _eval_profile(profile, t) * S,
+                lambda t: np.asarray(_eval_profile(profile, t))[..., None] * gradS)
 
     def self_check(self, box=(0.0, 0.0, 1.0, 1.0), t_range=(0.05, 0.95),
                    n_probes=30, seed=0, tol=1e-6):
@@ -154,50 +160,7 @@ class ManufacturedCase:
         return True
 
 
-def _frozen(x):
-    """True when x and the array that owns its memory are both read-only."""
-    while isinstance(x, np.ndarray):
-        if x.flags.writeable:
-            return False
-        x = x.base
-    return x is None
-
-
-def _read_only(a):
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
-
-
-def _per_point_set(fn):
-    """fn(x), remembered for the last read-only point set x.
-
-    fn returns an array or a tuple of arrays; the remembered value is
-    read-only (each array of a tuple).  A call hits when x is read-only
-    down to the owner of its memory (``_frozen``) and views the same
-    memory as the remembered argument with the same shape, strides and
-    dtype.  The remembered argument is kept alive, so no other array can
-    take over its memory meanwhile.  Writable arguments go straight to fn.
-    """
-    last = None            # (argument, key, read-only value)
-
-    def cached(x):
-        nonlocal last
-        if not _frozen(x):
-            return fn(x)
-        key = (x.ctypes.data, x.shape, x.strides, x.dtype)
-        if last is None or last[1] != key:
-            value = fn(x)
-            value = (tuple(map(_read_only, value)) if isinstance(value, tuple)
-                     else _read_only(value))
-            last = (x, key, value)
-        return last[2]
-
-    return cached
-
-
 def _separable(name, profile, S, gradS, lapS, homogeneous):
-    S, gradS, lapS = _per_point_set(S), _per_point_set(gradS), _per_point_set(lapS)
     dprofile = _profile_derivative(profile)
 
     def u(x, t):
@@ -345,13 +308,12 @@ def _separable_forcing(case, p, kernel_spec, caputo_order):
     profile = case.time_profile
     dprofile = _profile_derivative(profile)
 
-    @_per_point_set
     def factors(x):
         S, gS, lS = case.spatial(x), case.spatial_grad(x), case.spatial_lap(x)
         Sd = S**d
         return np.stack([S, lS, Sd * (gS[:, 0] + gS[:, 1]), Sd * S, Sd * Sd * S])
 
-    def f(x, t):
+    def scalars(t):
         P = _eval_profile(profile, t)
         a_S = _eval_profile(dprofile, t) + p.beta * gamma * P
         a_lap = -p.nu * P
@@ -360,12 +322,19 @@ def _separable_forcing(case, p, kernel_spec, caputo_order):
         if caputo_order is not None:
             a_S += caputo_power(profile, caputo_order, t)
         Pd1 = P ** (d + 1)
-        a = np.array([a_S, a_lap, p.alpha * Pd1, -p.beta * (1.0 + gamma) * Pd1,
-                      p.beta * P ** (2 * d + 1)])
-        # einsum sums in numpy's own fixed order; a BLAS product (a @ Phi)
-        # would give bits that depend on its thread count
-        return np.einsum("i,ij->j", a, factors(x))
+        return np.array([a_S, a_lap, p.alpha * Pd1, -p.beta * (1.0 + gamma) * Pd1,
+                         p.beta * P ** (2 * d + 1)])
 
+    # einsum sums in numpy's own fixed order; a BLAS product (a @ Phi)
+    # would give bits that depend on its thread count
+    def f(x, t):
+        return np.einsum("i,ij->j", scalars(t), factors(x))
+
+    def on(points):
+        Phi = factors(points)
+        return lambda t: np.einsum("i,ij->j", scalars(t), Phi)
+
+    f.on = on
     return f
 
 
@@ -377,18 +346,17 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
 
     ``f(x, t)`` takes (n, 2) points and a float time.  A separable case
     (``time_profile`` set) gets f = sum_i a_i(t) Phi_i(x): five spatial
-    factors, remembered per read-only point set, weighted by scalars from
-    the profile and the Beta-identity closed forms of the memory and
-    Caputo terms.  Other cases are evaluated point by point, with the
-    memory convolution by a Gauss-Jacobi rule (``lap`` called once for
-    all its nodes); the Caputo term requires a power-family profile.  The
-    Caputo order is ``caputo_order``, else ``kernel_spec.caputo_order``
-    (ValueError when both are set and differ).
+    factors weighted by scalars from the profile and the Beta-identity
+    closed forms of the memory and Caputo terms.  Other cases are
+    evaluated point by point, with the memory convolution by a
+    Gauss-Jacobi rule (``lap`` called once for all its nodes); the Caputo
+    term requires a power-family profile.  The Caputo order is
+    ``caputo_order``, else ``kernel_spec.caputo_order`` (ValueError when
+    both are set and differ).
 
-    For a non-separable planar case and a read-only point set, f is
-    evaluated on one representative point per distinct x + y (remembered
-    per point set) and scattered back; the values are bit-identical to the
-    per-point evaluation, which writable point arrays get.
+    ``f.on(points)`` returns g(t), f bound to fixed (n, 2) points: bit for
+    bit ``f(points, t)``, with the separable factors or the planar
+    reduction done once, in the bind.
     """
     p = params
     caputo_order = resolve_caputo_order(kernel_spec, caputo_order)
@@ -413,32 +381,36 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
             val -= p.eta * _jacobi_convolution(case.lap, kernel_spec.mu, x, t)
         return val
 
-    if not case.planar:
-        return f
-    reduce = _per_point_set(_planar_reduction)
+    def on(points):
+        if not case.planar:
+            return functools.partial(f, points)
+        reps, inv = _planar_reduction(points)
+        return lambda t: f(reps, t)[inv]
 
-    def planar_f(x, t):
-        if not _frozen(x):
-            return f(x, t)
-        reps, inv = reduce(x)
-        return f(reps, t)[inv]
-
-    return planar_f
+    f.on = on
+    return f
 
 
-def error_l2(space, u, exact, t):
-    """L2 norm of u_h - exact(., t) by cell quadrature."""
-    rule, B, X = space.volume_quad(ERROR_QUAD_DEGREE)
+def _l2_error(space, u, ue):
+    """L2 norm of u_h - ue, ue the exact values at the error quadrature points."""
+    rule, B, _ = space.volume_quad(ERROR_QUAD_DEGREE)
     uh = u[space.cell_dofs] @ B.T
-    ue = np.asarray(exact(X.reshape(-1, 2), t), dtype=float).reshape(uh.shape)
+    ue = np.asarray(ue, dtype=float).reshape(uh.shape)
     return float(np.sqrt(np.einsum("cq,q,c->", (uh - ue) ** 2, rule.weights,
                                    space.det_jacobians)))
 
 
+def error_l2(space, u, exact, t):
+    """L2 norm of u_h - exact(., t) by cell quadrature."""
+    X = space.volume_quad(ERROR_QUAD_DEGREE)[2]
+    return _l2_error(space, u, exact(X.reshape(-1, 2), t))
+
+
 def error_linf_l2(space, traj, case):
     """max over time nodes of the L2 error (the reported L-inf-L2 proxy)."""
-    return max(error_l2(space, u, case.u, t)
-               for u, t in zip(traj.fields, traj.times))
+    X = space.volume_quad(ERROR_QUAD_DEGREE)[2]
+    exact, _ = case.on(X.reshape(-1, 2))
+    return max(_l2_error(space, u, exact(t)) for u, t in zip(traj.fields, traj.times))
 
 
 def error_energy(space, traj, case, params):
@@ -451,14 +423,14 @@ def error_energy(space, traj, case, params):
     """
     dt = float(traj.times[1] - traj.times[0])
     rule, _, X = space.volume_quad(ERROR_QUAD_DEGREE)
-    Xf = X.reshape(-1, 2)
+    _, grad = case.on(X.reshape(-1, 2))
     det = space.det_jacobians
     total = 0.0
     for k in range(1, len(traj.times)):
         u = traj.fields[k]
         t = float(traj.times[k])
         gh = space.field_gradients(u)                      # (nc, 2)
-        ge = case.grad(Xf, t).reshape(X.shape[0], X.shape[1], 2)
+        ge = grad(t).reshape(X.shape[0], X.shape[1], 2)
         diff = gh[:, None, :] - ge
         total += dt * float(np.einsum("cqd,cqd,q,c->", diff, diff, rule.weights, det))
         total += dt * params.penalty_gamma * space.penalty_jump_sq(u, case.u, t)

@@ -36,6 +36,7 @@ coupling is eliminated per dof with its closed-form implicit Euler update.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +184,11 @@ class BackwardEulerSolver:
         self._precond = None
         self._last_krylov = 0
 
+    @cached_property
+    def load(self):
+        """The forcing bound to the load points, on first use (``forms.bind_load``)."""
+        return forms.bind_load(self.space, self.forcing)
+
     # -- per-step pieces -------------------------------------------------
 
     def _step_data(self, k, u_prev, mem_known, cap_known, v_prev):
@@ -196,7 +202,7 @@ class BackwardEulerSolver:
         t_k = k * dt
         bvals = self.space.boundary_values(self.bc, t_k)
         datum, nitsche = self.space.weak_dirichlet(self.bc, t_k, p.penalty_gamma)
-        b = (forms.assemble_load(self.space, self.forcing, (k - 1) * dt, t_k)
+        b = (forms.assemble_load(self.space, self.load, (k - 1) * dt, t_k)
              + self._prev_coef * (self.M @ u_prev) - cap_known
              - p.eta * dt * mem_known + self._stiff_coef * nitsche)
         if self.fhn is not None:
@@ -384,13 +390,14 @@ def stability_check(traj, space, params, forcing, u0):
         u0_part = spatial_l2_sq(np.broadcast_to(np.asarray(u0(Xf), dtype=float), (Xf.shape[0],)))
 
     f_part = 0.0
-    if forcing is not None:
+    load = forms.bind_load(space, forcing)
+    if load is not None:
         for k in range(1, len(traj.times)):
             t_prev = traj.times[k - 1]
             for xg, wg in zip(forms.TIME_GAUSS_X, forms.TIME_GAUSS_W):
                 tau = t_prev + dt * xg
                 vals = np.broadcast_to(
-                    np.asarray(forcing(Xf, tau), dtype=float), (Xf.shape[0],))
+                    np.asarray(load(tau), dtype=float), (Xf.shape[0],))
                 f_part += dt * wg * spatial_l2_sq(vals)
         f_part /= params.nu
 

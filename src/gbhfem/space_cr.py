@@ -64,9 +64,8 @@ class P1Space:
     def volume_quad(self, degree):
         """Cached (rule, basis values B (nq,3), physical points X (nc,nq,2)).
 
-        B and X are read-only, so every caller sees the same values and a
-        point-set cache (the spatial factors of separable manufactured
-        solutions) may key on their memory.
+        B and X are read-only: every caller shares them, so none may
+        change what the others see.
         """
         data = self._quad_cache.get(degree)
         if data is None:

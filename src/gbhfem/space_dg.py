@@ -60,7 +60,6 @@ class DGSpace(P1Space):
         self.dof_locations = mesh.vertices[mesh.cells].reshape(-1, 2)
         self.boundary_dofs = np.empty(0, dtype=np.int64)
         super().__init__(mesh, BARY_REF_GRADS)
-        self._face_cache = {}
 
     @cached_property
     def pattern(self):
@@ -71,7 +70,7 @@ class DGSpace(P1Space):
         faces, "bb" on boundary faces) are the cell-block slots of that
         cell.
         """
-        fd = self.face_data()
+        fd = self.face_data
         cd = self.cell_dofs
         pattern = BlockPattern(self.n_dofs, {
             "cells": (cd, cd), "pm": (fd.pdofs, fd.mdofs), "mp": (fd.mdofs, fd.pdofs)})
@@ -111,19 +110,18 @@ class DGSpace(P1Space):
             raise RuntimeError("edge vertex not found in adjacent cell")
         return loc
 
-    def face_data(self, degree=EDGE_QUAD_DEGREE):
-        """Cached vectorized trace tables for all edges.
+    @cached_property
+    def face_data(self):
+        """Vectorized trace tables for all edges, built on first use.
 
         For each interior edge: plus/minus cell indices, normal, length,
         trace basis tables T (n_edges, nq, 3), dof index arrays and the
-        constant normal gradients g_i . n.  Boundary edges analogous,
-        with the physical quadrature points kept for datum evaluation.
+        constant normal gradients g_i . n, on the ``EDGE_QUAD_DEGREE``
+        rule.  Boundary edges analogous, with the physical quadrature
+        points kept for datum evaluation.
         """
-        fd = self._face_cache.get(degree)
-        if fd is not None:
-            return fd
         mesh = self.mesh
-        rule = edge_rule(degree)
+        rule = edge_rule(EDGE_QUAD_DEGREE)
         s = rule.points
         nq = len(s)
         fd = _FaceData()
@@ -169,8 +167,7 @@ class DGSpace(P1Space):
         b = mesh.edges[eb, 1]
         fd.Xb = ((1.0 - s)[None, :, None] * mesh.vertices[a][:, None, :]
                  + s[None, :, None] * mesh.vertices[b][:, None, :])
-        fd.Xb.flags.writeable = False      # point-set caches may key on it
-        self._face_cache[degree] = fd
+        fd.Xb.flags.writeable = False      # shared by every datum evaluation
         return fd
 
     def traces(self, u, fd):
@@ -188,7 +185,7 @@ class DGSpace(P1Space):
         trace as the exterior value on boundary edges; the DG energy norm
         weighs it by the penalty scale.
         """
-        fd = self.face_data()
+        fd = self.face_data
         up, um, ub = self.traces(u, fd)
         jump_sq = np.einsum("eq,q->", (up - um) ** 2, fd.rule.weights)
         gvals = np.asarray(exact(fd.Xb.reshape(-1, 2), t), dtype=float).reshape(ub.shape)

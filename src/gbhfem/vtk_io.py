@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_mesh_vtk", "write_cr_vtk", "write_dg_vtk"]
+__all__ = ["write_cr_vtk", "write_dg_vtk"]
 
 
 def _fmt(x):
@@ -42,15 +42,6 @@ def _scalars(lines, name, values):
     lines.append(f"SCALARS {name} double 1")
     lines.append("LOOKUP_TABLE default")
     lines.extend(_fmt(v) for v in values)
-
-
-def write_mesh_vtk(mesh, path, comment="mesh"):
-    """Plain mesh export, no field data."""
-    lines = []
-    _header(lines, comment)
-    _points_block(lines, mesh.vertices)
-    _cells_block(lines, mesh.cells)
-    _write(path, lines)
 
 
 def write_cr_vtk(space, u, path, comment="", v=None):

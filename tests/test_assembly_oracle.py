@@ -66,7 +66,7 @@ def ref_stiffness_blocks(space):
 
 
 def ref_sipg_pieces(space, penalty_gamma, penalty_only=False):
-    fd = space.face_data()
+    fd = space.face_data
     w = fd.rule.weights
     pieces = []
     IntTp = np.einsum("q,eqi->ei", w, fd.Tp) * fd.h_int[:, None]
@@ -124,7 +124,7 @@ def ref_convection_dg(space, u, params, boundary_values):
     res_cells, jac_cells = ref_volume_convection(space, u, alpha, delta)
     res = add_at(space, (space.cell_dofs, res_cells))
     pieces = [ref_cells(space, jac_cells)]
-    fd = space.face_data()
+    fd = space.face_data
     w = fd.rule.weights
     up, um, ub = space.traces(u, fd)
     nsum_p = fd.n_int[:, 0] + fd.n_int[:, 1]

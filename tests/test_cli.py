@@ -479,6 +479,41 @@ def test_bad_config_is_a_config_error_at_its_line(tmp_path, capsys, command, nam
     assert not (tmp_path / "o").exists()
 
 
+SPIRAL = """\
+[run]
+scheme = dg
+case = spiral
+mesh_n = 4
+n_steps = 2
+t_final = 2
+domain = 0, 0, 300, 300
+"""
+
+
+def test_spiral_without_fhn_is_a_config_error_at_the_case_line(tmp_path, capsys):
+    path = write(tmp_path, SPIRAL)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:{_key_line(SPIRAL, 'case')}: "), err
+    assert not (tmp_path / "o").exists()
+
+
+# eps = -1 with rho = 1 at dt = 1 would divide by 1 + dt eps rho = 0
+@pytest.mark.parametrize("eps, rho, key", [
+    ("-1", "1", "eps"), ("-1", "-1", "eps"), ("0", "1", "eps"), ("inf", "1", "eps"),
+    ("0.005", "-1", "rho"), ("0.005", "nan", "rho"),
+])
+def test_bad_fhn_value_is_a_config_error_at_its_line(tmp_path, capsys, eps, rho, key):
+    text = SPIRAL + f"\n[fhn]\neps = {eps}\nrho = {rho}\n"
+    path = write(tmp_path, text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    prefix = f"config error: {path}:{_key_line(text, key)}: "
+    assert err.startswith(prefix), err
+    assert key in err[len(prefix):]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["convergence", "simulate"])
 @pytest.mark.parametrize("levels", ["1", "0"])
 def test_bad_levels_override_is_a_config_error(tmp_path, capsys, command, levels):

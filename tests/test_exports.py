@@ -52,3 +52,29 @@ def test_no_scheme_branches_in_the_package():
              for path in sorted(Path(gbhfem.__file__).parent.glob("*.py"))
              for line in _scheme_branches(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _address_reads(tree):
+    """Lines that read ``.ctypes`` or ``.flags.writeable``.  Setting
+    ``writeable = False`` (a shared table made read-only) is not a read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr == "ctypes" or (node.attr == "writeable"
+                                         and getattr(node.value, "attr", None) == "flags"):
+                yield node.lineno
+
+
+def test_guard_sees_address_and_writeable_reads():
+    code = ("a = x.ctypes.data\nb = x.flags.writeable\nif not y.flags.writeable: pass\n"
+            "x.flags.writeable = False\nc = x.flags.c_contiguous\n")
+    assert sorted(_address_reads(ast.parse(code))) == [1, 2, 3]
+
+
+def test_no_address_or_writeable_reads_in_the_package():
+    # callers bind the forcing and the exact solution to their points
+    # (``f.on``, ``ManufacturedCase.on``); nothing is decided from an
+    # array's memory address or its writeable flag
+    found = [f"{path.name}:{line}"
+             for path in sorted(Path(gbhfem.__file__).parent.glob("*.py"))
+             for line in _address_reads(ast.parse(path.read_text()))]
+    assert found == []

@@ -3,8 +3,8 @@ import pytest
 
 from gbhfem.forms import (ModelParams, assemble_load, assemble_mass,
                           assemble_stiffness_cr, assemble_stiffness_dg,
-                          convection_cr, convection_dg, dg_boundary_values,
-                          dg_norm_matrix, reaction)
+                          bind_load, convection_cr, convection_dg,
+                          dg_boundary_values, dg_norm_matrix, reaction)
 from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.mms import error_l2
@@ -75,7 +75,7 @@ def test_cr_poisson_convergence(dirichlet_system):
     for _ in range(3):
         space = CRSpace(mesh)
         A = assemble_stiffness_cr(space)
-        b = assemble_load(space, f, 0.0, 1.0)
+        b = assemble_load(space, bind_load(space, f), 0.0, 1.0)
         J, F, u0 = dirichlet_system(space, A, b, None)
         u = u0 - solve(J, F)
         e_l2.append(error_l2(space, u, exact, 0.0))
@@ -253,21 +253,21 @@ def test_load_examples(maker):
     space = maker(3)
     M = assemble_mass(space)
     one = np.ones(space.n_dofs)
-    b1 = assemble_load(space, lambda x, t: np.ones(len(x)), 0.0, 1.0)
+    b1 = assemble_load(space, bind_load(space, lambda x, t: np.ones(len(x))), 0.0, 1.0)
     assert np.abs(b1 - M @ one).max() < 1e-13
     # f(x,t) = t over [0,1] averages to 1/2
-    bt = assemble_load(space, lambda x, t: np.full(len(x), t), 0.0, 1.0)
+    bt = assemble_load(space, bind_load(space, lambda x, t: np.full(len(x), t)), 0.0, 1.0)
     assert np.abs(bt - 0.5 * (M @ one)).max() < 1e-14
     # f(x,t) = t^2 over [0, dt] averages to dt^2 / 3
     dt = 0.25
-    bq = assemble_load(space, lambda x, t: np.full(len(x), t * t), 0.0, dt)
+    bq = assemble_load(space, bind_load(space, lambda x, t: np.full(len(x), t * t)), 0.0, dt)
     assert np.abs(bq - (dt**2 / 3.0) * (M @ one)).max() < 1e-15
 
 
 def test_load_requires_increasing_interval():
     space = cr_space(2)
     with pytest.raises(ValueError):
-        assemble_load(space, lambda x, t: np.ones(len(x)), 1.0, 1.0)
+        assemble_load(space, bind_load(space, lambda x, t: np.ones(len(x))), 1.0, 1.0)
 
 
 def test_assembly_deterministic():

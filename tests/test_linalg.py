@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import gbhfem.linalg as linalg
 from gbhfem.errors import SingularMatrixError
 from gbhfem.forms import (assemble_load, assemble_mass, assemble_stiffness_cr,
-                          assemble_stiffness_dg)
+                          assemble_stiffness_dg, bind_load)
 from gbhfem.linalg import SolveStats, factorize, solve
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace
@@ -49,7 +49,7 @@ def test_solve_identity_and_2x2():
 def test_solve_spd_from_poisson(dirichlet_system):
     space = CRSpace(generate_rect_mesh((0, 0, 1, 1), 8))  # 200+ dofs
     A = assemble_stiffness_cr(space)
-    b = assemble_load(space, lambda x, t: np.ones(len(x)), 0.0, 1.0)
+    b = assemble_load(space, bind_load(space, lambda x, t: np.ones(len(x))), 0.0, 1.0)
     J, F, _ = dirichlet_system(space, A, b, None)
     A2, b2 = J, -F          # u = 0 at the boundary midpoints, A u = b elsewhere
     P = factorize(A2)

@@ -153,10 +153,12 @@ def test_ccw_required():
 
 
 def test_vtk_mesh_export(tmp_path):
-    from gbhfem.vtk_io import write_mesh_vtk
+    # the mesh part of a CR field file: header, vertices, cells, cell types
+    from gbhfem.vtk_io import write_cr_vtk
     m = generate_rect_mesh(UNIT, 2)
+    space = CRSpace(m)
     path = tmp_path / "mesh.vtk"
-    write_mesh_vtk(m, path)
+    write_cr_vtk(space, np.zeros(space.n_dofs), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "# vtk DataFile Version 3.0"
     assert "DATASET UNSTRUCTURED_GRID" in lines

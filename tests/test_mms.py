@@ -125,9 +125,11 @@ def test_separable_forcing_matches_pointwise_formula(make, delta, eta, caputo, p
         x = mms.SPACES[points](generate_rect_mesh(UNIT, 3)).volume_quad(5)[2].reshape(-1, 2)
         assert not x.flags.writeable
     f = mms.forcing(case, p, spec)
+    f_on = f.on(x)
     for t in (0.0, 0.3, 0.3, 0.9, 1.0):
         want = pointwise_forcing(case, p, spec, x, t)
         assert np.abs(f(x, t) - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(f_on(t), f(x, t))
 
 
 def test_forcing_caputo_needs_power_profile():
@@ -177,46 +179,54 @@ def test_jacobi_rule_computed_once_per_order(monkeypatch):
     assert np.array_equal(mms._jacobi_convolution(case.lap, 0.5, x, 0.7), direct)
 
 
-def _uncached(monkeypatch, make):
-    """make(), with every point-set cache of what it builds turned off."""
-    with monkeypatch.context() as m:
-        m.setattr(mms, "_per_point_set", lambda fn: fn)
-        return make()
+def per_point_case(case):
+    """``case`` without its time profile: ``on`` binds it point by point."""
+    return mms.ManufacturedCase(case.name, case.u, case.u_t, case.grad, case.lap)
 
 
 @pytest.mark.parametrize("make", [mms.type_one, mms.type_two])
 @pytest.mark.parametrize("caputo", [None, 0.5])
 @pytest.mark.parametrize("scheme", ["cr", "dg"])
-def test_cached_spatial_factors_bit_identical(monkeypatch, make, caputo, scheme):
-    raw = _uncached(monkeypatch, make)
+def test_cached_spatial_factors_bit_identical(make, caputo, scheme):
+    # the spatial factors evaluated in the bind give the per-point values,
+    # and runs, error norms and the stability check on the bound path give
+    # those of a plain callable and a per-point case
     case = make()
-    params = ModelParams(eta=1.0)
-    spec = KernelSpec(mu=0.5, caputo_order=caputo)
-    space = (CRSpace if scheme == "cr" else DGSpace)(generate_rect_mesh(UNIT, 4))
+    space = mms.SPACES[scheme](generate_rect_mesh(UNIT, 4))
     Xf = space.volume_quad(5)[2].reshape(-1, 2)
-    f = mms.forcing(case, params, spec)
-    f_raw = _uncached(monkeypatch, lambda: mms.forcing(raw, params, spec))
-    for t in (0.0, 0.3, 0.3, 0.9):
-        assert np.array_equal(case.u(Xf, t), raw.u(Xf, t))
-        assert np.array_equal(case.grad(Xf, t), raw.grad(Xf, t))
-        assert np.array_equal(f(Xf, t), f_raw(Xf, t))
-    grid = TimeGrid(1.0, 6)
-    traj = BackwardEulerSolver(space, params, grid, forcing=f, u0=case.initial,
-                               kernel_spec=spec).run()
-    traj_raw = BackwardEulerSolver(space, params, grid, forcing=f_raw, u0=raw.initial,
+    u_on, grad_on = case.on(Xf)
+    spec = KernelSpec(mu=0.5, caputo_order=caputo)
+    for eta in (0.0, 1.0):
+        params = ModelParams(eta=eta)
+        f = mms.forcing(case, params, spec)
+        f_on = f.on(Xf)
+        for t in (0.0, 0.3, 0.3, 0.9):
+            assert np.array_equal(u_on(t), case.u(Xf, t))
+            assert np.array_equal(grad_on(t), case.grad(Xf, t))
+            assert np.array_equal(f_on(t), f(Xf, t))
+        plain_f = lambda x, t: f(x, t)
+        grid = TimeGrid(1.0, 6)
+        traj = BackwardEulerSolver(space, params, grid, forcing=f, u0=case.initial,
                                    kernel_spec=spec).run()
-    for a, b in zip(traj.fields, traj_raw.fields):
-        assert np.array_equal(a, b)
-    assert mms.error_linf_l2(space, traj, case) == mms.error_linf_l2(space, traj, raw)
-    assert (mms.error_energy(space, traj, case, params)
-            == mms.error_energy(space, traj, raw, params))
-    assert (stability_check(traj, space, params, f, case.initial)
-            == stability_check(traj, space, params, f_raw, raw.initial))
+        traj_plain = BackwardEulerSolver(space, params, grid, forcing=plain_f,
+                                         u0=case.initial, kernel_spec=spec).run()
+        for a, b in zip(traj.fields, traj_plain.fields):
+            assert np.array_equal(a, b)
+        plain = per_point_case(case)
+        e_l2 = mms.error_linf_l2(space, traj, case)
+        assert e_l2 == mms.error_linf_l2(space, traj, plain)
+        assert e_l2 == max(mms.error_l2(space, u, case.u, t)
+                           for u, t in zip(traj.fields, traj.times))
+        assert (mms.error_energy(space, traj, case, params)
+                == mms.error_energy(space, traj, plain, params))
+        assert (stability_check(traj, space, params, f, case.initial)
+                == stability_check(traj, space, params, plain_f, case.initial))
 
 
 def test_spatial_factors_evaluated_once_per_point_set(monkeypatch):
     # a miniature of the long memory run: Type I, memory and Caputo,
-    # then both error norms and the stability check
+    # then both error norms and the stability check; S, grad S and lap S
+    # see the quadrature points once per bind, however many steps run
     calls = {"S": [], "gradS": [], "lapS": []}
     separable = mms._separable
 
@@ -235,52 +245,38 @@ def test_spatial_factors_evaluated_once_per_point_set(monkeypatch):
     params = ModelParams(nu=1.0, alpha=1.0, beta=1.0, reaction_gamma=0.5, delta=1, eta=1.0)
     spec = KernelSpec(mu=0.5, caputo_order=0.5)
     case.self_check()
-    forcing = mms.forcing(case, params, spec)
-    n_forcing = []
-
-    def f(x, t):
-        n_forcing.append(t)
-        return forcing(x, t)
-
+    f = mms.forcing(case, params, spec)
     space = CRSpace(generate_rect_mesh(UNIT, 4))
-    traj = BackwardEulerSolver(space, params, TimeGrid(1.0, 40), forcing=f,
-                               u0=case.initial, kernel_spec=spec).run()
-    stability_check(traj, space, params, f, case.initial)
-    mms.error_linf_l2(space, traj, case)
-    mms.error_energy(space, traj, case, params)
     X = space.volume_quad(5)[2]
-    on_X = {k: sum(np.shares_memory(x, X) for x in v) for k, v in calls.items()}
-    assert len(n_forcing) == 2 * 3 * 40
-    assert on_X == {"S": 1, "gradS": 1, "lapS": 1}
+    on_X = []
+    for n_steps in (20, 40):
+        for v in calls.values():
+            v.clear()
+        traj = BackwardEulerSolver(space, params, TimeGrid(1.0, n_steps), forcing=f,
+                                   u0=case.initial, kernel_spec=spec).run()
+        stability_check(traj, space, params, f, case.initial)
+        mms.error_linf_l2(space, traj, case)
+        mms.error_energy(space, traj, case, params)
+        on_X.append({k: sum(np.shares_memory(x, X) for x in v) for k, v in calls.items()})
+    # binds: the solver's load, the stability check's forcing and the two
+    # error norms' exact solution; S once more for the stability check's u0
+    assert on_X[0] == on_X[1] == {"S": 5, "gradS": 4, "lapS": 2}
 
 
 def test_point_set_cache_follows_its_argument():
+    # binds on several point sets, used in turn as convergence_study
+    # alternates meshes, each give the per-point values of their own points
     case = mms.type_two()
-
-    def S(x):
-        return np.sin(2 * np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1])
-
+    f = mms.forcing(case, ModelParams(eta=1.0), KernelSpec(mu=0.5, caputo_order=0.5))
     Xa = CRSpace(generate_rect_mesh(UNIT, 2)).volume_quad(5)[2].reshape(-1, 2)
-    Xb = CRSpace(generate_rect_mesh(UNIT, 3)).volume_quad(5)[2].reshape(-1, 2)
-    va = case.spatial(Xa)
-    assert not va.flags.writeable
-    assert np.array_equal(case.spatial(Xb), S(Xb))
-    assert np.array_equal(case.spatial(Xa), va)
-    assert np.array_equal(case.spatial(Xa[::2]), S(Xa[::2]))
-    # writable points, changed in place between calls, give the new values
+    Xb = DGSpace(generate_rect_mesh(UNIT, 3)).volume_quad(5)[2].reshape(-1, 2)
     x = np.random.default_rng(4).uniform(0, 1, (12, 2))
-    first = case.spatial(x)
-    x += 0.01
-    assert np.array_equal(case.spatial(x), S(x))
-    assert not np.array_equal(case.spatial(x), first)
-    assert np.array_equal(case.u(x, 0.5), 0.5**1.5 * S(x))
-    # a read-only view of writable memory is not a fixed point set
-    view = x.view()
-    view.flags.writeable = False
-    before = case.spatial(view)
-    x -= 0.02
-    assert np.array_equal(case.spatial(view), S(x))
-    assert not np.array_equal(case.spatial(view), before)
+    binds = [(X, f.on(X), *case.on(X)) for X in (Xa, Xb, Xa[::2], x)]
+    for t in (0.2, 0.7):
+        for X, f_on, u_on, grad_on in binds + binds[::-1]:
+            assert np.array_equal(f_on(t), f(X, t))
+            assert np.array_equal(u_on(t), case.u(X, t))
+            assert np.array_equal(grad_on(t), case.grad(X, t))
 
 
 def test_planar_is_declared_by_the_traveling_wave_only():
@@ -306,17 +302,17 @@ def _wave_params(reynolds, eta):
 @pytest.mark.parametrize("reynolds", [50, 100])
 @pytest.mark.parametrize("eta", [0.0, 1.0])
 @pytest.mark.parametrize("scheme", ["cr", "dg"])
-def test_planar_forcing_bit_identical_to_per_point(monkeypatch, reynolds, eta, scheme):
-    # a writable copy of the points takes the per-point path, the oracle
-    params = _wave_params(reynolds, eta)
-    f = mms.forcing(mms.traveling_wave(reynolds), params, WAVE_SPEC)
-    f_raw = _uncached(monkeypatch, lambda: mms.forcing(mms.traveling_wave(reynolds),
-                                                       params, WAVE_SPEC))
+def test_planar_forcing_bit_identical_to_per_point(reynolds, eta, scheme):
+    # the per-point f(x, t) is the oracle of the bound, reduced forcing
+    case = mms.traveling_wave(reynolds)
+    f = mms.forcing(case, _wave_params(reynolds, eta), WAVE_SPEC)
     X = mms.SPACES[scheme](generate_rect_mesh(UNIT, 4)).volume_quad(5)[2].reshape(-1, 2)
+    f_on = f.on(X)
+    u_on, grad_on = case.on(X)
     for t in (0.0, 0.3, 0.3, 0.9):
-        want = f(X.copy(), t)
-        assert np.array_equal(f(X, t), want)
-        assert np.array_equal(f_raw(X, t), want)
+        assert np.array_equal(f_on(t), f(X, t))
+        assert np.array_equal(u_on(t), case.u(X, t))
+        assert np.array_equal(grad_on(t), case.grad(X, t))
 
 
 def test_planar_study_bit_identical_to_per_point(monkeypatch):
@@ -339,9 +335,9 @@ def _count_reductions(monkeypatch):
 
 
 def test_planar_forcing_reduced_once_per_point_set(monkeypatch):
-    # a miniature wave run on two meshes: one np.unique per volume point
-    # set, and lap only ever sees one point per distinct x + y: once for
-    # the diffusion term and once for all Gauss-Jacobi nodes
+    # miniature wave runs on two meshes: one np.unique per bind, however
+    # many steps run, and lap only ever sees one point per distinct x + y:
+    # once for the diffusion term and once for all Gauss-Jacobi nodes
     reductions = _count_reductions(monkeypatch)
     case = mms.traveling_wave(100)
     case.self_check()
@@ -355,39 +351,30 @@ def test_planar_forcing_reduced_once_per_point_set(monkeypatch):
         X = space.volume_quad(5)[2]
         distinct = len(np.unique(X[..., 0] + X[..., 1]))
         assert distinct < X.shape[0] * X.shape[1] / 4
-        rows.clear()
-        BackwardEulerSolver(space, params, TimeGrid(1.0, 8), forcing=f, u0=case.initial,
-                            bc=case.boundary, kernel_spec=WAVE_SPEC).run()
-        assert len(rows) == 8 * 3 * 2
-        assert set(rows) == {(distinct, ()), (distinct, (mms.JACOBI_NODES, 1))}
-        assert sum(np.shares_memory(x, X) for x in reductions) == 1
-    assert len(reductions) == 2
+        for n_steps in (8, 16):
+            rows.clear()
+            reductions.clear()
+            BackwardEulerSolver(space, params, TimeGrid(1.0, n_steps), forcing=f,
+                                u0=case.initial, bc=case.boundary,
+                                kernel_spec=WAVE_SPEC).run()
+            assert len(rows) == n_steps * 3 * 2
+            assert set(rows) == {(distinct, ()), (distinct, (mms.JACOBI_NODES, 1))}
+            assert len(reductions) == 1 and np.shares_memory(reductions[0], X)
 
 
 def test_planar_cache_follows_its_argument(monkeypatch):
+    # binds on several point sets, used in turn, each give the per-point
+    # values of their own points; evaluating a bound forcing reduces nothing
     reductions = _count_reductions(monkeypatch)
     f = mms.forcing(mms.traveling_wave(100), _wave_params(100, 1.0), WAVE_SPEC)
     Xa = CRSpace(generate_rect_mesh(UNIT, 2)).volume_quad(5)[2].reshape(-1, 2)
     Xb = CRSpace(generate_rect_mesh(UNIT, 3)).volume_quad(5)[2].reshape(-1, 2)
-    # level by level, as convergence_study alternates meshes
-    for X in (Xa, Xb, Xa, Xb):
-        assert np.array_equal(f(X, 0.4), f(X.copy(), 0.4))
-    assert np.array_equal(f(Xa[::2], 0.4), f(Xa[::2].copy(), 0.4))
-    assert len(reductions) == 5
-    # writable points, changed in place between calls, give the new values
     x = np.random.default_rng(4).uniform(0, 1, (12, 2))
-    first = f(x, 0.4)
-    x += 0.01
-    assert np.array_equal(f(x, 0.4), f(x.copy(), 0.4))
-    assert not np.array_equal(f(x, 0.4), first)
-    # a read-only view of writable memory is not a fixed point set
-    view = x.view()
-    view.flags.writeable = False
-    before = f(view, 0.4)
-    x -= 0.02
-    assert np.array_equal(f(view, 0.4), f(x.copy(), 0.4))
-    assert not np.array_equal(f(view, 0.4), before)
-    assert len(reductions) == 5
+    binds = [(X, f.on(X)) for X in (Xa, Xb, Xa[::2], x)]
+    assert len(reductions) == 4
+    for X, f_on in binds + binds[::-1]:
+        assert np.array_equal(f_on(0.4), f(X, 0.4))
+    assert len(reductions) == 4
 
 
 def test_jacobi_convolution_matches_beta_identity():

@@ -571,7 +571,7 @@ def test_residual_and_newton_matrix_match_the_per_term_formula(make):
 
     bvals, datum, nitsche, b = s._step_data(k, u_prev, mem_known, cap_known, v_prev)
     u[space.boundary_dofs] = bvals
-    load = forms.assemble_load(space, s.forcing, (k - 1) * dt, t_k)
+    load = forms.assemble_load(space, forms.bind_load(space, s.forcing), (k - 1) * dt, t_k)
     flux_datum = nitsche_k = fhn_const = None
     if isinstance(s.space, DGSpace) and s.bc is not None:
         flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
@@ -635,7 +635,7 @@ def per_step_terms(s, traj):
         if s.fhn is not None:
             eps, rho = s.fhn
             fhn_const = (s.M @ traj.v_fields[k - 1]) / (1.0 + dt * eps * rho)
-        load = forms.assemble_load(space, s.forcing, (k - 1) * dt, t_k)
+        load = forms.assemble_load(space, forms.bind_load(space, s.forcing), (k - 1) * dt, t_k)
         yield k, (load, mem_known, cap_known, fhn_const, nitsche_k, flux_datum)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbhfem.forms import assemble_load, assemble_stiffness_cr
+from gbhfem.forms import assemble_load, assemble_stiffness_cr, bind_load
 from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.space_cr import CRSpace
@@ -83,7 +83,7 @@ def test_jump_mean_zero():
     # the CR trace is (1 - 2 lambda) . u
     m = generate_rect_mesh(UNIT, 3)
     space = CRSpace(m)
-    fd = DGSpace(m).face_data(3)
+    fd = DGSpace(m).face_data
     vals = np.random.default_rng(7).uniform(-1, 1, space.n_dofs)
     up = np.einsum("eqi,ei->eq", 1.0 - 2.0 * fd.Tp, vals[space.cell_dofs[fd.ip]])
     um = np.einsum("eqi,ei->eq", 1.0 - 2.0 * fd.Tm, vals[space.cell_dofs[fd.im]])
@@ -105,7 +105,7 @@ def test_dirichlet_homogeneous_zeroes_boundary(dirichlet_system):
     m = generate_rect_mesh(UNIT, 4)
     space = CRSpace(m)
     A = assemble_stiffness_cr(space)
-    load = assemble_load(space, lambda x, t: np.ones(len(x)), 0.0, 1.0)
+    load = assemble_load(space, bind_load(space, lambda x, t: np.ones(len(x))), 0.0, 1.0)
     J, F, u0 = dirichlet_system(space, A, load, lambda x, t: np.zeros(len(x)))
     u = u0 - solve(J, F)
     assert np.abs(u[space.boundary_dofs]).max() < 1e-12

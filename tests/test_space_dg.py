@@ -30,7 +30,7 @@ def two_cell_vertical_edge_mesh(scale=1.0):
 def jumps_and_averages(space, u):
     """Jump vectors and averages on interior edges from the solver's face
     tables; on boundary edges the jump is u_plus n and the average u_plus."""
-    fd = space.face_data()
+    fd = space.face_data
     up, um, ub = space.traces(u, fd)
     return ((up - um)[:, :, None] * fd.n_int[:, None, :], 0.5 * (up + um),
             ub[:, :, None] * fd.n_bnd[:, None, :], ub)
@@ -44,7 +44,7 @@ def face_points(space, T, cells):
 def test_jump_average_piecewise_constants():
     m = two_cell_vertical_edge_mesh()
     space = DGSpace(m)
-    fd = space.face_data()
+    fd = space.face_data
     assert len(fd.int_edges) == 1 and fd.ip[0] == 0 and fd.im[0] == 1
     assert np.allclose(fd.n_int[0], [1.0, 0.0], atol=1e-14)
     vals = np.zeros(space.n_dofs)
@@ -59,7 +59,7 @@ def test_jump_average_piecewise_constants():
 def test_jump_average_boundary():
     m = two_cell_vertical_edge_mesh()
     space = DGSpace(m)
-    fd = space.face_data()
+    fd = space.face_data
     vals = np.full(space.n_dofs, 2.0)
     _, _, bjump, bavg = jumps_and_averages(space, vals)
     assert len(fd.bnd_edges) == 4
@@ -74,7 +74,7 @@ def test_continuous_interpolant_has_no_interior_jumps():
     m = generate_rect_mesh(UNIT, 3)
     space = DGSpace(m)
     u = space.interpolate(lambda x: np.cos(x[:, 0]) * np.exp(x[:, 1]))
-    fd = space.face_data()
+    fd = space.face_data
     up, um, _ = space.traces(u, fd)
     assert np.abs(up - um).max() < 1e-12
 
@@ -92,7 +92,7 @@ def test_trace_consistency_with_direct_evaluation():
     m = generate_rect_mesh(UNIT, 2)
     space = DGSpace(m)
     vals = np.random.default_rng(3).uniform(-1, 1, space.n_dofs)
-    fd = space.face_data()
+    fd = space.face_data
     up, um, ub = space.traces(vals, fd)
     xp = face_points(space, fd.Tp, fd.ip)
     xm = face_points(space, fd.Tm, fd.im)
@@ -109,7 +109,7 @@ def test_penalty_coeff():
     # the jump penalty per unit length between the two cells is gamma / h_E
     for scale, expect in ((1.0, 10.0), (0.5, 20.0)):
         space = DGSpace(two_cell_vertical_edge_mesh(scale))
-        fd = space.face_data()
+        fd = space.face_data
         assert np.array_equal(fd.h_int, [scale])         # h_E
         plus, minus = np.zeros(space.n_dofs), np.zeros(space.n_dofs)
         plus[space.cell_dofs[fd.ip[0]]] = 1.0
@@ -123,7 +123,7 @@ def test_penalty_scales_under_refinement():
     # seminorm of a fixed piecewise constant field doubles
     coarse = generate_rect_mesh(UNIT, 2)
     spaces = [DGSpace(coarse), DGSpace(refine_uniform(coarse))]
-    h = [np.unique(space.face_data().h_int) for space in spaces]
+    h = [np.unique(space.face_data.h_int) for space in spaces]
     assert np.allclose(h[1], 0.5 * h[0])
     norms = []
     for space in spaces:
