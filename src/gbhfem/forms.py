@@ -2,17 +2,21 @@
 
 Covers mass, broken-gradient stiffness, the symmetric interior penalty
 (SIPG) operator with its consistency/symmetry/penalty face terms, the
-skew-symmetrized convection form (volume only for CR, volume plus
-upwind flux for DG), the Huxley reaction term, and time-averaged load
-vectors.  Nonlinear terms carry exact analytic Jacobians; the DG upwind
-factor 0.5*(w.n - |w.n|) is differentiated away from its kink w.n = 0,
-where its derivative is taken as zero.
+nonlinear form and time-averaged load vectors.  The nonlinear form is
+the skew-symmetrized convection minus the Huxley reaction,
+alpha b(u;u,phi_i) - beta (c(u), phi_i), in one cell kernel with a
+residual/Jacobian pair (``nonlinear_residual``, ``add_nonlinear_jacobian``);
+DG adds its upwind flux (``upwind_residual``, ``add_upwind_jacobian``).
+Each call evaluates its own quadrature values from u.  The Jacobians
+are exact and are added into a caller's ``data`` vector on the space's
+pattern; the DG upwind factor min(w.n, 0) is differentiated away from
+its kink w.n = 0, where its derivative is taken as zero.
 
 Every matrix lives on its space's fixed CSR pattern (``space.pattern``,
 built once: cell blocks, plus the plus/minus face couplings for DG).  A
-form computes one 3x3 block per cell or face and sums the blocks into
-the pattern's ``data`` with ``np.bincount`` over precomputed slot maps;
-vectors are summed the same way over the dof indices.  No COO arrays and
+form computes one 3x3 block per cell or face and adds the blocks into
+the pattern's ``data`` with ``np.add.at`` over precomputed slot maps;
+vectors are summed with ``np.bincount`` over the dof indices.  No COO arrays and
 no duplicate summing occur, matrices of one space share their index
 arrays, and the accumulation order is fixed, so results are
 deterministic.  Quadrature is tensorized: volume blocks are one matmul
@@ -31,8 +35,9 @@ import numpy as np
 __all__ = [
     "ModelParams", "nonlinear_quad_degree",
     "assemble_mass", "assemble_stiffness_cr", "assemble_stiffness_dg",
-    "dg_norm_matrix", "dirichlet_rhs_dg", "convection_cr", "convection_dg",
-    "reaction", "bind_load", "assemble_load", "dg_boundary_values",
+    "dg_norm_matrix", "dirichlet_rhs_dg", "nonlinear_residual",
+    "add_nonlinear_jacobian", "upwind_residual", "add_upwind_jacobian",
+    "bind_load", "assemble_load", "dg_boundary_values",
 ]
 
 #: Gauss points in time for the interval averages f^k.
@@ -85,19 +90,22 @@ def nonlinear_quad_degree(delta):
     return max(2 * int(delta) + 3, 4)
 
 
-def _assemble(space, blocks):
-    """Matrix on the space's pattern from a dict of slot name -> block values.
+def _add_blocks(space, data, blocks):
+    """Add a dict of slot name -> block values into ``data`` on the space's
+    pattern, in place; returns ``data``.
 
     ``blocks[name]`` is (m, 3, 3) or (m, 9), one 3x3 block per row of
-    ``space.pattern.slots[name]``.  Accumulation is by ``np.bincount``, in
-    a fixed order, so results are deterministic.
+    ``space.pattern.slots[name]``.  ``np.add.at`` accumulates in a fixed
+    order, so results are deterministic, and makes no (nnz,) temporary.
     """
-    pattern = space.pattern
-    data = np.zeros(pattern.nnz)
     for name, values in blocks.items():
-        data += np.bincount(pattern.slots[name].ravel(), weights=values.ravel(),
-                            minlength=pattern.nnz)
-    return pattern.matrix(data)
+        np.add.at(data, space.pattern.slots[name].ravel(), values.ravel())
+    return data
+
+
+def _assemble(space, blocks):
+    """Matrix on the space's pattern from a dict of slot name -> block values."""
+    return space.pattern.matrix(_add_blocks(space, np.zeros(space.pattern.nnz), blocks))
 
 
 def _scatter(n, dofs, values):
@@ -217,132 +225,113 @@ def dg_boundary_values(space, g, t):
     return np.broadcast_to(vals, (X.shape[0],)).reshape(fd.Xb.shape[:2]).copy()
 
 
-def _volume_convection(space, uvals, alpha, delta, need_res, need_jac):
-    """Residual and Jacobian blocks of the skew convection volume terms."""
+def _nonlinear_values(space, u, delta):
+    """The nonlinear rule's w, B (nq, 3) and BB (nq, 9); s_phi_i = dphi_i/dx
+    + dphi_i/dy (nc, 3), s_u = sum_i u_i s_phi_i (nc,) and u at the points."""
     w, B, BB = _volume_tables(space, nonlinear_quad_degree(delta))
-    ucell = uvals[space.cell_dofs]                       # (nc, 3)
-    uq = ucell @ B.T                                     # (nc, nq)
-    s_phi = space.grads[:, :, 0] + space.grads[:, :, 1]  # (nc, 3)
-    s_u = np.sum(ucell * s_phi, axis=1)                  # (nc,)
-    det = space.det_jacobians
-    scale = alpha / (delta + 2.0)
+    ucell = u[space.cell_dofs]                           # (nc, 3)
+    s_phi = space.grads[:, :, 0] + space.grads[:, :, 1]
+    return w, B, BB, s_phi, np.sum(ucell * s_phi, axis=1), ucell @ B.T
 
+
+def nonlinear_residual(space, u, params):
+    """Volume residual alpha b(u;u,phi_i) - beta (c(u), phi_i), one cell kernel.
+
+    b(u;u,w) = 1/(delta+2) [ (u^d sum_i du/dx_i, w) - (u^d sum_i dw/dx_i, u) ]
+    vanishes at w = u, so no parameter conditions are needed for stability;
+    c(u) = u(1-u^d)(u^d-gamma) = (1+gamma) u^(d+1) - gamma u - u^(2d+1).
+    A term whose coefficient is 0 is not evaluated (no 0 * inf = NaN).
+    """
+    alpha, beta, gamma, delta = params.alpha, params.beta, params.reaction_gamma, params.delta
+    w, B, _, s_phi, s_u, uq = _nonlinear_values(space, u, delta)
     ud = uq ** delta
-    udB = (ud * w) @ B                                   # int u^d phi_i
-    res_cells = jac_cells = None
-    if need_res:
-        R2 = ((ud * uq) @ w)[:, None] * s_phi
-        res_cells = scale * det[:, None] * (udB * s_u[:, None] - R2)
-    if need_jac:
-        udm1 = uq ** (delta - 1)
-        J1a = ((udm1 * w) @ BB).reshape(-1, 3, 3) * (delta * s_u)[:, None, None]
-        J1b = udB[:, :, None] * s_phi[:, None, :]
-        J2 = (delta + 1.0) * s_phi[:, :, None] * udB[:, None, :]
-        jac_cells = scale * det[:, None, None] * (J1a + J1b - J2)
-    return res_cells, jac_cells
+    coef = const = 0.0               # integrand against phi_i; its q-free part
+    if alpha > 0.0:
+        scale = alpha / (delta + 2.0)
+        coef = (scale * s_u)[:, None] * ud
+        const = -scale * ((ud * uq) @ w)[:, None] * s_phi
+    if beta > 0.0:
+        coef = coef - beta * ((1.0 + gamma) * ud * uq - gamma * uq - ud * ud * uq)
+    cells = space.det_jacobians[:, None] * ((coef * w) @ B + const)
+    return _scatter(space.n_dofs, space.cell_dofs, cells)
 
 
-def convection_cr(space, u, params, need_jac=True, need_res=True):
-    """Skew-symmetrized convection residual alpha*b(u;u,phi_i) and its Jacobian.
+def add_nonlinear_jacobian(space, data, u, params):
+    """Add the exact Jacobian of ``nonlinear_residual`` at u into ``data`` on
+    ``space.pattern``; returns ``data``.  c'(u) = (1+gamma)(d+1) u^d - gamma
+    - (2d+1) u^(2d); zero coefficients are skipped as there."""
+    alpha, beta, gamma, delta = params.alpha, params.beta, params.reaction_gamma, params.delta
+    w, B, BB, s_phi, s_u, uq = _nonlinear_values(space, u, delta)
+    ud = uq ** delta
+    coef = const = 0.0               # integrand against phi_i phi_j; its q-free part
+    if alpha > 0.0:
+        scale = alpha / (delta + 2.0)
+        coef = (scale * delta * s_u)[:, None] * uq ** (delta - 1)
+        udB = (ud * w) @ B                               # int u^d phi_i
+        const = scale * (udB[:, :, None] * s_phi[:, None, :]
+                         - (delta + 1.0) * s_phi[:, :, None] * udB[:, None, :]).reshape(-1, 9)
+    if beta > 0.0:
+        coef = coef - beta * ((1.0 + gamma) * (delta + 1.0) * ud - gamma
+                              - (2.0 * delta + 1.0) * ud * ud)
+    cells = space.det_jacobians[:, None] * ((coef * w) @ BB + const)
+    return _add_blocks(space, data, {"cells": cells})
 
-    The split 1/(delta+2) [ (u^d sum_i du/dx_i, w) - (u^d sum_i dw/dx_i, u) ]
-    makes b(u;u,u) vanish identically, so no parameter conditions are
-    needed for stability.  Returns (residual, Jacobian); a part not
-    asked for is None.
-    """
-    res_cells, jac_cells = _volume_convection(space, u, params.alpha, params.delta,
-                                              need_res, need_jac)
-    res = _scatter(space.n_dofs, space.cell_dofs, res_cells) if need_res else None
-    jac = _assemble(space, {"cells": jac_cells}) if need_jac else None
-    return res, jac
 
-
-def _upwind_derivative(wn, us, nsum, delta):
-    """d/du_s of min(wn, 0) with wn = u_s^delta (1,1).n; zero at the kink."""
-    return np.where(wn < 0.0, delta * us ** (delta - 1) * nsum[:, None], 0.0)
-
-
-def convection_dg(space, u, params, boundary_values=None, need_jac=True, need_res=True):
-    """DG convection: volume skew terms plus the upwind flux terms.
-
-    The convection field is w = u^delta (1,1)^T evaluated from each
-    cell's own trace, and the upwind factor is c = 0.5*(w.n - |w.n|).
-    Off the kink w.n = 0 the Jacobian is exact, with
-    dc/du = delta u^(delta-1) (1,1).n where w.n < 0 and 0 where w.n >= 0.
-    ``boundary_values`` supplies the exterior Dirichlet datum on
-    boundary faces; None means homogeneous.  Returns (residual,
-    Jacobian); a part not asked for is None.
-    """
-    alpha, delta = params.alpha, params.delta
-    scale = alpha / (delta + 2.0)
-    res_cells, jac_cells = _volume_convection(space, u, alpha, delta, need_res, need_jac)
-    n = space.n_dofs
-
+def _upwind_values(space, u, delta):
+    """Face tables, interior weights W, and per side (plus, minus, boundary)
+    the trace, (1,1).n and w.n with w = u^delta (1,1)^T of its own trace."""
     fd = space.face_data
-    w = fd.rule.weights
-    up, um, ub = space.traces(u, fd)
-    nsum_p = fd.n_int[:, 0] + fd.n_int[:, 1]             # (1,1).n for plus side
+    traces = space.traces(u, fd)
+    nsums = (fd.n_int.sum(axis=1), -fd.n_int.sum(axis=1), fd.n_bnd.sum(axis=1))
+    wns = [(us ** delta) * ns[:, None] for us, ns in zip(traces, nsums)]
+    return fd, fd.rule.weights[None, :] * fd.h_int[:, None], traces, nsums, wns
 
-    W = w[None, :] * fd.h_int[:, None]
-    wnp = (up ** delta) * nsum_p[:, None]                # w.n seen from each side
-    wnm = -(um ** delta) * nsum_p[:, None]
-    cp = 0.5 * (wnp - np.abs(wnp))
-    cm = 0.5 * (wnm - np.abs(wnm))
 
+def upwind_residual(space, u, params, datum):
+    """DG upwind flux part of alpha b(u;u,phi_i); 0.0 when alpha is 0.
+
+    The upwind factor is c = min(w.n, 0).  ``datum`` holds the exterior
+    Dirichlet datum at the boundary-edge quadrature points
+    (``dg_boundary_values``); None means homogeneous.
+    """
+    if not params.alpha > 0.0:
+        return 0.0
+    scale = params.alpha / (params.delta + 2.0)
+    fd, W, (up, um, _), _, (wnp, wnm, wnb) = _upwind_values(space, u, params.delta)
+    cp, cm = np.minimum(wnp, 0.0), np.minimum(wnm, 0.0)
     # side s adds scale*int c_s u_o v_s - scale*int c_s u_s v_o, c_s = c(u_s)
-    res = None
-    if need_res:
-        res = (_scatter(n, space.cell_dofs, res_cells)
-               + _scatter(n, fd.pdofs, scale * _face_integral(W * (cp - cm) * um, fd.Tp))
-               + _scatter(n, fd.mdofs, scale * _face_integral(W * (cm - cp) * up, fd.Tm)))
-    blocks = {}
-    if need_jac:
-        dcp = _upwind_derivative(wnp, up, nsum_p, delta)
-        dcm = _upwind_derivative(wnm, um, -nsum_p, delta)
-        blocks = {
-            "cells": jac_cells,
-            "pm": scale * _face_integral(W * (cp - cm - dcm * um), fd.TpTm),
-            "mp": scale * _transpose(_face_integral(W * (cm - cp - dcp * up), fd.TpTm)),
-            "pp": scale * _face_integral(W * dcp * um, fd.TpTp),
-            "mm": scale * _face_integral(W * dcm * up, fd.TmTm),
-        }
-
+    res = (_scatter(space.n_dofs, fd.pdofs, scale * _face_integral(W * (cp - cm) * um, fd.Tp))
+           + _scatter(space.n_dofs, fd.mdofs, scale * _face_integral(W * (cm - cp) * up, fd.Tm)))
     # boundary faces: the u-dependent flux parts cancel and the net residual
     # contribution is int c * g * v ; with g = 0 it is 0.
-    if boundary_values is not None and len(fd.bnd_edges):
-        nsum_b = fd.n_bnd[:, 0] + fd.n_bnd[:, 1]
-        wn = (ub ** delta) * nsum_b[:, None]
-        c = 0.5 * (wn - np.abs(wn))
-        Wb = w[None, :] * fd.h_bnd[:, None]
-        if need_res:
-            res += _scatter(n, fd.bdofs, scale * _face_integral(Wb * c * boundary_values, fd.Tb))
-        if need_jac:
-            Wdg = Wb * _upwind_derivative(wn, ub, nsum_b, delta) * boundary_values
-            blocks["bb"] = scale * _face_integral(Wdg, fd.TbTb)
-
-    return res, (_assemble(space, blocks) if need_jac else None)
+    if datum is not None:
+        Wb = fd.rule.weights[None, :] * fd.h_bnd[:, None] * np.minimum(wnb, 0.0) * datum
+        res += _scatter(space.n_dofs, fd.bdofs, scale * _face_integral(Wb, fd.Tb))
+    return res
 
 
-def reaction(space, u, params, need_jac=True, need_res=True):
-    """Huxley reaction residual beta*(c(u), phi_i) and its Jacobian.
-
-    c(u) = u(1-u^d)(u^d-gamma) = (1+gamma) u^(d+1) - gamma u - u^(2d+1),
-    c'(u) = (1+gamma)(d+1) u^d - gamma - (2d+1) u^(2d).
-    Returns (residual, Jacobian); a part not asked for is None.
-    """
-    beta, gamma, delta = params.beta, params.reaction_gamma, params.delta
-    w, B, BB = _volume_tables(space, nonlinear_quad_degree(delta))
-    uq = u[space.cell_dofs] @ B.T
-    ud = uq ** delta
-    det = space.det_jacobians
-    res = jac = None
-    if need_res:
-        cval = (1.0 + gamma) * ud * uq - gamma * uq - ud * ud * uq
-        res = _scatter(space.n_dofs, space.cell_dofs, beta * ((cval * w) @ B) * det[:, None])
-    if need_jac:
-        cder = (1.0 + gamma) * (delta + 1.0) * ud - gamma - (2.0 * delta + 1.0) * ud * ud
-        jac = _assemble(space, {"cells": beta * ((cder * w) @ BB) * det[:, None]})
-    return res, jac
+def add_upwind_jacobian(space, data, u, params, datum):
+    """Add the Jacobian of ``upwind_residual`` at u into ``data`` as above
+    (nothing when alpha is 0).  Exact off the kink w.n = 0: dc/du =
+    delta u^(delta-1) (1,1).n where w.n < 0, and 0 where w.n >= 0."""
+    if not params.alpha > 0.0:
+        return data
+    delta = params.delta
+    scale = params.alpha / (delta + 2.0)
+    fd, W, (up, um, ub), nsums, wns = _upwind_values(space, u, delta)
+    cp, cm = np.minimum(wns[0], 0.0), np.minimum(wns[1], 0.0)
+    dcp, dcm, dcb = [np.where(wn < 0.0, delta * us ** (delta - 1) * ns[:, None], 0.0)
+                     for us, ns, wn in zip((up, um, ub), nsums, wns)]
+    blocks = {
+        "pm": scale * _face_integral(W * (cp - cm - dcm * um), fd.TpTm),
+        "mp": scale * _transpose(_face_integral(W * (cm - cp - dcp * up), fd.TpTm)),
+        "pp": scale * _face_integral(W * dcp * um, fd.TpTp),
+        "mm": scale * _face_integral(W * dcm * up, fd.TmTm),
+    }
+    if datum is not None:
+        Wb = fd.rule.weights[None, :] * fd.h_bnd[:, None] * dcb * datum
+        blocks["bb"] = scale * _face_integral(Wb, fd.TbTb)
+    return _add_blocks(space, data, blocks)
 
 
 def bind_load(space, f):

@@ -32,6 +32,7 @@ __all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "norm"]
 
 SOLVE_RTOL = 1e-10
 GMRES_RESTART = 60
+GMRES_MAXITER = 3         # restart cycles before the LU fallback
 #: a Newton solver whose last GMRES solve took more iterations than this
 #: factors its current matrix as the new preconditioner
 REFRESH_KRYLOV_ITERS = 10
@@ -63,8 +64,8 @@ class BlockPattern:
     of name -> (row_dofs, col_dofs) with both arrays (m, 3): block e
     couples rows row_dofs[e] with columns col_dofs[e].  ``slots[name]``
     (m, 9) holds the position in ``data`` of entry (row_dofs[e, i],
-    col_dofs[e, j]) at column 3*i + j, so a form assembles its block
-    values with ``np.bincount(slots, weights=values, minlength=nnz)``.
+    col_dofs[e, j]) at column 3*i + j, so a form adds its block values
+    into a data vector with ``np.add.at(data, slots, values)``.
     ``indptr`` and ``indices`` are read-only: matrices share them, and an
     in-place change such as ``eliminate_zeros`` would corrupt every one.
     """
@@ -141,7 +142,7 @@ def _direct(A, b, tol):
     return x
 
 
-def _gmres(A, b, tol, precond, maxiter, stats):
+def _gmres(A, b, tol, precond, stats):
     """Right-preconditioned GMRES: solve (A P^{-1}) y = b, x = P^{-1} y.
 
     The Krylov residual is then the true residual of A x = b.  GMRES aims
@@ -162,23 +163,24 @@ def _gmres(A, b, tol, precond, maxiter, stats):
     # bnorm * bnorm is inf on overflow, where a float's ** 2 would raise
     target = max(min(0.1 * tol, bnorm * bnorm), 1e-12 * bnorm)
     y, _ = spla.gmres(AP, b, rtol=0.0, atol=target, restart=GMRES_RESTART,
-                      maxiter=maxiter, callback=count, callback_type="pr_norm")
+                      maxiter=GMRES_MAXITER, callback=count, callback_type="pr_norm")
     if stats is not None:
         stats.krylov_iters += iters
     x = precond(y)
     return x if _residual(A, x, b) <= tol else None
 
 
-def solve(A, b, method="lu", precond=None, stats=None, gmres_maxiter=3):
+def solve(A, b, method="lu", precond=None, stats=None):
     """Solve A x = b with residual ||Ax-b|| <= 1e-10 (1 + ||b||).
 
     ``method`` is "lu" (sparse LU of A, deterministic pivoting/ordering)
     or "gmres" (GMRES on A, right-preconditioned by ``precond``, a
-    callable v -> P^{-1} v such as ``factorize(P).solve``).  GMRES restarts every 60 iterations and
-    stops after ``gmres_maxiter`` cycles; if it has missed the tolerance
-    by then, A is factored directly for this call.  ``stats``, a
-    SolveStats, counts Krylov iterations and those fallbacks.  A matrix
-    that is singular to tolerance raises SingularMatrixError.
+    callable v -> P^{-1} v such as ``factorize(P).solve``).  GMRES
+    restarts every ``GMRES_RESTART`` iterations and stops after
+    ``GMRES_MAXITER`` cycles; if it has missed the tolerance by then, A
+    is factored directly for this call.  ``stats``, a SolveStats, counts
+    Krylov iterations and those fallbacks.  A matrix that is singular to
+    tolerance raises SingularMatrixError.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1]:
@@ -192,7 +194,7 @@ def solve(A, b, method="lu", precond=None, stats=None, gmres_maxiter=3):
     tol = SOLVE_RTOL * (1.0 + norm(b))
 
     if method == "gmres":
-        x = _gmres(A, b, tol, precond, gmres_maxiter, stats)
+        x = _gmres(A, b, tol, precond, stats)
         if x is not None:
             return x
         if stats is not None:

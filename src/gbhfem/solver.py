@@ -6,26 +6,28 @@ Each step solves
         + eta dt sum_{j<=k} omega_kj A u^j  [+ Caputo term] [+ M v^k]
         = (f^k, phi_i)
 
-with A the space's diffusion operator (CR stiffness or SIPG), B/C the
-convection and reaction forms.  Both schemes share one residual
-F(u) = L_base u + alpha B(u) - beta C(u) - b_k and one Newton matrix
-L_base + J_conv - J_react: the constant L_base holds the mass, diffusion,
-memory/Caputo diagonal and FitzHugh-Nagumo parts, and b_k every
-u-independent term of the step (load, previous iterate, history sums,
-Nitsche vector).  Every Newton correction is GMRES on the exact Jacobian
-(Newton-Krylov), right-preconditioned by a lagged factor: L_base is
-factored on the run's first Newton solve, and whenever a GMRES solve
-needs more than ``linalg.REFRESH_KRYLOV_ITERS`` iterations the next Newton
-matrix is factored in its place and kept across iterations and steps
-(Knoll & Keyes, J. Comput. Phys. 193 (2004) 357);
-``linear_solver="lu"`` factors every Newton matrix directly instead.
-From step 2 on, Newton starts from the linear extrapolation
-2 u^{k-1} - u^{k-2} with the datum pinned, step 1 from u^0.
-All matrices share the space's CSR pattern, so a Newton matrix is a sum
-of ``data`` vectors, and a Jacobian is built only for the iterations
-that solve with it.
+with A the space's diffusion operator (CR stiffness or SIPG) and
+alpha B(u) - beta C(u) its nonlinear form, convection minus reaction
+(``space.nonlinear_residual``).  Both schemes share one residual
+F(u) = L_base u + alpha B(u) - beta C(u) - b_k, one call per iterate,
+and one Newton matrix L_base + J(u), the form's Jacobian J added into a
+copy of L_base's data (``space.add_nonlinear_jacobian``).  The constant
+L_base holds the mass, diffusion, memory/Caputo diagonal and
+FitzHugh-Nagumo parts, and b_k every u-independent term of the step
+(load, previous iterate, history sums, Nitsche vector).  Every Newton
+correction is GMRES on the exact Jacobian (Newton-Krylov),
+right-preconditioned by a lagged factor: L_base is factored on the run's
+first Newton solve, and whenever a GMRES solve needs more than
+``linalg.REFRESH_KRYLOV_ITERS`` iterations the next Newton matrix is
+factored in its place and kept across iterations and steps (Knoll &
+Keyes, J. Comput. Phys. 193 (2004) 357); ``linear_solver="lu"`` factors
+every Newton matrix directly instead.  From step 2 on, Newton starts
+from the linear extrapolation 2 u^{k-1} - u^{k-2} with the datum
+pinned, step 1 from u^0.  All matrices share the space's CSR pattern,
+so a Newton matrix is a sum of ``data`` vectors, and a Jacobian is
+built only for the iterations that solve with it.
 The space supplies what differs between the schemes: diffusion and
-energy-norm matrices, convection form and Dirichlet datum, evaluated
+energy-norm matrices, nonlinear form and Dirichlet datum, evaluated
 once per step.  The datum pins the ``boundary_dofs`` (CR midpoints; none
 for DG), whose residual rows are zero and whose Newton rows and columns
 are the identity's; DG's weak datum enters b_k (Nitsche vector) and the
@@ -212,28 +214,22 @@ class BackwardEulerSolver:
 
     def _residual(self, u, b, datum):
         """F(u) = L_base u + alpha B(u) - beta C(u) - b, constrained rows zero."""
-        p = self.params
         F = self.L_base @ u - b
-        if p.alpha > 0.0:
-            F += self.space.convection(u, p, datum, need_jac=False)[0]
-        if p.beta > 0.0:
-            F -= forms.reaction(self.space, u, p, need_jac=False)[0]
+        F += self.space.nonlinear_residual(u, self.params, datum)
         F[self.space.boundary_dofs] = 0.0
         return F
 
     def _newton_matrix(self, u=None, datum=None):
         """Newton matrix at u (L_base alone when u is None).
 
-        L_base + J_conv - J_react summed as data vectors on the shared
-        pattern; the strong Dirichlet constraint then zeroes the rows and
-        columns of the boundary dofs and puts one on their diagonal.
+        The nonlinear Jacobian is added into a copy of L_base's data on the
+        shared pattern; the strong Dirichlet constraint then zeroes the
+        rows and columns of the boundary dofs and puts one on their
+        diagonal.
         """
-        p = self.params
         data = self.L_base.data.copy()
-        if u is not None and p.alpha > 0.0:
-            data += self.space.convection(u, p, datum, need_res=False)[1].data
-        if u is not None and p.beta > 0.0:
-            data -= forms.reaction(self.space, u, p, need_res=False)[1].data
+        if u is not None:
+            self.space.add_nonlinear_jacobian(data, u, self.params, datum)
         data[self._bc_zero] = 0.0
         data[self._bc_one] = 1.0
         return self.space.pattern.matrix(data)

@@ -6,11 +6,12 @@ local edge i.  Fields are continuous only at edge midpoints, which makes
 the mean of the inter-element jump vanish on every edge.
 
 A space also carries what its scheme adds to the one residual of the
-solver: its diffusion and energy-norm matrices, its convection form and
-how its Dirichlet datum enters; and, outside the solver, the jump part
-of its energy-norm error and the name of its VTK writer.  CR imposes the
-datum strongly at the boundary midpoints (``boundary_dofs``,
-``boundary_values``) and has no weakly imposed part.
+solver: its diffusion and energy-norm matrices, its nonlinear form (the
+shared volume kernel, plus DG's upwind flux) and how its Dirichlet
+datum enters; and, outside the solver, the jump part of its energy-norm
+error and the name of its VTK writer.  CR imposes the datum strongly at
+the boundary midpoints (``boundary_dofs``, ``boundary_values``) and has
+no weakly imposed part.
 """
 
 from __future__ import annotations
@@ -103,10 +104,18 @@ class P1Space:
         vals = np.asarray(g(self.dof_locations[b], t), dtype=float)
         return np.broadcast_to(vals, (len(b),)).copy()
 
+    def nonlinear_residual(self, u, params, datum):
+        """The volume kernel ``forms.nonlinear_residual``; no face datum."""
+        return forms.nonlinear_residual(self, u, params)
+
+    def add_nonlinear_jacobian(self, data, u, params, datum):
+        """Add its Jacobian into ``data`` on ``pattern``; returns ``data``."""
+        return forms.add_nonlinear_jacobian(self, data, u, params)
+
     def weak_dirichlet(self, g, t, penalty_gamma):
         """Weakly imposed datum: (face datum or None, Nitsche vector or 0).
 
-        The face datum enters the convection form, the Nitsche vector the
+        The face datum enters the nonlinear form, the Nitsche vector the
         known right-hand side.  None and 0 here: the datum is strong.
         """
         return None, 0.0
@@ -141,10 +150,6 @@ class CRSpace(P1Space):
         """
         G = forms.assemble_stiffness_cr(self)
         return G, G, G
-
-    def convection(self, u, params, datum, **parts):
-        """``forms.convection_cr``; the face datum is always None here."""
-        return forms.convection_cr(self, u, params, **parts)
 
     def penalty_jump_sq(self, u, exact, t):
         """Jump part of the energy-norm error: 0.0, the CR norm has none."""

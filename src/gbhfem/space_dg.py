@@ -98,9 +98,16 @@ class DGSpace(P1Space):
         datum = forms.dg_boundary_values(self, g, t)
         return datum, forms.dirichlet_rhs_dg(self, datum, penalty_gamma)
 
-    def convection(self, u, params, datum, **parts):
-        """``forms.convection_dg`` with the face datum as exterior trace."""
-        return forms.convection_dg(self, u, params, boundary_values=datum, **parts)
+    def nonlinear_residual(self, u, params, datum):
+        """The volume kernel plus the upwind flux, face datum as exterior trace."""
+        res = forms.nonlinear_residual(self, u, params)
+        res += forms.upwind_residual(self, u, params, datum)
+        return res
+
+    def add_nonlinear_jacobian(self, data, u, params, datum):
+        """Add its Jacobian, volume kernel plus upwind flux, into ``data``."""
+        forms.add_nonlinear_jacobian(self, data, u, params)
+        return forms.add_upwind_jacobian(self, data, u, params, datum)
 
     def _local_vertex_index(self, cells_subset, vertex_ids):
         # position of each vertex id within its cell's vertex triple

@@ -4,14 +4,15 @@ The convergence studies dominate the runtime (several minutes in total);
 they are shared across criteria through session-scoped fixtures.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import gbhfem.mms as mms
 from gbhfem.forms import (ModelParams, assemble_mass, assemble_stiffness_cr,
-                          assemble_stiffness_dg, convection_cr, convection_dg,
-                          dg_norm_matrix, reaction)
+                          assemble_stiffness_dg, dg_norm_matrix)
 from gbhfem.kernel import KernelSpec, memory_weights
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.solver import BackwardEulerSolver, TimeGrid
@@ -134,17 +135,17 @@ def test_criterion_06_traveling_wave(c6_studies):
 
 def test_criterion_07_skew_symmetry():
     rng = np.random.default_rng(2024)
-    params = ModelParams(**PARAMS_31)
+    params = ModelParams(**{**PARAMS_31, "beta": 0.0})          # convection alone
     worst = 0.0
     for n in (2, 4, 8):
         mesh = generate_rect_mesh(UNIT, n)
         cr, dg = CRSpace(mesh), DGSpace(mesh)
         for _ in range(100):
             u = rng.uniform(-1.0, 1.0, cr.n_dofs)
-            res, _ = convection_cr(cr, u, params, need_jac=False)
+            res = cr.nonlinear_residual(u, params, None)
             worst = max(worst, abs(float(u @ res)))
             v = rng.uniform(-1.0, 1.0, dg.n_dofs)
-            resd, _ = convection_dg(dg, v, params, need_jac=False)
+            resd = dg.nonlinear_residual(v, params, None)
             worst = max(worst, abs(float(v @ resd)))
     report(7, worst <= 1e-10,
            f"b(u;u,u) over 100 random fields on n in {{2,4,8}}, both schemes: "
@@ -203,28 +204,26 @@ def test_criterion_09_jacobians_vs_central_differences():
     u_prev = 0.9 * u
     lin = (M / dt + (params.nu + params.eta * dt * weights.diagonal) * A).tocsr()
 
-    def newton_residual(v):
-        rc, _ = convection_cr(space, v, params, need_jac=False)
-        rr, _ = reaction(space, v, params, need_jac=False)
-        return lin @ v - (M / dt) @ u_prev + rc - rr
+    def jacobian(p):
+        data = space.add_nonlinear_jacobian(np.zeros(space.pattern.nnz), u, p, None)
+        return space.pattern.matrix(data)
 
-    _, Jc = convection_cr(space, u, params)
-    _, Jr = reaction(space, u, params)
-    J_full = (lin + Jc - Jr).tocsr()
+    def newton_residual(v):
+        return lin @ v - (M / dt) @ u_prev + space.nonlinear_residual(v, params, None)
+
+    J_full = (lin + jacobian(params)).tocsr()
+    # convection alone, and (minus) reaction alone
+    alone = [(p, jacobian(p)) for p in (dataclasses.replace(params, beta=0.0),
+                                        dataclasses.replace(params, alpha=0.0))]
     eps = 1e-6
     worst = 0.0
     for _ in range(10):
         w = rng.standard_normal(space.n_dofs)
-        # convection alone
-        rp, _ = convection_cr(space, u + eps * w, params, need_jac=False)
-        rm, _ = convection_cr(space, u - eps * w, params, need_jac=False)
-        err = np.linalg.norm((rp - rm) / (2 * eps) - Jc @ w) / np.linalg.norm(Jc @ w)
-        worst = max(worst, err)
-        # reaction alone
-        rp, _ = reaction(space, u + eps * w, params, need_jac=False)
-        rm, _ = reaction(space, u - eps * w, params, need_jac=False)
-        err = np.linalg.norm((rp - rm) / (2 * eps) - Jr @ w) / np.linalg.norm(Jr @ w)
-        worst = max(worst, err)
+        for p, J in alone:
+            rp = space.nonlinear_residual(u + eps * w, p, None)
+            rm = space.nonlinear_residual(u - eps * w, p, None)
+            Jw = J @ w
+            worst = max(worst, np.linalg.norm((rp - rm) / (2 * eps) - Jw) / np.linalg.norm(Jw))
         # combined Newton matrix
         fd = (newton_residual(u + eps * w) - newton_residual(u - eps * w)) / (2 * eps)
         err = np.linalg.norm(fd - J_full @ w) / np.linalg.norm(J_full @ w)

@@ -2,9 +2,11 @@
 
 The reference below is the earlier assembly: per-form einsum kernels,
 COO row/column/value arrays scattered by ``coo_matrix`` with duplicate
-summing, and residuals accumulated by ``np.add.at``.  The forms now sum
-their blocks into a fixed CSR pattern with ``np.bincount``; both must
-agree to rounding.
+summing, and residuals accumulated by ``np.add.at``.  The forms now add
+their blocks into a fixed CSR pattern's data with ``np.add.at``; both
+must agree to rounding.  The nonlinear references keep convection (CR volume,
+DG volume plus upwind flux) and reaction apart; ``ref_nonlinear``, their
+difference, is the oracle of the one cell kernel the spaces use.
 """
 
 import numpy as np
@@ -12,9 +14,8 @@ import pytest
 import scipy.sparse as sp
 
 from gbhfem.forms import (ModelParams, assemble_mass, assemble_stiffness_cr,
-                          assemble_stiffness_dg, convection_cr, convection_dg,
-                          dg_boundary_values, dg_norm_matrix,
-                          nonlinear_quad_degree, reaction)
+                          assemble_stiffness_dg, dg_boundary_values, dg_norm_matrix,
+                          nonlinear_quad_degree)
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
@@ -182,6 +183,26 @@ def ref_reaction(space, u, params):
     return res, coo_scatter(space, [ref_cells(space, jac_cells)])
 
 
+def ref_convection(space, u, params, datum=None):
+    if isinstance(space, CRSpace):
+        return ref_convection_cr(space, u, params)
+    return ref_convection_dg(space, u, params, datum)
+
+
+def ref_nonlinear(space, u, params, datum=None):
+    """Convection minus reaction, each skipped when its coefficient is 0:
+    (residual, Jacobian matrix)."""
+    res = np.zeros(space.n_dofs)
+    jac = sp.csr_matrix((space.n_dofs, space.n_dofs))
+    if params.alpha > 0.0:
+        r, j = ref_convection(space, u, params, datum)
+        res, jac = res + r, jac + j
+    if params.beta > 0.0:
+        r, j = ref_reaction(space, u, params)
+        res, jac = res - r, jac - j
+    return res, jac
+
+
 def assert_matrix_close(A, ref):
     scale = abs(ref).max()
     assert abs(A - ref).max() <= RTOL * scale, abs(A - ref).max() / scale
@@ -209,33 +230,55 @@ def test_constant_forms_match_coo_reference(kind):
                             coo_scatter(space, stiff + ref_sipg_pieces(space, 40.0, True)))
 
 
+def datums_of(space):
+    """None, and for DG also a nonzero face datum."""
+    if isinstance(space, CRSpace):
+        return [None]
+    return [None, dg_boundary_values(space, lambda x, t: 0.5 + x[:, 0] - x[:, 1], 0.0)]
+
+
+def assert_nonlinear_matches(space, u, params, ref):
+    for datum in datums_of(space):
+        data = np.zeros(space.pattern.nnz)
+        assert space.add_nonlinear_jacobian(data, u, params, datum) is data
+        ref_res, ref_jac = ref(space, u, params, datum)
+        assert_vector_close(space.nonlinear_residual(u, params, datum), ref_res)
+        assert_matrix_close(space.pattern.matrix(data), ref_jac)
+
+
 @pytest.mark.parametrize("kind", ["cr", "dg"])
 @pytest.mark.parametrize("delta", [1, 2])
 def test_nonlinear_forms_match_coo_reference(kind, delta):
+    # the one cell kernel (plus DG's upwind flux) against the per-term loops
     space = space_of(kind)
     params = ModelParams(delta=delta, reaction_gamma=0.3, alpha=1.5, beta=2.0)
     u = np.random.default_rng(17 + delta).uniform(-1, 1, space.n_dofs)
-    forms = [(reaction, ref_reaction)]
-    if kind == "cr":
-        forms.append((convection_cr, ref_convection_cr))
-    for form, ref in forms:
-        res, jac = form(space, u, params)
-        ref_res, ref_jac = ref(space, u, params)
-        assert_vector_close(res, ref_res)
-        assert_matrix_close(jac, ref_jac)
-        # each part alone is the same as both together
-        assert np.array_equal(form(space, u, params, need_jac=False)[0], res)
-        assert np.array_equal(form(space, u, params, need_res=False)[1].data, jac.data)
-    if kind == "dg":
-        g = dg_boundary_values(space, lambda x, t: 0.5 + x[:, 0] - x[:, 1], 0.0)
-        for datum in (None, g):
-            res, jac = convection_dg(space, u, params, boundary_values=datum)
-            ref_res, ref_jac = ref_convection_dg(space, u, params, datum)
-            assert_vector_close(res, ref_res)
-            assert_matrix_close(jac, ref_jac)
-            _, jac_only = convection_dg(space, u, params, boundary_values=datum,
-                                        need_res=False)
-            assert np.array_equal(jac_only.data, jac.data)
+    assert_nonlinear_matches(space, u, params, ref_nonlinear)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # u**delta overflows on purpose
+@pytest.mark.parametrize("kind", ["cr", "dg"])
+@pytest.mark.parametrize("zero", ["alpha", "beta"])
+def test_zero_coefficient_term_is_not_evaluated(kind, zero):
+    # alpha = 0 leaves minus the reaction, beta = 0 the convection alone;
+    # with both 0 a huge iterate gives zeros, not 0 * inf = NaN
+    space = space_of(kind)
+    params = ModelParams(**{"delta": 2, "reaction_gamma": 0.3, "alpha": 1.5, "beta": 2.0,
+                            zero: 0.0})
+    u = np.random.default_rng(23).uniform(-1, 1, space.n_dofs)
+    if zero == "alpha":
+        def minus_reaction(s, v, p, g):
+            r, j = ref_reaction(s, v, p)
+            return -r, -j
+        assert_nonlinear_matches(space, u, params, minus_reaction)
+    else:
+        assert_nonlinear_matches(space, u, params, ref_convection)
+    params = ModelParams(delta=2, alpha=0.0, beta=0.0)
+    for datum in datums_of(space):
+        assert np.all(space.nonlinear_residual(1e200 * u, params, datum) == 0.0)
+        data = space.add_nonlinear_jacobian(np.zeros(space.pattern.nnz), 1e200 * u, params,
+                                            datum)
+        assert np.all(data == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["cr", "dg"])

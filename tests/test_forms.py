@@ -3,8 +3,7 @@ import pytest
 
 from gbhfem.forms import (ModelParams, assemble_load, assemble_mass,
                           assemble_stiffness_cr, assemble_stiffness_dg,
-                          bind_load, convection_cr, convection_dg,
-                          dg_boundary_values, dg_norm_matrix, reaction)
+                          bind_load, dg_boundary_values, dg_norm_matrix)
 from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.mms import error_l2
@@ -21,6 +20,36 @@ def cr_space(n):
 
 def dg_space(n):
     return DGSpace(generate_rect_mesh(UNIT, n))
+
+
+def convection_only(**kwargs):
+    return ModelParams(beta=0.0, **kwargs)
+
+
+def reaction_only(**kwargs):
+    return ModelParams(alpha=0.0, **kwargs)
+
+
+def jacobian(space, u, params, datum=None):
+    """The nonlinear Jacobian as a matrix on the space's pattern."""
+    data = space.add_nonlinear_jacobian(np.zeros(space.pattern.nnz), u, params, datum)
+    return space.pattern.matrix(data)
+
+
+def central_difference_error(space, params, rng, datum=None, directions=5):
+    """Worst relative gap between the nonlinear Jacobian at a random u and
+    central differences of the residual, over random directions."""
+    u = rng.uniform(-1, 1, space.n_dofs)
+    J = jacobian(space, u, params, datum)
+    eps = 1e-6
+    worst = 0.0
+    for _ in range(directions):
+        w = rng.standard_normal(space.n_dofs)
+        rp = space.nonlinear_residual(u + eps * w, params, datum)
+        rm = space.nonlinear_residual(u - eps * w, params, datum)
+        Jw = J @ w
+        worst = max(worst, np.linalg.norm((rp - rm) / (2 * eps) - Jw) / np.linalg.norm(Jw))
+    return worst
 
 
 def test_model_params_validation():
@@ -121,63 +150,46 @@ def test_dg_coercivity_random_fields():
 
 def test_convection_cr_skew_and_zero():
     space = cr_space(4)
-    params = ModelParams()
+    params = convection_only()
     rng = np.random.default_rng(21)
     for _ in range(10):
         u = rng.uniform(-1, 1, space.n_dofs)
-        res, _ = convection_cr(space, u, params)
+        res = space.nonlinear_residual(u, params, None)
         assert abs(float(u @ res)) < 1e-12
-    res0, jac0 = convection_cr(space, np.zeros(space.n_dofs), params)
-    assert np.all(res0 == 0.0)
-    assert abs(jac0).max() == 0.0
+    zero = np.zeros(space.n_dofs)
+    assert np.all(space.nonlinear_residual(zero, params, None) == 0.0)
+    assert abs(jacobian(space, zero, params)).max() == 0.0
 
 
 @pytest.mark.parametrize("delta", [1, 2])
 def test_convection_cr_jacobian_fd(delta):
+    # convection alone, and convection minus reaction
     space = cr_space(4)
-    params = ModelParams(delta=delta)
     rng = np.random.default_rng(31)
-    u = rng.uniform(-1, 1, space.n_dofs)
-    res, J = convection_cr(space, u, params)
-    eps = 1e-6
-    for _ in range(5):
-        w = rng.standard_normal(space.n_dofs)
-        rp, _ = convection_cr(space, u + eps * w, params, need_jac=False)
-        fd = (rp - res) / eps
-        Jw = J @ w
-        assert np.linalg.norm(fd - Jw) / np.linalg.norm(Jw) <= 1e-5
+    assert central_difference_error(space, convection_only(delta=delta), rng) <= 1e-6
+    assert central_difference_error(space, ModelParams(delta=delta), rng) <= 1e-6
 
 
 def test_convection_dg_skew_and_zero():
     space = dg_space(4)
-    params = ModelParams()
+    params = convection_only()
     rng = np.random.default_rng(41)
     for _ in range(10):
         u = rng.uniform(-1, 1, space.n_dofs)
-        res, _ = convection_dg(space, u, params)
+        res = space.nonlinear_residual(u, params, None)
         assert abs(float(u @ res)) < 1e-10
-    res0, _ = convection_dg(space, np.zeros(space.n_dofs), params)
-    assert np.all(res0 == 0.0)
+    assert np.all(space.nonlinear_residual(np.zeros(space.n_dofs), params, None) == 0.0)
 
 
 @pytest.mark.parametrize("delta", [1, 2])
 def test_convection_dg_jacobian_central_differences(delta):
-    # exact Jacobian, upwind factor included, with a nonzero Dirichlet datum
+    # exact Jacobian, upwind factor included, with a nonzero Dirichlet datum;
+    # convection alone, and convection minus reaction
     space = dg_space(4)
-    params = ModelParams(delta=delta)
     rng = np.random.default_rng(43)
-    u = rng.uniform(-1, 1, space.n_dofs)
     g = dg_boundary_values(space, lambda x, t: 0.5 + x[:, 0] - x[:, 1], 0.0)
-    _, J = convection_dg(space, u, params, boundary_values=g)
-    eps = 1e-6
-    worst = 0.0
-    for _ in range(10):
-        w = rng.standard_normal(space.n_dofs)
-        rp, _ = convection_dg(space, u + eps * w, params, boundary_values=g, need_jac=False)
-        rm, _ = convection_dg(space, u - eps * w, params, boundary_values=g, need_jac=False)
-        Jw = J @ w
-        worst = max(worst, np.linalg.norm((rp - rm) / (2 * eps) - Jw) / np.linalg.norm(Jw))
-    assert worst <= 1e-6
+    for params in (convection_only(delta=delta), ModelParams(delta=delta)):
+        assert central_difference_error(space, params, rng, g, directions=10) <= 1e-6
 
 
 def dense_volume_skew_residual(space, u, params):
@@ -208,10 +220,10 @@ def test_convection_dg_matches_volume_form_for_continuous_fields():
     # left; the flux of the test function does not vanish entry-wise, so the
     # agreement is between the forms, not the raw residual vectors
     space = dg_space(4)
-    params = ModelParams()
+    params = convection_only()
     g = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     u = space.interpolate(g)
-    res, _ = convection_dg(space, u, params)
+    res = space.nonlinear_residual(u, params, None)
     oracle = dense_volume_skew_residual(space, u, params)
     tests = [
         lambda x: np.sin(np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1]),
@@ -226,26 +238,17 @@ def test_convection_dg_matches_volume_form_for_continuous_fields():
 @pytest.mark.parametrize("maker", [cr_space, dg_space])
 def test_reaction_roots(maker):
     space = maker(3)
-    params = ModelParams(reaction_gamma=0.5, delta=1)
-    res1, _ = reaction(space, np.ones(space.n_dofs), params)
+    params = reaction_only(reaction_gamma=0.5, delta=1)
+    res1 = space.nonlinear_residual(np.ones(space.n_dofs), params, None)
     assert np.abs(res1).max() < 1e-14
-    res_root, _ = reaction(space, np.full(space.n_dofs, 0.5), params)
+    res_root = space.nonlinear_residual(np.full(space.n_dofs, 0.5), params, None)
     assert np.abs(res_root).max() < 1e-14
 
 
 def test_reaction_jacobian_fd():
     space = cr_space(4)
-    params = ModelParams(delta=2, reaction_gamma=0.3)
-    rng = np.random.default_rng(51)
-    u = rng.uniform(-1, 1, space.n_dofs)
-    res, J = reaction(space, u, params)
-    eps = 1e-6
-    for _ in range(5):
-        w = rng.standard_normal(space.n_dofs)
-        rp, _ = reaction(space, u + eps * w, params, need_jac=False)
-        fd = (rp - res) / eps
-        Jw = J @ w
-        assert np.linalg.norm(fd - Jw) / np.linalg.norm(Jw) <= 1e-5
+    params = reaction_only(delta=2, reaction_gamma=0.3)
+    assert central_difference_error(space, params, np.random.default_rng(51)) <= 1e-6
 
 
 @pytest.mark.parametrize("maker", [cr_space, dg_space])
@@ -279,11 +282,8 @@ def test_assembly_deterministic():
     A1 = assemble_stiffness_cr(space)
     A2 = assemble_stiffness_cr(CRSpace(generate_rect_mesh(UNIT, 3)))
     assert np.array_equal(A1.data, A2.data) and np.array_equal(A1.indices, A2.indices)
-    r1, J1 = convection_cr(space, u, params)
-    r2, J2 = convection_cr(space, u, params)
-    assert np.array_equal(r1, r2) and np.array_equal(J1.data, J2.data)
     d = dg_space(2)
-    v = rng.uniform(-1, 1, d.n_dofs)
-    rd1, Jd1 = convection_dg(d, v, params)
-    rd2, Jd2 = convection_dg(d, v, params)
-    assert np.array_equal(rd1, rd2) and np.array_equal(Jd1.data, Jd2.data)
+    for s, v in ((space, u), (d, rng.uniform(-1, 1, d.n_dofs))):
+        assert np.array_equal(s.nonlinear_residual(v, params, None),
+                              s.nonlinear_residual(v, params, None))
+        assert np.array_equal(jacobian(s, v, params).data, jacobian(s, v, params).data)

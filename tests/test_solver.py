@@ -15,6 +15,7 @@ from gbhfem.solver import (BackwardEulerSolver, TimeGrid, fhn_v_update,
                            stability_check)
 from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
+from test_assembly_oracle import ref_nonlinear
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -442,33 +443,31 @@ def test_missed_krylov_solve_falls_back_to_lu(monkeypatch):
 @pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
 def test_one_jacobian_per_newton_iteration(make, monkeypatch):
     # the converged iterate of each step gets a residual but no Jacobian
-    calls = {"res": 0, "jac": 0}
-
-    def counting(form):
-        def wrapper(*args, need_jac=True, need_res=True, **kwargs):
-            calls["res"] += need_res
-            calls["jac"] += need_jac
-            return form(*args, need_jac=need_jac, need_res=need_res, **kwargs)
-        return wrapper
-
     s = make()
-    name = "convection_cr" if isinstance(s.space, CRSpace) else "convection_dg"
-    monkeypatch.setattr(forms, name, counting(getattr(forms, name)))
+    calls = {"nonlinear_residual": 0, "add_nonlinear_jacobian": 0}
+    for name in calls:
+        def counting(*args, name=name, method=getattr(s.space, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(s.space, name, counting)
     traj = s.run()
     iters = sum(r.newton_iters for r in traj.records)
     steps = len(traj.records) - 1
-    assert calls == {"res": iters + steps, "jac": iters}
+    assert calls == {"nonlinear_residual": iters + steps, "add_nonlinear_jacobian": iters}
 
 
 def test_cr_newton_matrix_is_the_constrained_jacobian():
-    # data-vector sum and slot mask equal scipy's Di (L + J_conv - J_react) Di + Db
+    # the slot mask gives scipy's Di (L + J) Di + Db, L + J the Jacobian
+    # added into L_base's data
     s = _wave_cr()
     s.params.beta = 2.0
     space = s.space
     u = np.random.default_rng(9).uniform(-1, 1, space.n_dofs)
     J = s._newton_matrix(u)
-    raw = (s.L_base + forms.convection_cr(space, u, s.params)[1]
-           - forms.reaction(space, u, s.params)[1])
+    add = space.add_nonlinear_jacobian
+    raw = space.pattern.matrix(add(s.L_base.data.copy(), u, s.params, None))
+    jac = space.pattern.matrix(add(np.zeros(space.pattern.nnz), u, s.params, None))
+    assert abs(raw - (s.L_base + jac)).max() <= 1e-15 * abs(raw).max()
     keep = np.ones(space.n_dofs)
     keep[space.boundary_dofs] = 0.0
     ref = sp.diags(keep) @ raw @ sp.diags(keep) + sp.diags(1.0 - keep)
@@ -483,10 +482,9 @@ def test_newton_matrix_parts_share_one_pattern(make):
     s = make()
     space = s.space
     u = np.random.default_rng(4).uniform(-1, 1, space.n_dofs)
-    conv = forms.convection_cr if isinstance(s.space, CRSpace) else forms.convection_dg
-    parts = [s.M, s.A, s.G, s.N_energy, s.L_base, conv(space, u, s.params)[1],
-             forms.reaction(space, u, s.params)[1], s._newton_matrix(u)]
-    for A in parts:
+    data = s.L_base.data.copy()        # the Jacobian adds into pattern data
+    assert space.add_nonlinear_jacobian(data, u, s.params, None) is data
+    for A in [s.M, s.A, s.G, s.N_energy, s.L_base, s._newton_matrix(u)]:
         assert np.shares_memory(A.indptr, space.pattern.indptr)
         assert np.shares_memory(A.indices, space.pattern.indices)
 
@@ -536,14 +534,7 @@ def per_term_residual(s, u, u_prev, load, mem_known, cap_known, fhn_const,
     F = s.M @ ((u - u_prev) / dt) + p.nu * Au - load
     if nitsche_k is not None:
         F -= p.nu * nitsche_k
-    if p.alpha > 0.0:
-        if isinstance(s.space, CRSpace):
-            F += forms.convection_cr(s.space, u, p, need_jac=False)[0]
-        else:
-            F += forms.convection_dg(s.space, u, p, boundary_values=flux_datum,
-                                     need_jac=False)[0]
-    if p.beta > 0.0:
-        F -= forms.reaction(s.space, u, p, need_jac=False)[0]
+    F += ref_nonlinear(s.space, u, p, flux_datum)[0]
     if s.weights is not None:
         own = Au if nitsche_k is None else Au - nitsche_k
         F += p.eta * dt * (mem_known + s.weights.diagonal * own)
@@ -585,11 +576,9 @@ def test_residual_and_newton_matrix_match_the_per_term_formula(make):
     F = s._residual(u, b, datum)
     assert np.linalg.norm(F - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    conv = (forms.convection_cr(space, u, p) if isinstance(space, CRSpace)
-            else forms.convection_dg(space, u, p, boundary_values=flux_datum))
     keep = np.ones(space.n_dofs)
     keep[space.boundary_dofs] = 0.0
-    J_ref = (sp.diags(keep) @ (s.L_base + conv[1] - forms.reaction(space, u, p)[1])
+    J_ref = (sp.diags(keep) @ (s.L_base + ref_nonlinear(space, u, p, flux_datum)[1])
              @ sp.diags(keep) + sp.diags(1.0 - keep))
     J = s._newton_matrix(u, datum)
     assert abs(J - J_ref).max() <= 1e-13 * abs(J_ref).max()
