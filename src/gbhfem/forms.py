@@ -27,7 +27,6 @@ Ta_i Tb_j (n_edges, nq, 9) cached with the DG face tables.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,34 +334,39 @@ def add_upwind_jacobian(space, data, u, params, datum):
 
 
 def bind_load(space, f):
-    """The load f bound to the load quadrature points: g(t) -> values.
+    """The load f bound to the load quadrature points: g(ts) -> values.
 
-    An ``mms.forcing`` binds itself (``f.on``) and does its point-only
-    work once; any other ``f(points, t)`` is bound as it is.  None stays None.
+    g takes an (m,) array of times and returns the (m, n_points) values.
+    An ``mms.forcing`` binds itself (``f.on``), does its point-only work
+    once and evaluates all the times in one call; any other
+    ``f(points, t)`` is called once per time, its values (a scalar or
+    one per point) stacked.  None stays None.
     """
     if f is None:
         return None
     X = space.volume_quad(LOAD_QUAD_DEGREE)[2].reshape(-1, 2)
-    return f.on(X) if hasattr(f, "on") else functools.partial(f, X)
+    if hasattr(f, "on"):
+        return f.on(X)
+    return lambda ts: np.stack([np.broadcast_to(np.asarray(f(X, t), dtype=float), len(X))
+                                for t in np.asarray(ts, dtype=float)])
 
 
 def assemble_load(space, load, t_prev, t_next):
     """Load vector of the interval average f^k = (1/dt) int f(s) ds.
 
     The time average uses a 3-point Gauss rule (exact through t^5)
-    composed with the volume quadrature.  ``load(t)`` is the forcing bound
-    to the load points by ``bind_load``; None gives the zero vector.
+    composed with the volume quadrature.  ``load`` is the forcing bound
+    to the load points by ``bind_load``, called once for the three Gauss
+    times; None gives the zero vector.
     """
     if not t_next > t_prev:
         raise ValueError("t_next must exceed t_prev")
     if load is None:
         return np.zeros(space.n_dofs)
     rule, B, X = space.volume_quad(LOAD_QUAD_DEGREE)
-    nshape = X.shape[:2]
-    favg = np.zeros(nshape)
-    for xg, wg in zip(TIME_GAUSS_X, TIME_GAUSS_W):
-        tau = t_prev + (t_next - t_prev) * xg
-        vals = np.asarray(load(tau), dtype=float)
-        favg += wg * np.broadcast_to(vals, (nshape[0] * nshape[1],)).reshape(nshape)
+    vals = load(t_prev + (t_next - t_prev) * TIME_GAUSS_X).reshape(-1, *X.shape[:2])
+    favg = np.zeros(X.shape[:2])
+    for wg, v in zip(TIME_GAUSS_W, vals):
+        favg += wg * v
     out_cells = ((favg * rule.weights) @ B) * space.det_jacobians[:, None]
     return _scatter(space.n_dofs, space.cell_dofs, out_cells)

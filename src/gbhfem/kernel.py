@@ -11,7 +11,8 @@ discrete energy balance.  For power-law kernels the double integrals
 have closed forms (second differences of the double antiderivative), so
 weights carry no quadrature error near the singularity.  The same
 weights applied to difference quotients give an L1-type scheme for the
-Caputo fractional derivative.
+Caputo fractional derivative.  ``History`` keeps a run's exact sums
+sum_{j<k} omega_kj h_j, one block of steps per matrix product.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
-    "KernelSpec", "KernelWeights",
+    "KernelSpec", "KernelWeights", "History", "HISTORY_BLOCK",
     "memory_weights", "caputo_weights", "convolve_power", "caputo_power",
     "resolve_caputo_order",
 ]
@@ -100,6 +102,60 @@ class KernelWeights:
     @property
     def diagonal(self):
         return float(self.lag_weights[0])
+
+
+#: Steps per block of ``History``: the rows older than a block are summed
+#: for all its steps in one matrix product.
+HISTORY_BLOCK = 32
+
+
+class History:
+    """The weighted history sums of one kernel: push h_1, h_2, ... in turn.
+
+    After k - 1 pushes, ``known()`` returns sum_{j<k} omega_kj h_j, step
+    k's sum over the rows already known.  On the first step k0 of each
+    block of ``HISTORY_BLOCK`` steps, the rows h_1 .. h_{k0-1} are summed
+    for every step of the block at once: a (B, k0-1) Toeplitz window of
+    the lag weights times the (k0-1, n) rows, one matrix product that
+    reads the rows once per block instead of once per step.  The few rows
+    pushed within the block are added per step.  The sum is the direct
+    one, ``weights.row(k)[:k-1] @ rows``, added in another order.
+    """
+
+    def __init__(self, weights, n):
+        self._lag = weights.lag_weights
+        self._rows = np.zeros((weights.n_steps, n))
+        self._pushed = 0
+        self._block = 0            # first step of the block in ``_older``
+        self._older = None         # (B, n) sums over the rows before it
+
+    def push(self, h):
+        self._rows[self._pushed] = h
+        self._pushed += 1
+
+    def known(self):
+        k = self._pushed + 1
+        k0 = k - (k - 1) % HISTORY_BLOCK
+        if k0 != self._block:
+            self._older = None          # free the last block's sums first
+            self._block, self._older = k0, self._older_sums(k0)
+        r = k - k0
+        out = self._lag[r:0:-1] @ self._rows[k0 - 1 : k - 1]
+        if self._older is not None:
+            out += self._older[r]
+        return out
+
+    def _older_sums(self, k0):
+        """Row r: sum_{j<k0} omega_{k0+r, j} h_j for the block's steps."""
+        if k0 == 1:
+            return None
+        n_lags = len(self._lag)
+        size = min(HISTORY_BLOCK, n_lags - k0 + 1)
+        # window i of the reversed lags holds lag[n_lags-1-i-c] at column c,
+        # so window n_lags-k0-r is row r: lag[k0-1+r-c] weighs h_{c+1}
+        windows = sliding_window_view(self._lag[::-1], k0 - 1)
+        toeplitz = windows[n_lags - k0 - size + 1 : n_lags - k0 + 1][::-1]
+        return toeplitz @ self._rows[: k0 - 1]
 
 
 #: Terms of the binomial series in ``_second_difference``; at lag 2 the

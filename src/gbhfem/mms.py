@@ -15,9 +15,10 @@ array call.  A planar case (``ManufacturedCase.planar``:
 u depends on the points only through x + y, as the traveling wave does)
 can be evaluated once per distinct value of x + y.
 
-The forcing and the exact solution are evaluated point by point; callers
-that evaluate them on one fixed point set at many times bind them to it
-(``f.on(points)``, ``ManufacturedCase.on``).  The bind does the work that
+The forcing and the exact solution are evaluated point by point; the
+forcing also for an array of times at once.  Callers that evaluate them
+on one fixed point set at many times bind them to it (``f.on(points)``,
+``ManufacturedCase.on``).  The bind does the work that
 depends on the points alone once: it evaluates the spatial factors, or
 picks one representative point per distinct x + y, which has bit-for-bit
 the x + y of the points it stands for.  Bound values are bit for bit the
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 JACOBI_NODES = 48
+#: Most values (times x nodes x points) that one ``lap`` call of the
+#: Gauss-Jacobi rule sees (256 kB per array); more times take several
+#: calls.  ``lap`` makes temporaries of its argument's size, so larger
+#: calls raise the peak memory.
+JACOBI_CHUNK_VALUES = 2**15
 #: Triangle quadrature degree of the error norms.
 ERROR_QUAD_DEGREE = 5
 
@@ -285,15 +291,28 @@ def _jacobi_convolution(lap, mu, x, t, n_nodes=JACOBI_NODES):
 
     The substitution tau = t (z+1)/2 absorbs the endpoint singularity
     into the Jacobi weight (1-z)^(-mu); the rule is spectrally accurate
-    in the smooth factor.
+    in the smooth factor.  ``t`` is a float or an (m,) array of times
+    ((n,) or (m, n) values); times t <= 0 give zero.
     """
-    if t <= 0.0:
-        return np.zeros(len(x))
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (len(x),))
+    positive = t > 0.0
+    if not positive.any():
+        return out
     z, w = _jacobi_rule(n_nodes, mu)
-    # one lap call for all nodes; the column sum adds the rows in node
-    # order, bit for bit as a loop over the nodes would (w @ L would not)
-    L = lap(x, (t * (z + 1.0) / 2.0)[:, None])
-    return (t / 2.0) ** (1.0 - mu) * (w[:, None] * L).sum(axis=0)
+    tp = t[positive]
+    # one lap call for all nodes of as many times as JACOBI_CHUNK_VALUES
+    # allows; the sum over the node axis adds them in node order, bit for
+    # bit as a loop over the nodes would (w @ L would not), and each
+    # time's scale is the float power
+    per_call = max(1, JACOBI_CHUNK_VALUES // (n_nodes * len(x)))
+    sums = []
+    for i in range(0, len(tp), per_call):
+        L = lap(x, (tp[i : i + per_call, None] * (z + 1.0) / 2.0)[..., None])
+        sums.append((w[:, None] * L).sum(axis=-2))
+    scale = np.array([(s / 2.0) ** (1.0 - mu) for s in tp.tolist()])
+    out[positive] = scale[:, None] * np.concatenate(sums)
+    return out
 
 
 def _separable_forcing(case, p, kernel_spec, caputo_order):
@@ -314,6 +333,7 @@ def _separable_forcing(case, p, kernel_spec, caputo_order):
         return np.stack([S, lS, Sd * (gS[:, 0] + gS[:, 1]), Sd * S, Sd * Sd * S])
 
     def scalars(t):
+        """The (m, 5) scalars a_i of the (m,) times t."""
         P = _eval_profile(profile, t)
         a_S = _eval_profile(dprofile, t) + p.beta * gamma * P
         a_lap = -p.nu * P
@@ -322,17 +342,26 @@ def _separable_forcing(case, p, kernel_spec, caputo_order):
         if caputo_order is not None:
             a_S += caputo_power(profile, caputo_order, t)
         Pd1 = P ** (d + 1)
-        return np.array([a_S, a_lap, p.alpha * Pd1, -p.beta * (1.0 + gamma) * Pd1,
-                         p.beta * P ** (2 * d + 1)])
+        a = np.empty((len(t), 5))
+        for i, a_i in enumerate((a_S, a_lap, p.alpha * Pd1, -p.beta * (1.0 + gamma) * Pd1,
+                                 p.beta * P ** (2 * d + 1))):
+            a[:, i] = a_i               # a float where the profile has no t
+        return a
 
-    # einsum sums in numpy's own fixed order; a BLAS product (a @ Phi)
-    # would give bits that depend on its thread count
+    # a float time is the one-row case of an array of times, so each row
+    # of a batch is bit for bit the value at its time; einsum sums in
+    # numpy's own fixed order, where a BLAS product (a @ Phi) would give
+    # bits that depend on its thread count
+    def at(Phi, t):
+        t = np.asarray(t, dtype=float)
+        vals = np.einsum("mi,ij->mj", scalars(t.reshape(-1)), Phi)
+        return vals.reshape(t.shape + Phi.shape[1:])
+
     def f(x, t):
-        return np.einsum("i,ij->j", scalars(t), factors(x))
+        return at(factors(x), t)
 
     def on(points):
-        Phi = factors(points)
-        return lambda t: np.einsum("i,ij->j", scalars(t), Phi)
+        return functools.partial(at, factors(points))
 
     f.on = on
     return f
@@ -344,19 +373,21 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
     f = u_t - nu lap(u) + alpha u^d (u_x + u_y) - beta u(1-u^d)(u^d-gamma)
         - eta int_0^t K(t-s) lap(u)(s) ds  [+ Caputo term].
 
-    ``f(x, t)`` takes (n, 2) points and a float time.  A separable case
+    ``f(x, t)`` takes (n, 2) points and a float time, giving (n,) values,
+    or an (m,) array of times, giving (m, n) values whose rows are bit for
+    bit those of each time alone.  A separable case
     (``time_profile`` set) gets f = sum_i a_i(t) Phi_i(x): five spatial
     factors weighted by scalars from the profile and the Beta-identity
     closed forms of the memory and Caputo terms.  Other cases are
     evaluated point by point, with the memory convolution by a
-    Gauss-Jacobi rule (``lap`` called once for all its nodes); the Caputo
+    Gauss-Jacobi rule (``lap`` called once for all nodes of many times); the Caputo
     term requires a power-family profile.  The Caputo order is
     ``caputo_order``, else ``kernel_spec.caputo_order`` (ValueError when
     both are set and differ).
 
     ``f.on(points)`` returns g(t), f bound to fixed (n, 2) points: bit for
-    bit ``f(points, t)``, with the separable factors or the planar
-    reduction done once, in the bind.
+    bit ``f(points, t)`` for a float or an array t, with the separable
+    factors or the planar reduction done once, in the bind.
     """
     p = params
     caputo_order = resolve_caputo_order(kernel_spec, caputo_order)
@@ -371,11 +402,13 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
             f"case {case.name}: Caputo forcing needs a power-family time profile")
 
     def f(x, t):
-        uval = case.u(x, t)
-        g = case.grad(x, t)
+        t = np.asarray(t, dtype=float)
+        tc = t[:, None] if t.ndim else t        # (m, 1) times give (m, n) values
+        uval = case.u(x, tc)
+        g = case.grad(x, tc)
         ud = uval ** p.delta
-        val = (case.u_t(x, t) - p.nu * case.lap(x, t)
-               + p.alpha * ud * (g[:, 0] + g[:, 1])
+        val = (case.u_t(x, tc) - p.nu * case.lap(x, tc)
+               + p.alpha * ud * (g[..., 0] + g[..., 1])
                - p.beta * uval * (1.0 - ud) * (ud - p.reaction_gamma))
         if p.eta > 0.0:
             val -= p.eta * _jacobi_convolution(case.lap, kernel_spec.mu, x, t)
@@ -385,7 +418,7 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
         if not case.planar:
             return functools.partial(f, points)
         reps, inv = _planar_reduction(points)
-        return lambda t: f(reps, t)[inv]
+        return lambda t: f(reps, t)[..., inv]
 
     f.on = on
     return f

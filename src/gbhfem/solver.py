@@ -14,7 +14,13 @@ and one Newton matrix L_base + J(u), the form's Jacobian J added into a
 copy of L_base's data (``space.add_nonlinear_jacobian``).  The constant
 L_base holds the mass, diffusion, memory/Caputo diagonal and
 FitzHugh-Nagumo parts, and b_k every u-independent term of the step
-(load, previous iterate, history sums, Nitsche vector).  Every Newton
+(load, previous iterate, history sums, Nitsche vector).  The history
+sums over j < k of the memory term, sources eta dt (A u^j - Nitsche^j),
+and of the Caputo term, sources M (u^j - u^{j-1}), are exact and kept
+by one ``kernel.History`` each, which sums the rows older than a block
+of steps in one matrix product per block.  The load evaluates the
+forcing at its three Gauss times in one call per step, and
+``stability_check`` all of a run's Gauss times in a few calls.  Every Newton
 correction is GMRES on the exact Jacobian (Newton-Krylov),
 right-preconditioned by a lagged factor: L_base is factored on the run's
 first Newton solve, and whenever a GMRES solve needs more than
@@ -44,7 +50,7 @@ import numpy as np
 
 from . import forms, linalg
 from .errors import StepFailureError
-from .kernel import caputo_weights, memory_weights, resolve_caputo_order
+from .kernel import History, caputo_weights, memory_weights, resolve_caputo_order
 
 __all__ = [
     "TimeGrid", "StepRecord", "Trajectory", "BackwardEulerSolver",
@@ -193,11 +199,12 @@ class BackwardEulerSolver:
 
     # -- per-step pieces -------------------------------------------------
 
-    def _step_data(self, k, u_prev, mem_known, cap_known, v_prev):
+    def _step_data(self, k, u_prev, known, v_prev):
         """Step k's strong datum values, face datum, Nitsche vector and b_k.
 
-        ``mem_known`` and ``cap_known`` are the memory and Caputo history
-        sums over j < k (0.0 when absent).
+        ``known`` is the history part of the step over j < k (0.0 when
+        absent): eta dt sum_j omega_kj (A u^j - Nitsche^j) for the memory
+        plus sum_j omega^c_kj M (u^j - u^{j-1}) for the Caputo term.
         """
         p = self.params
         dt = self.grid.delta_t
@@ -205,8 +212,8 @@ class BackwardEulerSolver:
         bvals = self.space.boundary_values(self.bc, t_k)
         datum, nitsche = self.space.weak_dirichlet(self.bc, t_k, p.penalty_gamma)
         b = (forms.assemble_load(self.space, self.load, (k - 1) * dt, t_k)
-             + self._prev_coef * (self.M @ u_prev) - cap_known
-             - p.eta * dt * mem_known + self._stiff_coef * nitsche)
+             + self._prev_coef * (self.M @ u_prev) - known
+             + self._stiff_coef * nitsche)
         if self.fhn is not None:
             eps, rho = self.fhn
             b -= (self.M @ v_prev) / (1.0 + dt * eps * rho)
@@ -249,13 +256,14 @@ class BackwardEulerSolver:
         self._last_krylov = stats.krylov_iters - before
         return x
 
-    def step(self, k, u_prev, mem_known, cap_known, v_prev=None, guess=None):
+    def step(self, k, u_prev, known, v_prev=None, guess=None):
         """Advance one step; returns (u_k, v_k, Nitsche vector, record-tuple).
 
-        Newton starts from ``guess`` (``u_prev`` when None) with the
-        datum pinned.
+        ``known`` is the step's history part (see ``_step_data``).  Newton
+        starts from ``guess`` (``u_prev`` when None) with the datum pinned.
+        The returned fields are new arrays.
         """
-        bvals, datum, nitsche, b = self._step_data(k, u_prev, mem_known, cap_known, v_prev)
+        bvals, datum, nitsche, b = self._step_data(k, u_prev, known, v_prev)
         bdofs = self.space.boundary_dofs
         u = (u_prev if guess is None else guess).copy()
         u[bdofs] = bvals
@@ -287,7 +295,13 @@ class BackwardEulerSolver:
         return u, v_new, nitsche, (iters, rnorm, tuple(history), stats)
 
     def run(self):
-        """Execute all steps; returns the Trajectory with diagnostics."""
+        """Execute all steps; returns the Trajectory with diagnostics.
+
+        One loop feeds the memory and the Caputo history: each step's
+        b_k subtracts their ``known()`` sums, and the solved field pushes
+        their next source rows.  The trajectory stores the fields that
+        ``step`` returns, without copies.
+        """
         space = self.space
         grid = self.grid
         dt = grid.delta_t
@@ -302,40 +316,36 @@ class BackwardEulerSolver:
             v = (space.interpolate(self.v0) if self.v0 is not None
                  else np.zeros(space.n_dofs))
 
-        fields = [u.copy()]
-        v_fields = [v.copy()] if v is not None else None
+        fields = [u]
+        v_fields = [v] if v is not None else None
         energy_cum = 0.0
         records = [self._record(0, 0.0, u, 0, 0.0, (), energy_cum, linalg.SolveStats())]
 
         self._precond = None                # nothing carries over between runs
         self._last_krylov = 0
-        mem_hist = np.zeros((n, space.n_dofs)) if self.weights is not None else None
-        cap_hist = np.zeros((n, space.n_dofs)) if self.cweights is not None else None
+        # (history, source of its next row) of the memory and the Caputo term
+        histories = []
+        if self.weights is not None:
+            scale = self.params.eta * dt
+            histories.append((History(self.weights, space.n_dofs),
+                              lambda u_new, u_old, nitsche: scale * (self.A @ u_new - nitsche)))
+        if self.cweights is not None:
+            histories.append((History(self.cweights, space.n_dofs),
+                              lambda u_new, u_old, nitsche: self.M @ (u_new - u_old)))
 
         for k in range(1, n + 1):
-            mem_known = 0.0
-            if self.weights is not None and k > 1:
-                w_row = self.weights.row(k)[: k - 1]
-                mem_known = w_row @ mem_hist[: k - 1]
-            cap_known = 0.0
-            if self.cweights is not None and k > 1:
-                c_row = self.cweights.row(k)[: k - 1]
-                cap_known = c_row @ cap_hist[: k - 1]
-
+            known = sum(history.known() for history, _ in histories)
             guess = None if k == 1 else 2.0 * u - fields[-2]
             u_new, v_new, nitsche, (iters, rnorm, hist, stats) = self.step(
-                k, u, mem_known, cap_known, v, guess)
-
-            if self.weights is not None:
-                mem_hist[k - 1] = self.A @ u_new - nitsche
-            if self.cweights is not None:
-                cap_hist[k - 1] = self.M @ (u_new - u)
+                k, u, known, v, guess)
+            for history, source in histories:
+                history.push(source(u_new, u, nitsche))
 
             u = u_new
             if v_new is not None:
                 v = v_new
-                v_fields.append(v.copy())
-            fields.append(u.copy())
+                v_fields.append(v)
+            fields.append(u)
             energy_cum += dt * float(u @ (self.N_energy @ u))
             records.append(self._record(k, k * dt, u, iters, rnorm, hist, energy_cum, stats))
 
@@ -361,6 +371,11 @@ class StabilityReport:
     holds: bool
 
 
+#: ``stability_check`` evaluates the forcing for as many times at once as
+#: keep one block of (times, load points) values under this many (2 MB).
+STABILITY_CHUNK_VALUES = 2**18
+
+
 def stability_check(traj, space, params, forcing, u0):
     """Verify sup_k ||u^k||^2 + nu |||u|||^2 <= (||u0||^2 + (1/nu) int ||f||^2) e^{beta (1+gamma^2) T}.
 
@@ -377,25 +392,23 @@ def stability_check(traj, space, params, forcing, u0):
     Xf = X.reshape(-1, 2)
     det = space.det_jacobians
 
-    def spatial_l2_sq(values_flat):
-        v2 = values_flat.reshape(X.shape[:2]) ** 2
-        return float(np.einsum("cq,q,c->", v2, rule.weights, det))
-
     u0_part = 0.0
     if u0 is not None:
-        u0_part = spatial_l2_sq(np.broadcast_to(np.asarray(u0(Xf), dtype=float), (Xf.shape[0],)))
+        v2 = np.broadcast_to(np.asarray(u0(Xf), dtype=float), len(Xf)).reshape(X.shape[:2]) ** 2
+        u0_part = float(np.einsum("cq,q,c->", v2, rule.weights, det))
 
     f_part = 0.0
     load = forms.bind_load(space, forcing)
     if load is not None:
-        for k in range(1, len(traj.times)):
-            t_prev = traj.times[k - 1]
-            for xg, wg in zip(forms.TIME_GAUSS_X, forms.TIME_GAUSS_W):
-                tau = t_prev + dt * xg
-                vals = np.broadcast_to(
-                    np.asarray(load(tau), dtype=float), (Xf.shape[0],))
-                f_part += dt * wg * spatial_l2_sq(vals)
-        f_part /= params.nu
+        # the load's Gauss times, step by step, evaluated a chunk at a time
+        taus = (traj.times[:-1, None] + dt * forms.TIME_GAUSS_X).reshape(-1)
+        chunk = max(1, STABILITY_CHUNK_VALUES // len(Xf))
+        sq = np.concatenate([
+            np.einsum("mcq,q,c->m", load(ts).reshape(len(ts), *X.shape[:2]) ** 2,
+                      rule.weights, det)
+            for ts in np.split(taus, range(chunk, len(taus), chunk))])
+        w = forms.TIME_GAUSS_W
+        f_part = dt * float(np.sum(sq.reshape(-1, len(w)) * w)) / params.nu
 
     growth = np.exp(params.beta * (1.0 + params.reaction_gamma**2) * T)
     rhs = (u0_part + f_part) * growth

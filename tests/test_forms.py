@@ -267,6 +267,24 @@ def test_load_examples(maker):
     assert np.abs(bq - (dt**2 / 3.0) * (M @ one)).max() < 1e-15
 
 
+@pytest.mark.parametrize("values", ["per point", "scalar"])
+def test_plain_load_is_stacked_per_time(values):
+    # a plain f(points, t) is called once per time; a scalar value is
+    # spread over the points
+    space = cr_space(3)
+    X = space.volume_quad(5)[2].reshape(-1, 2)
+    calls = []
+    if values == "scalar":
+        f = lambda x, t: calls.append(t) or 2.0 * t
+    else:
+        f = lambda x, t: calls.append(t) or np.sin(x[:, 0] + t) * x[:, 1]
+    ts = np.array([0.0, 0.25, 0.25, 0.7])
+    rows = bind_load(space, f)(ts)
+    assert rows.shape == (len(ts), len(X)) and calls == list(ts)
+    for row, t in zip(rows, ts):
+        assert np.array_equal(row, np.broadcast_to(f(X, t), len(X)))
+
+
 def test_load_requires_increasing_interval():
     space = cr_space(2)
     with pytest.raises(ValueError):

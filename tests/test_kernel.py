@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gbhfem.kernel import (KernelSpec, caputo_power, caputo_weights,
-                           convolve_power, memory_weights)
+from gbhfem.kernel import (HISTORY_BLOCK, History, KernelSpec, caputo_power,
+                           caputo_weights, convolve_power, memory_weights)
 
 
 def oracle_lag_weight(mu, dt, m):
@@ -243,3 +245,47 @@ def test_convolution_quadrature_first_order():
         errs.append(abs(disc - exact))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) >= 0.8
+
+
+B = HISTORY_BLOCK
+HISTORY_WEIGHTS = {
+    "memory-mu0.1": lambda n: memory_weights(KernelSpec(mu=0.1), 1.0 / n, n),
+    "memory-mu0.5": lambda n: memory_weights(KernelSpec(mu=0.5), 1.0 / n, n),
+    "memory-mu0.9": lambda n: memory_weights(KernelSpec(mu=0.9), 1.0 / n, n),
+    "constant": lambda n: memory_weights(KernelSpec(kind="constant"), 1.0 / n, n),
+    "caputo": lambda n: caputo_weights(0.5, 1.0 / n, n),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 3 * B + 5])
+@pytest.mark.parametrize("weights", sorted(HISTORY_WEIGHTS))
+def test_history_matches_the_direct_sum(n_steps, weights):
+    # the blocked sums against row(k) @ H, the direct sum of every step
+    w = HISTORY_WEIGHTS[weights](n_steps)
+    H = np.random.default_rng(n_steps).uniform(-1.0, 1.0, (n_steps, 5))
+    history = History(w, 5)
+    for k in range(1, n_steps + 1):
+        got = history.known()
+        want = w.row(k)[: k - 1] @ H[: k - 1]
+        assert got.shape == (5,)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(initial=0.0)
+        history.push(H[k - 1])
+
+
+def test_history_scratch_per_block_is_bounded():
+    # at the long memory run's size the block product's transient memory
+    # is the Toeplitz window's copy (B x k0 weights) and the block's
+    # (B, n) sums, not a (B, k0) index matrix or a per-step copy of rows
+    n_steps, n = 1500, 800
+    history = History(memory_weights(KernelSpec(mu=0.5), 1.0 / n_steps, n_steps), n)
+    row = np.ones(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(n_steps):
+            history.known()
+            history.push(row)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * B * n_steps + 2 * B * n + 2 * n)

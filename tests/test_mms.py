@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gbhfem.forms as forms
 import gbhfem.mms as mms
 from gbhfem.errors import UnsupportedCaseError
 from gbhfem.forms import ModelParams
@@ -337,7 +338,8 @@ def _count_reductions(monkeypatch):
 def test_planar_forcing_reduced_once_per_point_set(monkeypatch):
     # miniature wave runs on two meshes: one np.unique per bind, however
     # many steps run, and lap only ever sees one point per distinct x + y:
-    # once for the diffusion term and once for all Gauss-Jacobi nodes
+    # per step once for the diffusion term at the three Gauss times and
+    # once for all their Gauss-Jacobi nodes
     reductions = _count_reductions(monkeypatch)
     case = mms.traveling_wave(100)
     case.self_check()
@@ -357,8 +359,8 @@ def test_planar_forcing_reduced_once_per_point_set(monkeypatch):
             BackwardEulerSolver(space, params, TimeGrid(1.0, n_steps), forcing=f,
                                 u0=case.initial, bc=case.boundary,
                                 kernel_spec=WAVE_SPEC).run()
-            assert len(rows) == n_steps * 3 * 2
-            assert set(rows) == {(distinct, ()), (distinct, (mms.JACOBI_NODES, 1))}
+            assert len(rows) == n_steps * 2
+            assert set(rows) == {(distinct, (3, 1)), (distinct, (3, mms.JACOBI_NODES, 1))}
             assert len(reductions) == 1 and np.shares_memory(reductions[0], X)
 
 
@@ -375,6 +377,67 @@ def test_planar_cache_follows_its_argument(monkeypatch):
     for X, f_on in binds + binds[::-1]:
         assert np.array_equal(f_on(0.4), f(X, 0.4))
     assert len(reductions) == 4
+
+
+def _array_time_forcing(kind):
+    """(case, params, kernel spec) of a separable, planar or general forcing."""
+    if kind == "separable":
+        return mms.type_two(), ModelParams(eta=1.0, delta=2), KernelSpec(mu=0.5)
+    if kind == "separable-caputo":
+        return mms.type_one(), ModelParams(eta=1.0), KernelSpec(mu=0.5, caputo_order=0.5)
+    if kind == "planar":
+        return mms.traveling_wave(50), _wave_params(50, 1.0), WAVE_SPEC
+    # type one without its profile: neither separable nor planar, so the
+    # memory term goes through the Gauss-Jacobi rule at every point
+    return per_point_case(mms.type_one()), ModelParams(eta=1.0), KernelSpec(mu=0.3)
+
+
+@pytest.mark.parametrize("kind", ["separable", "separable-caputo", "planar", "general"])
+@pytest.mark.parametrize("scheme", ["cr", "dg"])
+def test_forcing_over_an_array_of_times(kind, scheme):
+    # each row of the bound forcing at (m,) times is bit for bit its value
+    # at that time alone, bound or per point
+    case, params, spec = _array_time_forcing(kind)
+    f = mms.forcing(case, params, spec)
+    space = mms.SPACES[scheme](generate_rect_mesh(UNIT, 3))
+    X = space.volume_quad(forms.LOAD_QUAD_DEGREE)[2].reshape(-1, 2)
+    load = forms.bind_load(space, f)
+    ts = np.array([0.0, 0.05, 0.3, 0.3, 0.9, 1.0])
+    rows = load(ts)
+    assert rows.shape == (len(ts), len(X))
+    assert np.array_equal(f(X, ts), rows)
+    for row, t in zip(rows, ts):
+        assert np.array_equal(row, load(t))
+        assert np.array_equal(row, f(X, t))
+        assert np.array_equal(row, load(np.array([t]))[0])
+
+
+@pytest.mark.parametrize("kind", ["planar", "general"])
+def test_jacobi_convolution_over_times_up_to_zero(kind, monkeypatch):
+    # times t <= 0 give zero memory rows and never reach lap; the others
+    # are bit for bit their single-time values, with one lap call for all
+    # of them, or one per JACOBI_CHUNK_VALUES
+    case, params, spec = _array_time_forcing(kind)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (11, 2))
+    seen = []
+    lap = lambda x_, t: seen.append(np.shape(t)) or case.lap(x_, t)
+    ts = np.array([-0.4, 0.0, 0.2, 0.7])
+    rows = mms._jacobi_convolution(lap, spec.mu, x, ts)
+    assert seen == [(2, mms.JACOBI_NODES, 1)]
+    assert rows.shape == (4, 11) and not rows[:2].any() and rows[2:].all()
+    for row, t in zip(rows, ts):
+        assert np.array_equal(row, mms._jacobi_convolution(case.lap, spec.mu, x, t))
+    assert seen == [(2, mms.JACOBI_NODES, 1)]
+    f = mms.forcing(case, params, spec)
+    for row, t in zip(f(x, ts), ts):
+        assert np.array_equal(row, f(x, t))
+    seen.clear()
+    monkeypatch.setattr(mms, "JACOBI_CHUNK_VALUES", 2 * mms.JACOBI_NODES * 11)
+    many = np.linspace(-0.2, 1.0, 7)
+    rows = mms._jacobi_convolution(lap, spec.mu, x, many)
+    assert seen == [(2, mms.JACOBI_NODES, 1)] * 2 + [(1, mms.JACOBI_NODES, 1)]
+    for row, t in zip(rows, many):
+        assert np.array_equal(row, mms._jacobi_convolution(case.lap, spec.mu, x, t))
 
 
 def test_jacobi_convolution_matches_beta_identity():

@@ -7,9 +7,10 @@ import scipy.sparse as sp
 import gbhfem.forms as forms
 import gbhfem.linalg as linalg
 import gbhfem.mms as mms
+import gbhfem.solver as solver
 from gbhfem.errors import StepFailureError
 from gbhfem.forms import ModelParams
-from gbhfem.kernel import KernelSpec, caputo_power
+from gbhfem.kernel import HISTORY_BLOCK, KernelSpec, caputo_power
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.solver import (BackwardEulerSolver, TimeGrid, fhn_v_update,
                            stability_check)
@@ -314,24 +315,36 @@ def _wave_cr(**kw):
         kernel_spec=spec, **kw)
 
 
-def _wave_dg(**kw):
+def _wave_dg(n_steps=6, **kw):
     # the same data weakly imposed (Nitsche vector and upwind flux datum)
     case = mms.traveling_wave(20)
     params = ModelParams(nu=1.0 / 20, eta=1.0)
     spec = KernelSpec(mu=0.5)
     return BackwardEulerSolver(
-        DGSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(0.5, 6),
+        DGSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(0.5, n_steps),
         forcing=mms.forcing(case, params, spec), u0=case.initial, bc=case.boundary,
         kernel_spec=spec, **kw)
 
 
-def _memory_caputo_cr(**kw):
+def _memory_caputo_cr(n_steps=6, **kw):
     case = mms.type_one()
     params = ModelParams(eta=1.0)
     spec = KernelSpec(mu=0.5, caputo_order=0.5)
     return BackwardEulerSolver(
-        CRSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(1.0, 6),
+        CRSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(1.0, n_steps),
         forcing=mms.forcing(case, params, spec), u0=case.initial, kernel_spec=spec, **kw)
+
+
+#: Steps of the runs that cross two history blocks.
+LONG = 2 * HISTORY_BLOCK + 5
+
+
+def _memory_caputo_cr_long(**kw):
+    return _memory_caputo_cr(LONG, **kw)
+
+
+def _wave_dg_long(**kw):
+    return _wave_dg(LONG, **kw)
 
 
 def _spiral_dg(**kw):
@@ -560,7 +573,8 @@ def test_residual_and_newton_matrix_match_the_per_term_formula(make):
     cap_known = cap_known if s.cweights is not None else 0.0
     v_prev = v_prev if s.fhn is not None else None
 
-    bvals, datum, nitsche, b = s._step_data(k, u_prev, mem_known, cap_known, v_prev)
+    known = p.eta * dt * mem_known + cap_known
+    bvals, datum, nitsche, b = s._step_data(k, u_prev, known, v_prev)
     u[space.boundary_dofs] = bvals
     load = forms.assemble_load(space, forms.bind_load(space, s.forcing), (k - 1) * dt, t_k)
     flux_datum = nitsche_k = fhn_const = None
@@ -606,7 +620,7 @@ def per_step_terms(s, traj):
     space, p = s.space, s.params
     dt = s.grid.delta_t
     U = traj.fields
-    own = [None]
+    own, cap = [None], [None]
     for k in range(1, len(U)):
         t_k = k * dt
         flux_datum = nitsche_k = fhn_const = None
@@ -614,13 +628,14 @@ def per_step_terms(s, traj):
             flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
             nitsche_k = forms.dirichlet_rhs_dg(space, flux_datum, p.penalty_gamma)
         own.append(s.A @ U[k] - (0.0 if nitsche_k is None else nitsche_k))
+        cap.append(s.M @ (U[k] - U[k - 1]))
         mem_known = cap_known = 0.0
         if s.weights is not None and k > 1:
             row = s.weights.row(k)
             mem_known = sum(row[j - 1] * own[j] for j in range(1, k))
         if s.cweights is not None and k > 1:
             row = s.cweights.row(k)
-            cap_known = sum(row[j - 1] * (s.M @ (U[j] - U[j - 1])) for j in range(1, k))
+            cap_known = sum(row[j - 1] * cap[j] for j in range(1, k))
         if s.fhn is not None:
             eps, rho = s.fhn
             fhn_const = (s.M @ traj.v_fields[k - 1]) / (1.0 + dt * eps * rho)
@@ -628,11 +643,12 @@ def per_step_terms(s, traj):
         yield k, (load, mem_known, cap_known, fhn_const, nitsche_k, flux_datum)
 
 
-@pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_dg, _spiral_dg])
+@pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_dg, _spiral_dg,
+                                  _memory_caputo_cr_long, _wave_dg_long])
 def test_trajectory_solves_the_per_term_equations(make):
     # rebuilds every step's history sums from the stored fields, so run()'s
     # memory (diffusion minus Nitsche vector), Caputo and FHN bookkeeping
-    # is checked end to end
+    # is checked end to end; the long runs cross two history blocks
     s = make()
     traj = s.run()
     U = traj.fields
@@ -669,3 +685,60 @@ def test_extrapolated_start_saves_newton_iterations(monkeypatch):
     step = s.step
     monkeypatch.setattr(s, "step", lambda *args: step(*args[:-1]))   # start at u^{k-1}
     assert extrapolated < newton_total(s)
+
+
+@pytest.mark.parametrize("make", [_memory_caputo_cr, _spiral_dg])
+def test_stored_fields_share_no_memory(make):
+    traj = make().run()
+    stored = traj.fields + (traj.v_fields or [])
+    assert len(stored) == len(traj.times) * (1 + (traj.v_fields is not None))
+    for i, a in enumerate(stored):
+        for b in stored[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def _count_load_calls(monkeypatch):
+    """The time arrays that bound loads are called with from now on."""
+    calls = []
+    bind = forms.bind_load
+
+    def counting(space, f):
+        load = bind(space, f)
+        return lambda ts: calls.append(np.shape(ts)) or load(ts)
+
+    monkeypatch.setattr(forms, "bind_load", counting)
+    return calls
+
+
+def stability_f_part(traj, space, params, f):
+    """(1/nu) int ||f||^2 dt time by time: the reference of the batched sum."""
+    dt = traj.times[1] - traj.times[0]
+    rule, _, X = space.volume_quad(forms.LOAD_QUAD_DEGREE)
+    total = 0.0
+    for t_prev in traj.times[:-1]:
+        for xg, wg in zip(forms.TIME_GAUSS_X, forms.TIME_GAUSS_W):
+            v2 = f(X.reshape(-1, 2), t_prev + dt * xg).reshape(X.shape[:2]) ** 2
+            total += dt * wg * np.einsum("cq,q,c->", v2, rule.weights, space.det_jacobians)
+    return total / params.nu
+
+
+def test_forcing_evaluated_once_per_step_and_per_chunk(monkeypatch):
+    # the load evaluates its three Gauss times in one call per step, and
+    # the stability check all 3N times in ceil(3N / chunk) calls, with
+    # the same sum for any chunk
+    calls = _count_load_calls(monkeypatch)
+    s = _memory_caputo_cr(LONG)
+    traj = s.run()
+    assert calls == [(3,)] * LONG
+    space, params = s.space, s.params
+    n_points = space.volume_quad(forms.LOAD_QUAD_DEGREE)[2][..., 0].size
+    reports = []
+    for chunk in (10, 3 * LONG, 1):
+        calls.clear()
+        monkeypatch.setattr(solver, "STABILITY_CHUNK_VALUES", chunk * n_points)
+        reports.append(stability_check(traj, space, params, s.forcing, None))
+        assert len(calls) == -(-3 * LONG // chunk)
+        assert set(calls[:-1]) <= {(chunk,)}
+    assert reports[0] == reports[1] == reports[2]
+    want = stability_f_part(traj, space, params, s.forcing)
+    assert abs(reports[0].f_part - want) <= 1e-13 * want
