@@ -14,7 +14,7 @@ from .quadrature import QuadratureRule, triangle_rule, edge_rule
 from .space_cr import CRSpace
 from .space_dg import DGSpace
 from .forms import ModelParams
-from .kernel import KernelSpec, KernelWeights, memory_weights, caputo_weights, convolve_power
+from .kernel import KernelSpec, KernelWeights, memory_weights, caputo_weights, PowerSum
 from .solver import TimeGrid, Trajectory, BackwardEulerSolver, stability_check
 from .mms import ManufacturedCase, type_one, type_two, traveling_wave, forcing, convergence_study
 
@@ -25,7 +25,7 @@ __all__ = [
     "QuadratureRule", "triangle_rule", "edge_rule",
     "CRSpace", "DGSpace",
     "ModelParams",
-    "KernelSpec", "KernelWeights", "memory_weights", "caputo_weights", "convolve_power",
+    "KernelSpec", "KernelWeights", "memory_weights", "caputo_weights", "PowerSum",
     "TimeGrid", "Trajectory", "BackwardEulerSolver", "stability_check",
     "ManufacturedCase", "type_one", "type_two", "traveling_wave", "forcing",
     "convergence_study",

@@ -369,6 +369,13 @@ def main(argv=None):
                 cfg = replace(cfg, levels=args.levels)
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: --levels {args.levels}: {exc}") from exc
+        if args.func is cmd_convergence:
+            # convergence_study's coarsest level takes round(t_final / dt) steps
+            d = cfg.domain
+            dt = cfg.dt_coupling * max(d[2] - d[0], d[3] - d[1]) / cfg.mesh_n
+            if int(round(cfg.t_final / dt)) < 1:
+                _fail(args.config, f"t_final = {cfg.t_final!r} gives the coarsest level no "
+                      f"time step (dt = dt_coupling * h = {dt!r})", "t_final", "run")
         return args.func(replace(cfg, seed=args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

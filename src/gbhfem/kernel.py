@@ -13,12 +13,18 @@ weights carry no quadrature error near the singularity.  The same
 weights applied to difference quotients give an L1-type scheme for the
 Caputo fractional derivative.  ``History`` keeps a run's exact sums
 sum_{j<k} omega_kj h_j, one block of steps per matrix product.
+
+``PowerSum`` is the one closed-form algebra of the power law on a
+profile sum_i c_i t^(p_i): its derivative, its convolution with
+t^(-mu) (Beta identity) and its Caputo derivative (Gamma identity;
+Podlubny, Fractional Differential Equations, 1999, sec. 2.3) are power
+sums again.  The manufactured forcing of a separable case builds them
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,34 +33,31 @@ from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "KernelSpec", "KernelWeights", "History", "HISTORY_BLOCK",
-    "memory_weights", "caputo_weights", "convolve_power", "caputo_power",
-    "resolve_caputo_order",
+    "memory_weights", "caputo_weights", "PowerSum", "resolve_caputo_order",
 ]
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel selection: power-law t^(-mu), constant, or a user callable.
+    """Kernel selection: power-law t^(-mu) or constant.
 
     ``mu`` must lie in [0, 1) so the kernel is integrable on (0, T).
     ``caputo_order``, when set, requests the additional fractional time
     derivative of that order.
     """
 
-    kind: str = "power"            # "power" | "constant" | "callable"
+    kind: str = "power"            # "power" | "constant"
     mu: float = 0.5
     caputo_order: float | None = None
-    k_func: object = None          # K(t) for kind="callable"; must be bounded
 
     def __post_init__(self):
-        if self.kind not in ("power", "constant", "callable"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.kind not in ("power", "constant"):
+            raise ValueError(f"kernel kind must be one of ('power', 'constant'), "
+                             f"got {self.kind!r}")
         if self.kind == "constant":
             object.__setattr__(self, "mu", 0.0)
-        if self.kind in ("power", "constant") and not 0.0 <= self.mu < 1.0:
+        if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"kernel exponent mu must lie in [0, 1), got {self.mu!r}")
-        if self.kind == "callable" and not callable(self.k_func):
-            raise ValueError("kind='callable' requires k_func")
         if self.caputo_order is not None and not 0.0 < self.caputo_order < 1.0:
             raise ValueError(f"caputo order must lie in (0, 1), got {self.caputo_order!r}")
 
@@ -190,44 +193,19 @@ def _second_difference(a, m):
 
 
 def memory_weights(spec, delta_t, n_steps):
-    """Nonnegative quadrature weights for the memory convolution.
-
-    Power-law and constant kernels use exact closed forms; callable
-    kernels are integrated numerically (they must be bounded).
-    """
+    """Nonnegative quadrature weights for the memory convolution, exact:
+    second differences of the kernel's double antiderivative."""
     if not delta_t > 0.0:
         raise ValueError("delta_t must be positive")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
     n_steps = int(n_steps)
-
-    if spec.kind in ("power", "constant"):
-        mu = spec.mu
-        if not 0.0 <= mu < 1.0:
-            raise ValueError(f"kernel exponent mu must lie in [0, 1), got {mu!r}")
-        # second differences of the double antiderivative
-        # K2(t) = t^(2-mu) / ((1-mu)(2-mu)), scaled by dt^-2
-        scale = delta_t**-mu / ((1.0 - mu) * (2.0 - mu))
-        lag = np.empty(n_steps)
-        lag[0] = scale
-        lag[1:] = scale * _second_difference(2.0 - mu, np.arange(1.0, n_steps))
-        return KernelWeights(float(delta_t), n_steps, lag)
-
-    from scipy.integrate import dblquad
-
-    K = spec.k_func
+    mu = spec.mu
+    # K2(t) = t^(2-mu) / ((1-mu)(2-mu)), scaled by dt^-2
+    scale = delta_t**-mu / ((1.0 - mu) * (2.0 - mu))
     lag = np.empty(n_steps)
-    for m in range(n_steps):
-        t0, t1 = m * delta_t, (m + 1.0) * delta_t
-        # region: t in (t0, t1), s in (t - t1 ... ) rewritten in lag variable
-        val, _ = dblquad(
-            lambda s, t: K(t - s),
-            t0, t1,
-            lambda t: 0.0,
-            lambda t: min(t, delta_t),
-            epsabs=1e-13, epsrel=1e-11,
-        )
-        lag[m] = val / delta_t**2
+    lag[0] = scale
+    lag[1:] = scale * _second_difference(2.0 - mu, np.arange(1.0, n_steps))
     return KernelWeights(float(delta_t), n_steps, lag)
 
 
@@ -246,58 +224,48 @@ def caputo_weights(mu_c, delta_t, n_steps):
     return w
 
 
-def _profile_terms(profile):
-    terms = tuple((float(c), float(p)) for c, p in profile)
-    for _, p in terms:
-        if p <= -1.0:
-            raise ValueError(f"profile power {p} must exceed -1")
-    return terms
+@dataclass(frozen=True)
+class PowerSum:
+    """The power sum t -> sum_i c_i t^(p_i) of (c_i, p_i) terms, p_i > -1.
 
-
-def _power_sum(terms, t):
-    """sum of coef * t^power over terms for t > 0, and 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = 0.0
-    for coef, power in terms:
-        out = out + coef * t**power
-    out = np.where(t > 0.0, out, 0.0)
-    return out if out.ndim else float(out)
-
-
-# The t-independent factors of convolve_power and caputo_power, per
-# (profile terms, order): a forcing evaluates the same ones at every time.
-
-@lru_cache(maxsize=64)
-def _beta_terms(terms, mu):
-    return tuple((c * beta_fn(1.0 - mu, p + 1.0), p + 1.0 - mu) for c, p in terms)
-
-
-@lru_cache(maxsize=64)
-def _gamma_terms(terms, mu_c):
-    return tuple((c * gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - mu_c), p - mu_c)
-                 for c, p in terms if p != 0.0)
-
-
-def convolve_power(profile, spec, t):
-    """Exact int_0^t (t-tau)^(-mu) g(tau) dtau for g = sum c * tau^p.
-
-    Uses the Beta identity int_0^t (t-tau)^(-mu) tau^p dtau =
-    B(1-mu, p+1) t^(p+1-mu).  ``profile`` is an iterable of (c, p) pairs
-    with p > -1.
+    A float time gives a float and an array of times an array, both
+    through numpy.  A ``causal`` sum is 0 for t <= 0.  The transforms
+    return new sums: ``derivative``, and the two causal closed forms of
+    the weakly singular kernel, ``convolved`` (the Beta identity) and
+    ``caputo`` (the Gamma identity).
     """
-    if spec.kind == "callable":
-        raise ValueError("closed-form convolution needs a power-law kernel")
-    terms = _beta_terms(_profile_terms(profile), spec.mu)
-    return _power_sum(terms, t)
 
+    terms: tuple
+    causal: bool = False
 
-def caputo_power(profile, mu_c, t):
-    """Exact Caputo derivative of order mu_c of g = sum c * t^p, p >= 0.
+    def __post_init__(self):
+        terms = tuple((float(c), float(p)) for c, p in self.terms)
+        for _, p in terms:
+            if p <= -1.0:
+                raise ValueError(f"power {p} must exceed -1")
+        object.__setattr__(self, "terms", terms)
 
-    d^mu/dt^mu t^p = Gamma(p+1)/Gamma(p+1-mu) t^(p-mu); constant terms
-    drop out.
-    """
-    if not 0.0 < mu_c < 1.0:
-        raise ValueError(f"caputo order must lie in (0, 1), got {mu_c!r}")
-    terms = _gamma_terms(_profile_terms(profile), float(mu_c))
-    return _power_sum(terms, t)
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        for c, p in self.terms:
+            out = out + c * t**p
+        if self.causal:
+            out = np.where(t > 0.0, out, 0.0)
+        return out if out.ndim else float(out)
+
+    def derivative(self):
+        return PowerSum([(c * p, p - 1.0) for c, p in self.terms if p], self.causal)
+
+    def convolved(self, mu):
+        """int_0^t (t - s)^(-mu) g(s) ds, by B(1-mu, p+1) t^(p+1-mu) per term."""
+        return PowerSum([(c * beta_fn(1.0 - mu, p + 1.0), p + 1.0 - mu)
+                         for c, p in self.terms], causal=True)
+
+    def caputo(self, order):
+        """The Caputo derivative of the given order, by Gamma(p+1)/Gamma(p+1-order)
+        t^(p-order) per term; constants drop out."""
+        if not 0.0 < order < 1.0:
+            raise ValueError(f"caputo order must lie in (0, 1), got {order!r}")
+        return PowerSum([(c * gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - order), p - order)
+                         for c, p in self.terms if p != 0.0], causal=True)

@@ -5,13 +5,14 @@ forcing is assembled from the strong operator, including the memory
 convolution and the optional Caputo term.  Every case passes a
 finite-difference self-consistency gate before a study is allowed to run.
 
-A separable case u = P(t) S(x) with a power-family profile P has the
-forcing f(x, t) = sum_i a_i(t) Phi_i(x) over five spatial factors
-(S, lap S, S^d (S_x + S_y), S^(d+1), S^(2d+1)) and scalars a_i(t) from P,
-its derivative and the closed-form (Beta-identity) memory and Caputo
-terms.  The forcing of other cases takes the memory convolution by a
-singularity-absorbing Gauss-Jacobi rule whose nodes go to ``lap`` in one
-array call.  A planar case (``ManufacturedCase.planar``:
+A separable case u = P(t) S(x) (``Separable``: a ``kernel.PowerSum``
+profile P and the spatial factors S, grad S, lap S) has the forcing
+f(x, t) = sum_i a_i(t) Phi_i(x) over five spatial factors
+(S, lap S, S^d (S_x + S_y), S^(d+1), S^(2d+1)) and scalars a_i(t) from
+the power sums P, P' and P's closed-form memory and Caputo terms, all
+built once with the forcing.  The forcing of other cases takes the
+memory convolution by a singularity-absorbing Gauss-Jacobi rule whose
+nodes go to ``lap`` in one array call.  A planar case (``ManufacturedCase.planar``:
 u depends on the points only through x + y, as the traveling wave does)
 can be evaluated once per distinct value of x + y.
 
@@ -34,14 +35,14 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import UnsupportedCaseError
-from .kernel import caputo_power, convolve_power, resolve_caputo_order
+from .kernel import PowerSum, resolve_caputo_order
 from .mesh import generate_rect_mesh
 from .solver import BackwardEulerSolver, TimeGrid, stability_check
 from .space_cr import CRSpace
 from .space_dg import DGSpace
 
 __all__ = [
-    "ManufacturedCase", "type_one", "type_two", "traveling_wave",
+    "ManufacturedCase", "Separable", "type_one", "type_two", "traveling_wave",
     "forcing", "error_l2", "error_linf_l2", "error_energy",
     "StudyRow", "StudyResult", "SPACES", "convergence_study",
 ]
@@ -68,11 +69,9 @@ class ManufacturedCase:
     against the points: an (n,) array pairs one time with each point, and
     an (m, 1) array gives (m, n) values ((m, n, 2) for ``grad``).
 
-    ``time_profile`` is a list of (coef, power) pairs when u =
-    profile(t) * spatial(x) is separable, enabling closed-form memory and
-    Caputo forcing terms; such a case also gives the spatial factors
-    ``spatial``, ``spatial_grad`` and ``spatial_lap`` (S, grad S and lap S
-    as functions of the points alone).
+    ``separable`` is the factorization u = P(t) S(x) of a separable case
+    (``Separable.case`` builds such a case), enabling closed-form memory
+    and Caputo forcing terms; None otherwise.
 
     ``planar`` declares that ``u`` and its derivatives depend on the
     points only through the float x[:, 0] + x[:, 1].  It is a fact about
@@ -87,17 +86,8 @@ class ManufacturedCase:
     grad: object
     lap: object
     homogeneous_bc: bool = True
-    time_profile: list | None = None
-    spatial: object = None
-    spatial_grad: object = None
-    spatial_lap: object = None
+    separable: Separable | None = None
     planar: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        if self.time_profile is not None:
-            for name in ("spatial", "spatial_grad", "spatial_lap"):
-                if getattr(self, name) is None:
-                    raise ValueError(f"case {self.name}: a time_profile needs {name}")
 
     def initial(self, x):
         return self.u(x, 0.0)
@@ -108,31 +98,32 @@ class ManufacturedCase:
     def on(self, points):
         """(u(t), grad(t)): ``u`` and ``grad`` bound to the (n, 2) points;
         a separable case evaluates S and grad S here, once."""
-        if self.time_profile is None:
+        sep = self.separable
+        if sep is None:
             return functools.partial(self.u, points), functools.partial(self.grad, points)
-        profile = self.time_profile
-        S, gradS = self.spatial(points), self.spatial_grad(points)
-        return (lambda t: _eval_profile(profile, t) * S,
-                lambda t: np.asarray(_eval_profile(profile, t))[..., None] * gradS)
+        S, gradS = sep.S(points), sep.gradS(points)
+        return (lambda t: sep.P(t) * S,
+                lambda t: np.asarray(sep.P(t))[..., None] * gradS)
 
-    def self_check(self, box=(0.0, 0.0, 1.0, 1.0), t_range=(0.05, 0.95),
-                   n_probes=30, seed=0, tol=1e-6):
+    def self_check(self, box=(0.0, 0.0, 1.0, 1.0)):
         """Finite-difference consistency gate for the stated derivatives.
 
+        At 30 seeded random probes in ``box`` and times in [0.05, 0.95],
         u_t and grad are compared against central differences of u; lap
         against central differences of the stated gradient (a plain
         second difference of u cannot reach the tolerance in double
-        precision for steep fronts).  Errors are relative to |value| + 1.
-        Raises on failure.
+        precision for steep fronts).  Errors are relative to |value| + 1
+        and must not exceed 1e-6.  Raises on failure.
         """
-        rng = np.random.default_rng(seed)
+        n_probes, tol = 30, 1e-6
+        rng = np.random.default_rng(0)
         xmin, ymin, xmax, ymax = box
         margin = 1e-3 * min(xmax - xmin, ymax - ymin)
         x = np.column_stack([
             rng.uniform(xmin + margin, xmax - margin, n_probes),
             rng.uniform(ymin + margin, ymax - margin, n_probes),
         ])
-        t = rng.uniform(*t_range, n_probes)
+        t = rng.uniform(0.05, 0.95, n_probes)
 
         def check(name, exact, approx, against="finite differences"):
             err = np.max(np.abs(exact - approx) / (np.abs(exact) + 1.0))
@@ -158,41 +149,30 @@ class ManufacturedCase:
         if self.planar:
             d = 0.1 * min(xmax - xmin, ymax - ymin)
             both = np.vstack([x, x + [d, -d]])
-            t_mid = 0.5 * (t_range[0] + t_range[1])
             for name in ("u", "u_t", "grad", "lap"):
-                v = getattr(self, name)(both, t_mid)
+                v = getattr(self, name)(both, 0.5)
                 check(name, v[:n_probes], v[n_probes:], "its value at (x + d, y - d) "
                       "although the case is declared planar")
         return True
 
 
-def _separable(name, profile, S, gradS, lapS, homogeneous):
-    dprofile = _profile_derivative(profile)
+@dataclass(frozen=True)
+class Separable:
+    """u = P(t) S(x): a ``PowerSum`` profile P and the spatial factors S,
+    grad S and lap S, functions of the (n, 2) points alone."""
 
-    def u(x, t):
-        return _eval_profile(profile, t) * S(x)
+    P: PowerSum
+    S: object
+    gradS: object
+    lapS: object
 
-    def u_t(x, t):
-        return _eval_profile(dprofile, t) * S(x)
-
-    def grad(x, t):
-        return np.asarray(_eval_profile(profile, t))[..., None] * gradS(x)
-
-    def lap(x, t):
-        return _eval_profile(profile, t) * lapS(x)
-
-    return ManufacturedCase(name, u, u_t, grad, lap, homogeneous,
-                            time_profile=list(profile), spatial=S, spatial_grad=gradS,
-                            spatial_lap=lapS)
-
-
-def _eval_profile(profile, t):
-    return sum(c * t**p if p else c for c, p in profile)
-
-
-def _profile_derivative(profile):
-    """The (coef, power) pairs of the time derivative of a power profile."""
-    return [(c * p, p - 1.0) for c, p in profile if p]
+    def case(self, name, homogeneous_bc=True):
+        """The ``ManufacturedCase`` of this factorization."""
+        P, dP, S, gradS, lapS = self.P, self.P.derivative(), self.S, self.gradS, self.lapS
+        return ManufacturedCase(
+            name, lambda x, t: P(t) * S(x), lambda x, t: dP(t) * S(x),
+            lambda x, t: np.asarray(P(t))[..., None] * gradS(x),
+            lambda x, t: P(t) * lapS(x), homogeneous_bc, separable=self)
 
 
 def type_one():
@@ -211,8 +191,8 @@ def type_one():
     def lapS(x):
         return -2.0 * pi**2 * S(x)
 
-    return _separable("type1", [(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)],
-                      S, gradS, lapS, True)
+    return Separable(PowerSum([(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)]),
+                     S, gradS, lapS).case("type1")
 
 
 def type_two():
@@ -231,7 +211,7 @@ def type_two():
     def lapS(x):
         return -8.0 * pi**2 * S(x)
 
-    return _separable("type2", [(1.0, 1.5)], S, gradS, lapS, True)
+    return Separable(PowerSum([(1.0, 1.5)]), S, gradS, lapS).case("type2")
 
 
 def traveling_wave(reynolds):
@@ -278,15 +258,15 @@ def _planar_reduction(x):
 
 
 @functools.lru_cache(maxsize=16)
-def _jacobi_rule(n_nodes, mu):
+def _jacobi_rule(mu):
     """Gauss-Jacobi nodes and weights for the weight (1-z)^(-mu), read-only."""
-    z, w = roots_jacobi(n_nodes, -mu, 0.0)
+    z, w = roots_jacobi(JACOBI_NODES, -mu, 0.0)
     z.flags.writeable = False
     w.flags.writeable = False
     return z, w
 
 
-def _jacobi_convolution(lap, mu, x, t, n_nodes=JACOBI_NODES):
+def _jacobi_convolution(lap, mu, x, t):
     """int_0^t (t - tau)^(-mu) lap(x, tau) dtau by Gauss-Jacobi in tau.
 
     The substitution tau = t (z+1)/2 absorbs the endpoint singularity
@@ -299,13 +279,13 @@ def _jacobi_convolution(lap, mu, x, t, n_nodes=JACOBI_NODES):
     positive = t > 0.0
     if not positive.any():
         return out
-    z, w = _jacobi_rule(n_nodes, mu)
+    z, w = _jacobi_rule(mu)
     tp = t[positive]
     # one lap call for all nodes of as many times as JACOBI_CHUNK_VALUES
     # allows; the sum over the node axis adds them in node order, bit for
     # bit as a loop over the nodes would (w @ L would not), and each
     # time's scale is the float power
-    per_call = max(1, JACOBI_CHUNK_VALUES // (n_nodes * len(x)))
+    per_call = max(1, JACOBI_CHUNK_VALUES // (JACOBI_NODES * len(x)))
     sums = []
     for i in range(0, len(tp), per_call):
         L = lap(x, (tp[i : i + per_call, None] * (z + 1.0) / 2.0)[..., None])
@@ -324,29 +304,28 @@ def _separable_forcing(case, p, kernel_spec, caputo_order):
     - beta (1 + gamma) P^(d+1) S^(d+1) + beta P^(2d+1) S^(2d+1).
     """
     d, gamma = p.delta, p.reaction_gamma
-    profile = case.time_profile
-    dprofile = _profile_derivative(profile)
+    sep = case.separable
+    P, dP = sep.P, sep.P.derivative()
+    memory = P.convolved(kernel_spec.mu) if p.eta > 0.0 else None
+    caputo = None if caputo_order is None else P.caputo(caputo_order)
 
     def factors(x):
-        S, gS, lS = case.spatial(x), case.spatial_grad(x), case.spatial_lap(x)
+        S, gS, lS = sep.S(x), sep.gradS(x), sep.lapS(x)
         Sd = S**d
         return np.stack([S, lS, Sd * (gS[:, 0] + gS[:, 1]), Sd * S, Sd * Sd * S])
 
     def scalars(t):
         """The (m, 5) scalars a_i of the (m,) times t."""
-        P = _eval_profile(profile, t)
-        a_S = _eval_profile(dprofile, t) + p.beta * gamma * P
-        a_lap = -p.nu * P
-        if p.eta > 0.0:
-            a_lap -= p.eta * convolve_power(profile, kernel_spec, t)
-        if caputo_order is not None:
-            a_S += caputo_power(profile, caputo_order, t)
-        Pd1 = P ** (d + 1)
-        a = np.empty((len(t), 5))
-        for i, a_i in enumerate((a_S, a_lap, p.alpha * Pd1, -p.beta * (1.0 + gamma) * Pd1,
-                                 p.beta * P ** (2 * d + 1))):
-            a[:, i] = a_i               # a float where the profile has no t
-        return a
+        Pt = P(t)
+        a_S = dP(t) + p.beta * gamma * Pt
+        a_lap = -p.nu * Pt
+        if memory is not None:
+            a_lap -= p.eta * memory(t)
+        if caputo is not None:
+            a_S += caputo(t)
+        Pd1 = Pt ** (d + 1)
+        return np.stack([a_S, a_lap, p.alpha * Pd1, -p.beta * (1.0 + gamma) * Pd1,
+                         p.beta * Pt ** (2 * d + 1)], axis=1)
 
     # a float time is the one-row case of an array of times, so each row
     # of a batch is bit for bit the value at its time; einsum sums in
@@ -375,13 +354,13 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
 
     ``f(x, t)`` takes (n, 2) points and a float time, giving (n,) values,
     or an (m,) array of times, giving (m, n) values whose rows are bit for
-    bit those of each time alone.  A separable case
-    (``time_profile`` set) gets f = sum_i a_i(t) Phi_i(x): five spatial
-    factors weighted by scalars from the profile and the Beta-identity
-    closed forms of the memory and Caputo terms.  Other cases are
+    bit those of each time alone.  A separable case (``case.separable``
+    set) gets f = sum_i a_i(t) Phi_i(x): five spatial factors weighted by
+    scalars from the power sums of its profile, its derivative and the
+    closed-form memory and Caputo terms, built here, once.  Other cases are
     evaluated point by point, with the memory convolution by a
-    Gauss-Jacobi rule (``lap`` called once for all nodes of many times); the Caputo
-    term requires a power-family profile.  The Caputo order is
+    Gauss-Jacobi rule (``lap`` called once for all nodes of many times);
+    the Caputo term requires a separable case.  The Caputo order is
     ``caputo_order``, else ``kernel_spec.caputo_order`` (ValueError when
     both are set and differ).
 
@@ -393,9 +372,7 @@ def forcing(case, params, kernel_spec=None, caputo_order=None):
     caputo_order = resolve_caputo_order(kernel_spec, caputo_order)
     if p.eta > 0.0 and kernel_spec is None:
         raise ValueError("eta > 0 requires a kernel_spec")
-    if p.eta > 0.0 and kernel_spec.kind == "callable":
-        raise UnsupportedCaseError("manufactured memory forcing needs a power-law kernel")
-    if case.time_profile is not None:
+    if case.separable is not None:
         return _separable_forcing(case, p, kernel_spec, caputo_order)
     if caputo_order is not None:
         raise UnsupportedCaseError(
@@ -490,12 +467,6 @@ class StudyResult:
     scheme: str
     rows: list
     stability: list = field(default_factory=list)
-
-    def last_energy_rate(self):
-        return self.rows[-1].rate_energy
-
-    def last_l2_rate(self):
-        return self.rows[-1].rate_l2
 
 
 def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25,

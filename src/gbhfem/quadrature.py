@@ -33,10 +33,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_points(self):
-        return len(self.weights)
-
 
 def _check_degree(degree):
     if not isinstance(degree, (int, np.integer)) or not 1 <= degree <= MAX_DEGREE:

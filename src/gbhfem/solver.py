@@ -34,11 +34,12 @@ so a Newton matrix is a sum of ``data`` vectors, and a Jacobian is
 built only for the iterations that solve with it.
 The space supplies what differs between the schemes: diffusion and
 energy-norm matrices, nonlinear form and Dirichlet datum, evaluated
-once per step.  The datum pins the ``boundary_dofs`` (CR midpoints; none
-for DG), whose residual rows are zero and whose Newton rows and columns
-are the identity's; DG's weak datum enters b_k (Nitsche vector) and the
-upwind flux.  The optional recovery variable of the FitzHugh-Nagumo
-coupling is eliminated per dof with its closed-form implicit Euler update.
+once per step in one ``space.dirichlet`` call.  The datum pins the
+``boundary_dofs`` (CR midpoints; none for DG), whose residual rows are
+zero and whose Newton rows and columns are the identity's; DG's weak
+datum enters b_k (Nitsche vector) and the upwind flux.  The optional
+recovery variable of the FitzHugh-Nagumo coupling is eliminated per dof
+with its closed-form implicit Euler update.
 """
 
 from __future__ import annotations
@@ -105,9 +106,6 @@ class Trajectory:
     fields: list
     records: list
     v_fields: list | None = None
-
-    def __len__(self):
-        return len(self.fields)
 
 
 def fhn_v_update(v_prev, u_new, eps, rho, delta_t):
@@ -209,8 +207,7 @@ class BackwardEulerSolver:
         p = self.params
         dt = self.grid.delta_t
         t_k = k * dt
-        bvals = self.space.boundary_values(self.bc, t_k)
-        datum, nitsche = self.space.weak_dirichlet(self.bc, t_k, p.penalty_gamma)
+        bvals, datum, nitsche = self.space.dirichlet(self.bc, t_k, p.penalty_gamma)
         b = (forms.assemble_load(self.space, self.load, (k - 1) * dt, t_k)
              + self._prev_coef * (self.M @ u_prev) - known
              + self._stiff_coef * nitsche)

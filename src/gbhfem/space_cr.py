@@ -8,10 +8,10 @@ the mean of the inter-element jump vanish on every edge.
 A space also carries what its scheme adds to the one residual of the
 solver: its diffusion and energy-norm matrices, its nonlinear form (the
 shared volume kernel, plus DG's upwind flux) and how its Dirichlet
-datum enters; and, outside the solver, the jump part of its energy-norm
-error and the name of its VTK writer.  CR imposes the datum strongly at
-the boundary midpoints (``boundary_dofs``, ``boundary_values``) and has
-no weakly imposed part.
+datum enters (``dirichlet``); and, outside the solver, the jump part of
+its energy-norm error and the name of its VTK writer.  CR imposes the
+datum strongly at the boundary midpoints (``boundary_dofs``) and has no
+weakly imposed part.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class P1Space:
     def __init__(self, mesh, ref_grads):
         self.mesh = mesh
         inv, det = _inverse_jacobians(mesh)
-        self.inv_jacobians = inv
         self.det_jacobians = det                       # = 2 * cell area
         self.grads = np.einsum("ij,cjk->cik", ref_grads, inv)
         self._quad_cache = {}
@@ -96,14 +95,6 @@ class P1Space:
             raise ValueError("field values must be finite")
         return np.broadcast_to(vals, (self.n_dofs,)).copy()
 
-    def boundary_values(self, g, t):
-        """Datum g(., t) at the ``boundary_dofs``; zero when g is None."""
-        b = self.boundary_dofs
-        if g is None or not len(b):
-            return np.zeros(len(b))
-        vals = np.asarray(g(self.dof_locations[b], t), dtype=float)
-        return np.broadcast_to(vals, (len(b),)).copy()
-
     def nonlinear_residual(self, u, params, datum):
         """The volume kernel ``forms.nonlinear_residual``; no face datum."""
         return forms.nonlinear_residual(self, u, params)
@@ -111,14 +102,6 @@ class P1Space:
     def add_nonlinear_jacobian(self, data, u, params, datum):
         """Add its Jacobian into ``data`` on ``pattern``; returns ``data``."""
         return forms.add_nonlinear_jacobian(self, data, u, params)
-
-    def weak_dirichlet(self, g, t, penalty_gamma):
-        """Weakly imposed datum: (face datum or None, Nitsche vector or 0).
-
-        The face datum enters the nonlinear form, the Nitsche vector the
-        known right-hand side.  None and 0 here: the datum is strong.
-        """
-        return None, 0.0
 
 
 class CRSpace(P1Space):
@@ -150,6 +133,15 @@ class CRSpace(P1Space):
         """
         G = forms.assemble_stiffness_cr(self)
         return G, G, G
+
+    def dirichlet(self, g, t, penalty_gamma):
+        """Datum g(., t) of one step: (values at the ``boundary_dofs``, zero
+        for g None; face datum None and Nitsche vector 0.0, nothing is weak)."""
+        b = self.boundary_dofs
+        if g is None:
+            return np.zeros(len(b)), None, 0.0
+        vals = np.asarray(g(self.dof_locations[b], t), dtype=float)
+        return np.broadcast_to(vals, (len(b),)).copy(), None, 0.0
 
     def penalty_jump_sq(self, u, exact, t):
         """Jump part of the energy-norm error: 0.0, the CR norm has none."""

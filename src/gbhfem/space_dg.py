@@ -87,16 +87,18 @@ class DGSpace(P1Space):
                 forms.assemble_stiffness_dg(self, penalty_gamma),
                 forms.dg_norm_matrix(self, penalty_gamma))
 
-    def weak_dirichlet(self, g, t, penalty_gamma):
-        """Datum at the boundary-edge quadrature points and its Nitsche vector.
+    def dirichlet(self, g, t, penalty_gamma):
+        """Datum g(., t) of one step: (no strong values, the datum at the
+        boundary-edge quadrature points, its Nitsche vector).
 
         The datum is evaluated once; the Nitsche vector is built from it,
-        and the solver hands it to the upwind flux.  (None, 0) for g None.
+        and the solver hands it to the upwind flux.  (empty, None, 0.0)
+        for g None.
         """
         if g is None:
-            return None, 0.0
+            return np.zeros(0), None, 0.0
         datum = forms.dg_boundary_values(self, g, t)
-        return datum, forms.dirichlet_rhs_dg(self, datum, penalty_gamma)
+        return np.zeros(0), datum, forms.dirichlet_rhs_dg(self, datum, penalty_gamma)
 
     def nonlinear_residual(self, u, params, datum):
         """The volume kernel plus the upwind flux, face datum as exterior trace."""

@@ -75,15 +75,15 @@ def fmt_rows(rows):
 
 
 def test_criterion_01_cr_memory_rate(c1_study):
-    rate = c1_study.last_energy_rate()
+    rate = c1_study.rows[-1].rate_energy
     report(1, rate >= 0.9,
            f"Type I CR with sqrt kernel, dt=h/4: finest energy rate {rate:.3f} "
            f"(>= 0.9) [{fmt_rows(c1_study.rows)}]")
 
 
 def test_criterion_02_dg_memory_rate(c2_study):
-    rate = c2_study.last_energy_rate()
-    l2rate = c2_study.last_l2_rate()
+    rate = c2_study.rows[-1].rate_energy
+    l2rate = c2_study.rows[-1].rate_l2
     if l2rate < 1.5:
         print(f"[criterion  2] WARNING (soft): L-inf-L2 rate {l2rate:.3f} < 1.5")
     report(2, rate >= 0.9,
@@ -92,14 +92,14 @@ def test_criterion_02_dg_memory_rate(c2_study):
 
 
 def test_criterion_03_type_two_rates(c3_studies):
-    rates = {s: r.last_energy_rate() for s, r in c3_studies.items()}
+    rates = {s: r.rows[-1].rate_energy for s, r in c3_studies.items()}
     report(3, all(r >= 0.9 for r in rates.values()),
            "Type II energy rates despite t^(3/2) time regularity: "
            + ", ".join(f"{s}={r:.3f}" for s, r in rates.items()) + " (>= 0.9)")
 
 
 def test_criterion_04_caputo_rates(c4_studies):
-    rates = {s: r.last_energy_rate() for s, r in c4_studies.items()}
+    rates = {s: r.rows[-1].rate_energy for s, r in c4_studies.items()}
     report(4, all(r >= 0.9 for r in rates.values()),
            "Caputo(1/2) + sqrt kernel, Type I energy rates: "
            + ", ".join(f"{s}={r:.3f}" for s, r in rates.items()) + " (>= 0.9)")
@@ -127,7 +127,7 @@ def c6_studies():
 
 
 def test_criterion_06_traveling_wave(c6_studies):
-    rates = {k: s.last_energy_rate() for k, s in c6_studies.items()}
+    rates = {k: s.rows[-1].rate_energy for k, s in c6_studies.items()}
     detail = ", ".join(f"Re={k[0]} eta={k[1]:g}: {r:.3f}" for k, r in rates.items())
     report(6, all(r >= 0.85 for r in rates.values()),
            f"traveling wave energy rates over 3 levels: {detail} (>= 0.85)")

@@ -454,6 +454,7 @@ BAD_CONFIGS = {
     "newton_both_reversed": ("type1", "[newton]\nmax_iter = 0\ntol = -1\n", "max_iter"),
     "snapshot_interval": ("type1", "snapshot_interval = -1\n", "snapshot_interval"),
     "reynolds_inf": ("traveling_wave", "[traveling_wave]\nreynolds = inf\n", "reynolds"),
+    "kernel_callable": ("type1", "[kernel]\nkind = callable\n", "kind"),
 }
 
 
@@ -476,7 +477,27 @@ def test_bad_config_is_a_config_error_at_its_line(tmp_path, capsys, command, nam
     assert key in message
     other = {"tol": "max_iter", "max_iter": "tol"}.get(key)
     assert other is None or other not in message
+    if name == "kernel_callable":
+        assert "('power', 'constant')" in message
     assert not (tmp_path / "o").exists()
+
+
+def test_t_final_below_the_coarsest_step(tmp_path, capsys):
+    # the coarsest level (h = 1/4, dt = h/4) would round to 0 steps: a
+    # convergence study refuses it at the t_final line; simulate runs it
+    text = ("[run]\ncase = type1\nmesh_n = 4\nlevels = 2\nt_final = 0.01\n"
+            "dt_coupling = 0.25\n")
+    path = write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:{_key_line(text, 't_final')}: t_final"), err
+    assert not out.exists()
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "diagnostics.csv").exists()
+    text = text.replace("0.01", "0.04")       # rounds to 1 step
+    assert main(["convergence", "--config", str(write(tmp_path, text)),
+                 "--out", str(out)]) == 0
 
 
 SPIRAL = """\

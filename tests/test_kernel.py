@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gbhfem.kernel import (HISTORY_BLOCK, History, KernelSpec, caputo_power,
-                           caputo_weights, convolve_power, memory_weights)
+from gbhfem.kernel import (HISTORY_BLOCK, History, KernelSpec, PowerSum, caputo_weights,
+                           memory_weights)
 
 
 def oracle_lag_weight(mu, dt, m):
@@ -95,14 +95,8 @@ def test_weight_errors():
         memory_weights(KernelSpec(mu=0.5), 0.1, 0)
     with pytest.raises(ValueError):
         caputo_weights(1.2, 0.1, 4)
-
-
-def test_callable_kernel_matches_power_law():
-    # bounded kernel: compare the numeric path against the closed form mu=0
-    spec = KernelSpec(kind="callable", k_func=lambda t: 1.0)
-    w_num = memory_weights(spec, 0.3, 4)
-    w_exact = memory_weights(KernelSpec(kind="constant"), 0.3, 4)
-    assert np.abs(w_num.lag_weights - w_exact.lag_weights).max() < 1e-9
+    with pytest.raises(ValueError, match="one of \\('power', 'constant'\\)"):
+        KernelSpec(kind="callable")
 
 
 def test_caputo_constant_is_zero():
@@ -127,38 +121,41 @@ def test_caputo_of_t_first_order():
 
 
 def test_convolve_power_examples():
-    spec = KernelSpec(mu=0.5)
     t = np.array([0.0, 0.5, 1.0, 2.0])
-    out = convolve_power([(1.0, 0.0)], spec, t)
+    out = PowerSum([(1.0, 0.0)]).convolved(0.5)(t)
     assert np.abs(out - 2.0 * np.sqrt(t)).max() < 1e-13
-    got = convolve_power([(1.0, 1.5)], spec, 2.0)
+    got = PowerSum([(1.0, 1.5)]).convolved(0.5)(2.0)
     assert abs(got - (3.0 * np.pi / 8.0) * 4.0) < 1e-12
-    assert convolve_power([(0.0, 2.0)], spec, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        convolve_power([(1.0, -1.5)], spec, 1.0)
+    assert PowerSum([(0.0, 2.0)]).convolved(0.5)(1.0) == 0.0
+    with pytest.raises(ValueError, match="must exceed -1"):
+        PowerSum([(1.0, -1.5)])
+    with pytest.raises(ValueError, match="must exceed -1"):
+        PowerSum([(1.0, -1.0)])
+    with pytest.raises(ValueError, match="must exceed -1"):
+        PowerSum([(1.0, -0.5)]).caputo(0.75)
 
 
 def test_convolve_power_against_quadrature():
-    spec = KernelSpec(mu=0.25)
-    profile = [(2.0, 3.0), (-1.0, 2.0), (0.5, 0.0)]
+    profile = PowerSum([(2.0, 3.0), (-1.0, 2.0), (0.5, 0.0)])
     t = 0.7
     want, _ = quad(lambda s: (t - s) ** -0.25 * (2 * s**3 - s**2 + 0.5), 0.0, t,
                    points=[t], epsabs=1e-13, epsrel=1e-12)
-    assert abs(convolve_power(profile, spec, t) - want) < 1e-10
+    assert abs(profile.convolved(0.25)(t) - want) < 1e-10
 
 
 def test_caputo_power_closed_form():
     # d^(1/2)/dt^(1/2) of t = 2 sqrt(t/pi); constants drop out
     t = 0.81
-    got = caputo_power([(1.0, 1.0), (5.0, 0.0)], 0.5, t)
+    got = PowerSum([(1.0, 1.0), (5.0, 0.0)]).caputo(0.5)(t)
     assert abs(got - 2.0 * np.sqrt(t / np.pi)) < 1e-13
+    with pytest.raises(ValueError, match="caputo order"):
+        PowerSum([(1.0, 1.0)]).caputo(1.0)
 
 
-def per_call_convolve_power(profile, spec, t):
-    """convolve_power with its Beta factors evaluated at every call (the
-    reference oracle of the cached factors)."""
+def per_call_convolved(profile, mu, t):
+    """The memory term of the profile's (c, p) pairs, its Beta factors
+    evaluated at every call (the reference oracle of ``convolved``)."""
     from scipy.special import beta as beta_fn
-    mu = spec.mu
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0.0
@@ -167,8 +164,8 @@ def per_call_convolve_power(profile, spec, t):
     return out if out.ndim else float(out)
 
 
-def per_call_caputo_power(profile, mu_c, t):
-    """caputo_power with its Gamma factors evaluated at every call."""
+def per_call_caputo(profile, mu_c, t):
+    """The Caputo term, its Gamma factors evaluated at every call."""
     from scipy.special import gamma as gamma_fn
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
@@ -181,39 +178,89 @@ def per_call_caputo_power(profile, mu_c, t):
     return out if out.ndim else float(out)
 
 
+def per_call_profile(profile, t):
+    """sum c t^p, term by term in numpy (the oracle of a plain PowerSum)."""
+    t = np.asarray(t, dtype=float)
+    out = sum((c * t**p for c, p in profile), np.zeros(t.shape))
+    return out if out.ndim else float(out)
+
+
 PROFILES = [[(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)], [(2.0, 1.5)], [(1.0, 0.0)],
             [(0.5, 0.75), (-3.0, 2.0), (1e-3, 1.0)]]
+TIMES = [0.0, 1e-300, 0.37, 1.0, 2.5, np.linspace(0.0, 3.0, 31)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")      # negative powers of t = 0
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 0.9])
 def test_power_closed_forms_bit_identical_to_per_call_factors(profile, mu):
-    ts = [0.0, 1e-300, 0.37, 1.0, 2.5, np.linspace(0.0, 3.0, 31)]
-    for t in ts:
-        for _ in range(2):                  # the second call hits the cache
-            assert np.array_equal(convolve_power(profile, KernelSpec(mu=mu), t),
-                                  per_call_convolve_power(profile, KernelSpec(mu=mu), t))
-            if mu > 0.0:
-                assert np.array_equal(caputo_power(profile, mu, t),
-                                      per_call_caputo_power(profile, mu, t))
-    assert type(convolve_power(profile, KernelSpec(mu=mu), 0.5)) is float
+    P = PowerSum(profile)
+    memory = P.convolved(mu)
+    caputo = P.caputo(mu) if mu > 0.0 else None
+    for t in TIMES:
+        assert np.array_equal(memory(t), per_call_convolved(profile, mu, t))
+        if caputo is not None:
+            assert np.array_equal(caputo(t), per_call_caputo(profile, mu, t))
+    assert type(memory(0.5)) is float
 
 
-def test_manufactured_forcing_bit_identical_to_per_call_factors(monkeypatch):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # t^(-1/4) at t = 0
+@pytest.mark.parametrize("profile", PROFILES)
+def test_derivative_term_by_term(profile):
+    P = PowerSum(profile)
+    dP = P.derivative()
+    assert dP.terms == tuple((c * p, p - 1.0) for c, p in profile if p)
+    assert not dP.causal and not P.causal
+    for t in TIMES[1:]:
+        assert np.array_equal(P(t), per_call_profile(profile, t))
+        assert np.array_equal(dP(t), per_call_profile(dP.terms, t))
+    # against central differences at t = 0.6
+    h = 1e-6
+    assert abs(dP(0.6) - (P(0.6 + h) - P(0.6 - h)) / (2 * h)) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("profile", PROFILES)
+def test_float_time_is_the_row_of_an_array_of_times(profile):
+    # a float time and the matching entry of an array of times take the
+    # same numpy path, so they agree bit for bit; a float time gives a float
+    ts = TIMES[-1]
+    P = PowerSum(profile)
+    for fn in (P, P.derivative(), P.convolved(0.5), P.caputo(0.5)):
+        rows = fn(ts)
+        assert rows.shape == ts.shape
+        for t, row in zip(ts.tolist(), rows):
+            value = fn(t)
+            assert type(value) is float
+            assert np.array_equal(value, row)
+
+
+def test_manufactured_forcing_bit_identical_to_per_call_factors():
+    # the separable forcing, its sums built once, against the strong
+    # operator summed from the per-call closed forms at each time
     from gbhfem import mms
     from gbhfem.forms import ModelParams
 
     case = mms.type_one()
-    params = ModelParams(eta=1.0)
+    sep = case.separable
+    p = ModelParams(eta=1.0)
     spec = KernelSpec(mu=0.5, caputo_order=0.5)
     x = np.random.default_rng(5).uniform(0.0, 1.0, (40, 2))
     times = np.linspace(0.0, 1.0, 17)
-    got = [mms.forcing(case, params, spec)(x, t) for t in times]
-    monkeypatch.setattr(mms, "convolve_power", per_call_convolve_power)
-    monkeypatch.setattr(mms, "caputo_power", per_call_caputo_power)
-    want = [mms.forcing(case, params, spec)(x, t) for t in times]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    f = mms.forcing(case, p, spec)
+    S, gS, lS = sep.S(x), sep.gradS(x), sep.lapS(x)
+    Sd = S**p.delta
+    Phi = np.stack([S, lS, Sd * (gS[:, 0] + gS[:, 1]), Sd * S, Sd * Sd * S])
+    profile = sep.P.terms
+    for t in times:
+        P = per_call_profile(profile, np.array([t]))
+        dP = per_call_profile(sep.P.derivative().terms, np.array([t]))
+        a = np.stack([dP + p.beta * p.reaction_gamma * P
+                      + per_call_caputo(profile, 0.5, np.array([t])),
+                      -p.nu * P - p.eta * per_call_convolved(profile, 0.5, np.array([t])),
+                      p.alpha * P**2, -p.beta * (1.0 + p.reaction_gamma) * P**2,
+                      p.beta * P**3], axis=1)
+        assert np.array_equal(f(x, t), np.einsum("mi,ij->mj", a, Phi)[0])
 
 
 def test_discrete_positivity():

@@ -5,7 +5,7 @@ import gbhfem.forms as forms
 import gbhfem.mms as mms
 from gbhfem.errors import UnsupportedCaseError
 from gbhfem.forms import ModelParams
-from gbhfem.kernel import KernelSpec, caputo_power, convolve_power
+from gbhfem.kernel import KernelSpec, PowerSum
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.solver import BackwardEulerSolver, TimeGrid, Trajectory, stability_check
 from gbhfem.space_cr import CRSpace
@@ -15,11 +15,9 @@ UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
 def zero_case():
-    z = lambda x, t: np.zeros(len(x))
-    return mms.ManufacturedCase(
-        "zero", z, z, lambda x, t: np.zeros((len(x), 2)), z,
-        time_profile=[(0.0, 0.0)], spatial=lambda x: np.zeros(len(x)),
-        spatial_grad=lambda x: np.zeros((len(x), 2)), spatial_lap=lambda x: np.zeros(len(x)))
+    z = lambda x: np.zeros(len(x))
+    return mms.Separable(PowerSum([(0.0, 0.0)]), z, lambda x: np.zeros((len(x), 2)),
+                         z).case("zero")
 
 
 @pytest.mark.parametrize("case", [mms.type_one(), mms.type_two(),
@@ -34,16 +32,6 @@ def test_gate_rejects_wrong_derivatives():
                                   lambda x, t: 1.1 * c.grad(x, t), c.lap)
     with pytest.raises(ValueError):
         broken.self_check()
-
-
-@pytest.mark.parametrize("missing", ["spatial", "spatial_grad", "spatial_lap"])
-def test_time_profile_needs_every_spatial_factor(missing):
-    c = mms.type_one()
-    factors = {name: getattr(c, name) for name in ("spatial", "spatial_grad", "spatial_lap")}
-    factors[missing] = None
-    with pytest.raises(ValueError, match=f"needs {missing}$"):
-        mms.ManufacturedCase("partial", c.u, c.u_t, c.grad, c.lap,
-                             time_profile=c.time_profile, **factors)
 
 
 @pytest.mark.parametrize("case", [mms.type_one(), mms.type_two(),
@@ -94,7 +82,7 @@ def test_forcing_type_two_memory_contribution():
     x = np.random.default_rng(2).uniform(0, 1, (15, 2))
     for t in (0.3, 0.8):
         got = f1(x, t) - f0(x, t)
-        want = -(3.0 * np.pi / 8.0) * t**2 * case.spatial_lap(x)
+        want = -(3.0 * np.pi / 8.0) * t**2 * case.separable.lapS(x)
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -104,10 +92,11 @@ def pointwise_forcing(case, p, spec, x, t):
     ud = u**p.delta
     f = (case.u_t(x, t) - p.nu * case.lap(x, t) + p.alpha * ud * (g[:, 0] + g[:, 1])
          - p.beta * u * (1.0 - ud) * (ud - p.reaction_gamma))
+    sep = case.separable
     if p.eta > 0.0:
-        f -= p.eta * convolve_power(case.time_profile, spec, t) * case.spatial_lap(x)
+        f -= p.eta * sep.P.convolved(spec.mu)(t) * sep.lapS(x)
     if spec.caputo_order is not None:
-        f += caputo_power(case.time_profile, spec.caputo_order, t) * case.spatial(x)
+        f += sep.P.caputo(spec.caputo_order)(t) * sep.S(x)
     return f
 
 
@@ -181,7 +170,7 @@ def test_jacobi_rule_computed_once_per_order(monkeypatch):
 
 
 def per_point_case(case):
-    """``case`` without its time profile: ``on`` binds it point by point."""
+    """``case`` without its factorization: ``on`` binds it point by point."""
     return mms.ManufacturedCase(case.name, case.u, case.u_t, case.grad, case.lap)
 
 
@@ -224,12 +213,11 @@ def test_cached_spatial_factors_bit_identical(make, caputo, scheme):
                 == stability_check(traj, space, params, plain_f, case.initial))
 
 
-def test_spatial_factors_evaluated_once_per_point_set(monkeypatch):
+def test_spatial_factors_evaluated_once_per_point_set():
     # a miniature of the long memory run: Type I, memory and Caputo,
     # then both error norms and the stability check; S, grad S and lap S
     # see the quadrature points once per bind, however many steps run
     calls = {"S": [], "gradS": [], "lapS": []}
-    separable = mms._separable
 
     def counted(key, fn):
         def spatial(x):
@@ -237,12 +225,9 @@ def test_spatial_factors_evaluated_once_per_point_set(monkeypatch):
             return fn(x)
         return spatial
 
-    def counting(name, profile, S, gradS, lapS, homogeneous):
-        return separable(name, profile, counted("S", S), counted("gradS", gradS),
-                         counted("lapS", lapS), homogeneous)
-
-    monkeypatch.setattr(mms, "_separable", counting)
-    case = mms.type_one()
+    sep = mms.type_one().separable
+    case = mms.Separable(sep.P, counted("S", sep.S), counted("gradS", sep.gradS),
+                         counted("lapS", sep.lapS)).case("type1")
     params = ModelParams(nu=1.0, alpha=1.0, beta=1.0, reaction_gamma=0.5, delta=1, eta=1.0)
     spec = KernelSpec(mu=0.5, caputo_order=0.5)
     case.self_check()
@@ -444,16 +429,15 @@ def test_jacobi_convolution_matches_beta_identity():
     # the non-separable fallback is exact on polynomial profiles and
     # spectrally accurate on smooth ones; branch points at t=0 degrade it
     # to algebraic convergence, still far below the discretization errors
-    from gbhfem.kernel import convolve_power
     from gbhfem.mms import _jacobi_convolution
     x = np.zeros((3, 2))
     poly = lambda x_, t: (t**2 + 2.0 * t) * np.ones(len(x_))
     got = _jacobi_convolution(poly, 0.5, x, 0.9)
-    want = convolve_power([(1.0, 2.0), (2.0, 1.0)], KernelSpec(mu=0.5), 0.9)
+    want = PowerSum([(1.0, 2.0), (2.0, 1.0)]).convolved(0.5)(0.9)
     assert np.abs(got - want).max() < 1e-12
     rough = lambda x_, t: t**1.5 * np.ones(len(x_))
     got = _jacobi_convolution(rough, 0.5, x, 0.9)
-    want = convolve_power([(1.0, 1.5)], KernelSpec(mu=0.5), 0.9)
+    want = PowerSum([(1.0, 1.5)]).convolved(0.5)(0.9)
     assert np.abs(got - want).max() < 1e-8
 
 

@@ -10,7 +10,7 @@ import gbhfem.mms as mms
 import gbhfem.solver as solver
 from gbhfem.errors import StepFailureError
 from gbhfem.forms import ModelParams
-from gbhfem.kernel import HISTORY_BLOCK, KernelSpec, caputo_power
+from gbhfem.kernel import HISTORY_BLOCK, KernelSpec, PowerSum
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.solver import (BackwardEulerSolver, TimeGrid, fhn_v_update,
                            stability_check)
@@ -40,7 +40,7 @@ def test_zero_data_zero_trajectory(scheme):
     s = BackwardEulerSolver(space, params, TimeGrid(1.0, 5),
                             kernel_spec=KernelSpec(mu=0.5))
     traj = s.run()
-    assert len(traj) == 6
+    assert len(traj.fields) == 6
     assert max(np.abs(f).max() for f in traj.fields) == 0.0
     assert all(r.newton_iters == 1 for r in traj.records[1:])
 
@@ -121,15 +121,15 @@ def test_caputo_order_taken_from_kernel_spec():
 def test_caputo_temporal_order():
     # linear-in-space manufactured solution: spatial error vanishes in the
     # CR space, leaving the O(dt) time discretization error
-    profile = [(1.0, 2.0), (1.0, 0.0)]     # g(t) = t^2 + 1
     mu = 0.5
+    caputo = PowerSum([(1.0, 2.0), (1.0, 0.0)]).caputo(mu)     # of g(t) = t^2 + 1
 
     def exact(x, t):
         return (t**2 + 1.0) * (x[:, 0] + x[:, 1])
 
     def f(x, t):
         gdot = 2.0 * t
-        gcap = caputo_power(profile, mu, t)
+        gcap = caputo(t)
         return (gdot + gcap) * (x[:, 0] + x[:, 1])
 
     params = ModelParams(alpha=0.0, beta=0.0, eta=0.0)
@@ -613,6 +613,22 @@ def test_dg_datum_evaluated_once_per_step(monkeypatch):
     assert times == list(traj.times[1:])
 
 
+@pytest.mark.parametrize("make", [_wave_cr, _wave_dg])
+def test_dirichlet_datum_one_call_per_step(make):
+    # one space.dirichlet call per step evaluates the datum once, on the
+    # boundary midpoints (CR) or the boundary-edge quadrature points (DG)
+    s = make()
+    bc, calls = s.bc, []
+    s.bc = lambda x, t: calls.append((len(x), t)) or bc(x, t)
+    traj = s.run()
+    n_points = len(s.space.boundary_dofs) or len(s.space.face_data.Xb.reshape(-1, 2))
+    assert n_points > 0
+    assert calls == [(n_points, t) for t in traj.times[1:]]
+    values, datum, nitsche = s.space.dirichlet(None, 0.5, s.params.penalty_gamma)
+    assert np.array_equal(values, np.zeros(len(s.space.boundary_dofs)))
+    assert datum is None and nitsche == 0.0
+
+
 def per_step_terms(s, traj):
     """For each step k of ``traj``: k and the u-independent arguments of
     ``per_term_residual``, with every history sum rebuilt from the stored
@@ -667,7 +683,8 @@ def test_newton_starts_from_the_extrapolated_field(make):
     bdofs = s.space.boundary_dofs
     for k, terms in per_step_terms(s, traj):
         start = U[0].copy() if k == 1 else 2.0 * U[k - 1] - U[k - 2]
-        start[bdofs] = s.space.boundary_values(s.bc, k * s.grid.delta_t)
+        start[bdofs] = s.space.dirichlet(s.bc, k * s.grid.delta_t,
+                                         s.params.penalty_gamma)[0]
         r_start = np.linalg.norm(per_term_residual(s, start, U[k - 1], *terms))
         r_prev = np.linalg.norm(per_term_residual(s, U[k - 1], U[k - 1], *terms))
         got = traj.records[k].residual_history[0]

@@ -82,8 +82,9 @@ def test_continuous_interpolant_has_no_interior_jumps():
 def direct_p1(space, vals, cells, x):
     """P1 field of each cell evaluated at its points x (n, nq, 2), through the
     barycentric coordinates of x in the cell."""
-    v0 = space.mesh.vertices[space.mesh.cells[cells, 0]]
-    xi = np.einsum("eqd,ekd->eqk", x - v0[:, None, :], space.inv_jacobians[cells])
+    v = space.mesh.vertices[space.mesh.cells[cells]]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)     # columns
+    xi = np.einsum("eqd,ekd->eqk", x - v[:, None, 0], np.linalg.inv(J))
     bary = np.concatenate([1.0 - xi.sum(axis=2, keepdims=True), xi], axis=2)
     return np.einsum("eqi,ei->eq", bary, vals[space.cell_dofs[cells]])
 
