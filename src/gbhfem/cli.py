@@ -370,12 +370,11 @@ def main(argv=None):
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: --levels {args.levels}: {exc}") from exc
         if args.func is cmd_convergence:
-            # convergence_study's coarsest level takes round(t_final / dt) steps
-            d = cfg.domain
-            dt = cfg.dt_coupling * max(d[2] - d[0], d[3] - d[1]) / cfg.mesh_n
-            if int(round(cfg.t_final / dt)) < 1:
-                _fail(args.config, f"t_final = {cfg.t_final!r} gives the coarsest level no "
-                      f"time step (dt = dt_coupling * h = {dt!r})", "t_final", "run")
+            try:
+                mms.study_level(0, cfg.domain, cfg.mesh_n, cfg.dt_coupling, cfg.t_final)
+            except ValueError as exc:
+                _fail(args.config, f"{exc} (dt = dt_coupling * h; level 0 is the coarsest)",
+                      "t_final", "run")
         return args.func(replace(cfg, seed=args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Covers mass, broken-gradient stiffness, the symmetric interior penalty
 (SIPG) operator with its consistency/symmetry/penalty face terms, the
-nonlinear form and time-averaged load vectors.  The nonlinear form is
+nonlinear form and time-averaged load vectors.  Each DG face term is one
+sum over all faces, a boundary face's minus side being the exterior
+(see ``space_dg``).  The nonlinear form is
 the skew-symmetrized convection minus the Huxley reaction,
 alpha b(u;u,phi_i) - beta (c(u), phi_i), in one cell kernel with a
 residual/Jacobian pair (``nonlinear_residual``, ``add_nonlinear_jacobian``);
@@ -33,8 +35,8 @@ import numpy as np
 
 __all__ = [
     "ModelParams", "nonlinear_quad_degree",
-    "assemble_mass", "assemble_stiffness_cr", "assemble_stiffness_dg",
-    "dg_norm_matrix", "dirichlet_rhs_dg", "nonlinear_residual",
+    "assemble_mass", "assemble_stiffness_cr", "sipg_matrices",
+    "dirichlet_rhs_dg", "nonlinear_residual",
     "add_nonlinear_jacobian", "upwind_residual", "add_upwind_jacobian",
     "bind_load", "assemble_load", "dg_boundary_values",
 ]
@@ -141,61 +143,37 @@ def _volume_stiffness(space):
 
 
 def assemble_stiffness_cr(space):
-    """Broken-gradient stiffness (grad_h u, grad_h v); constants in kernel.
-
-    On a DG space this is the broken-gradient Gram matrix, the volume part
-    of the SIPG operator.
-    """
+    """Broken-gradient stiffness (grad_h u, grad_h v); constants in kernel."""
     return _assemble(space, {"cells": _volume_stiffness(space)})
 
 
-def _sipg_face_blocks(space, penalty_gamma, penalty_only=False):
-    """SIPG face blocks by slot name (the jump Gram matrix if penalty_only)."""
+def sipg_matrices(space, penalty_gamma):
+    """(G, A, N) of a DG space from one evaluation of the face blocks: the
+    broken-gradient Gram matrix G, the energy-norm Gram N = G + penalty
+    and the SIPG operator A = N + consistency + symmetry.  Each face term
+    is one sum over all faces, boundary faces included (see ``space_dg``).
+    """
     fd = space.face_data
-    w = fd.rule.weights
-    W = w[None, :] * fd.h_int[:, None]
-    gh = (penalty_gamma / fd.h_int)[:, None]
-    Wb = w[None, :] * fd.h_bnd[:, None]
-    ghb = (penalty_gamma / fd.h_bnd)[:, None]
+    W = fd.rule.weights[None, :] * fd.h[:, None]
+    gh = (penalty_gamma / fd.h)[:, None]
 
-    # penalty gamma_h [[u]].[[v]], interior and boundary
+    # penalty gamma_h [[u]].[[v]]
     pm = -gh * _face_integral(W, fd.TpTm)
-    blocks = {
-        "pp": gh * _face_integral(W, fd.TpTp),
-        "pm": pm,
-        "mp": _transpose(pm),
-        "mm": gh * _face_integral(W, fd.TmTm),
-        "bb": ghb * _face_integral(Wb, fd.TbTb),
-    }
-    if penalty_only:
-        return blocks
+    penalty = {"pp": gh * _face_integral(W, fd.TpTp), "pm": pm, "mp": _transpose(pm),
+               "mm": gh * _face_integral(W, fd.TmTm)}
 
     # consistency -({{grad u}}.n) [[v]] and its transpose (symmetry term);
     # C[r + c] couples rows on side r with columns on side c
     IntT = {"p": _face_integral(W, fd.Tp), "m": -_face_integral(W, fd.Tm)}
     gn = {"p": fd.gnp, "m": fd.gnm}
-    C = {r + c: (-0.5 * IntT[r][:, :, None] * gn[c][:, None, :]).reshape(-1, 9)
+    C = {r + c: (-IntT[r][:, :, None] * gn[c][:, None, :]).reshape(-1, 9)
          for r in "pm" for c in "pm"}
-    for r in "pm":
-        for c in "pm":
-            blocks[r + c] = blocks[r + c] + C[r + c] + _transpose(C[c + r])
-    Cb = (-_face_integral(Wb, fd.Tb)[:, :, None] * fd.gnb[:, None, :]).reshape(-1, 9)
-    blocks["bb"] = blocks["bb"] + Cb + _transpose(Cb)
-    return blocks
+    consistency = {rc: C[rc] + _transpose(C[rc[::-1]]) for rc in C}
 
-
-def assemble_stiffness_dg(space, penalty_gamma):
-    """SIPG operator: volume gradients, consistency, symmetry, penalty."""
-    blocks = _sipg_face_blocks(space, penalty_gamma)
-    blocks["cells"] = _volume_stiffness(space)
-    return _assemble(space, blocks)
-
-
-def dg_norm_matrix(space, penalty_gamma):
-    """Gram matrix of the DG energy norm: broken gradients + jump penalty."""
-    blocks = _sipg_face_blocks(space, penalty_gamma, penalty_only=True)
-    blocks["cells"] = _volume_stiffness(space)
-    return _assemble(space, blocks)
+    G = _add_blocks(space, np.zeros(space.pattern.nnz), {"cells": _volume_stiffness(space)})
+    N = _add_blocks(space, G.copy(), penalty)
+    A = _add_blocks(space, N.copy(), consistency)
+    return tuple(space.pattern.matrix(data) for data in (G, A, N))
 
 
 def dirichlet_rhs_dg(space, datum, penalty_gamma):
@@ -208,12 +186,12 @@ def dirichlet_rhs_dg(space, datum, penalty_gamma):
     """
     fd = space.face_data
     w = fd.rule.weights
-    ghb = penalty_gamma / fd.h_bnd
-    gInt = np.einsum("q,eq->e", w, datum) * fd.h_bnd        # int_E g ds
-    r_sym = -np.einsum("e,ei->ei", gInt, fd.gnb)
-    gT = np.einsum("q,eq,eqi->ei", w, datum, fd.Tb) * fd.h_bnd[:, None]
-    r_pen = ghb[:, None] * gT
-    return _scatter(space.n_dofs, fd.bdofs, r_sym + r_pen)
+    h = fd.h[fd.bnd]
+    gInt = np.einsum("q,eq->e", w, datum) * h                # int_E g ds
+    r_sym = -np.einsum("e,ei->ei", gInt, fd.gnp[fd.bnd])
+    gT = np.einsum("q,eq,eqi->ei", w, datum, fd.Tp[fd.bnd]) * h[:, None]
+    r_pen = (penalty_gamma / h)[:, None] * gT
+    return _scatter(space.n_dofs, fd.pdofs[fd.bnd], r_sym + r_pen)
 
 
 def dg_boundary_values(space, g, t):
@@ -276,14 +254,19 @@ def add_nonlinear_jacobian(space, data, u, params):
     return _add_blocks(space, data, {"cells": cells})
 
 
-def _upwind_values(space, u, delta):
-    """Face tables, interior weights W, and per side (plus, minus, boundary)
-    the trace, (1,1).n and w.n with w = u^delta (1,1)^T of its own trace."""
+def _upwind_values(space, u, delta, datum):
+    """Face tables, weights W, the traces (up, um) with the datum (or 0) as
+    um on boundary faces, and per side (1,1).n and w.n with w = u^delta
+    (1,1)^T of its own trace.  w.n is taken before the datum enters um, so
+    a boundary face's exterior side has w.n = 0 and no upwind factor."""
     fd = space.face_data
-    traces = space.traces(u, fd)
-    nsums = (fd.n_int.sum(axis=1), -fd.n_int.sum(axis=1), fd.n_bnd.sum(axis=1))
-    wns = [(us ** delta) * ns[:, None] for us, ns in zip(traces, nsums)]
-    return fd, fd.rule.weights[None, :] * fd.h_int[:, None], traces, nsums, wns
+    up, um = space.traces(u)
+    nsum = fd.n.sum(axis=1)
+    nsums = (nsum, -nsum)
+    wns = [(us ** delta) * ns[:, None] for us, ns in zip((up, um), nsums)]
+    if datum is not None:
+        um[fd.bnd] = datum
+    return fd, fd.rule.weights[None, :] * fd.h[:, None], (up, um), nsums, wns
 
 
 def upwind_residual(space, u, params, datum):
@@ -296,17 +279,11 @@ def upwind_residual(space, u, params, datum):
     if not params.alpha > 0.0:
         return 0.0
     scale = params.alpha / (params.delta + 2.0)
-    fd, W, (up, um, _), _, (wnp, wnm, wnb) = _upwind_values(space, u, params.delta)
+    fd, W, (up, um), _, (wnp, wnm) = _upwind_values(space, u, params.delta, datum)
     cp, cm = np.minimum(wnp, 0.0), np.minimum(wnm, 0.0)
     # side s adds scale*int c_s u_o v_s - scale*int c_s u_s v_o, c_s = c(u_s)
-    res = (_scatter(space.n_dofs, fd.pdofs, scale * _face_integral(W * (cp - cm) * um, fd.Tp))
-           + _scatter(space.n_dofs, fd.mdofs, scale * _face_integral(W * (cm - cp) * up, fd.Tm)))
-    # boundary faces: the u-dependent flux parts cancel and the net residual
-    # contribution is int c * g * v ; with g = 0 it is 0.
-    if datum is not None:
-        Wb = fd.rule.weights[None, :] * fd.h_bnd[:, None] * np.minimum(wnb, 0.0) * datum
-        res += _scatter(space.n_dofs, fd.bdofs, scale * _face_integral(Wb, fd.Tb))
-    return res
+    return (_scatter(space.n_dofs, fd.pdofs, scale * _face_integral(W * (cp - cm) * um, fd.Tp))
+            + _scatter(space.n_dofs, fd.mdofs, scale * _face_integral(W * (cm - cp) * up, fd.Tm)))
 
 
 def add_upwind_jacobian(space, data, u, params, datum):
@@ -317,20 +294,16 @@ def add_upwind_jacobian(space, data, u, params, datum):
         return data
     delta = params.delta
     scale = params.alpha / (delta + 2.0)
-    fd, W, (up, um, ub), nsums, wns = _upwind_values(space, u, delta)
+    fd, W, (up, um), nsums, wns = _upwind_values(space, u, delta, datum)
     cp, cm = np.minimum(wns[0], 0.0), np.minimum(wns[1], 0.0)
-    dcp, dcm, dcb = [np.where(wn < 0.0, delta * us ** (delta - 1) * ns[:, None], 0.0)
-                     for us, ns, wn in zip((up, um, ub), nsums, wns)]
-    blocks = {
+    dcp, dcm = [np.where(wn < 0.0, delta * us ** (delta - 1) * ns[:, None], 0.0)
+                for us, ns, wn in zip((up, um), nsums, wns)]
+    return _add_blocks(space, data, {
         "pm": scale * _face_integral(W * (cp - cm - dcm * um), fd.TpTm),
         "mp": scale * _transpose(_face_integral(W * (cm - cp - dcp * up), fd.TpTm)),
         "pp": scale * _face_integral(W * dcp * um, fd.TpTp),
         "mm": scale * _face_integral(W * dcm * up, fd.TmTm),
-    }
-    if datum is not None:
-        Wb = fd.rule.weights[None, :] * fd.h_bnd[:, None] * dcb * datum
-        blocks["bb"] = scale * _face_integral(Wb, fd.TbTb)
-    return _add_blocks(space, data, blocks)
+    })
 
 
 def bind_load(space, f):

@@ -248,8 +248,9 @@ class PowerSum:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
+        tt = np.where(t > 0.0, t, 1.0) if self.causal else t
         for c, p in self.terms:
-            out = out + c * t**p
+            out = out + c * tt**p
         if self.causal:
             out = np.where(t > 0.0, out, 0.0)
         return out if out.ndim else float(out)

@@ -44,7 +44,7 @@ from .space_dg import DGSpace
 __all__ = [
     "ManufacturedCase", "Separable", "type_one", "type_two", "traveling_wave",
     "forcing", "error_l2", "error_linf_l2", "error_energy",
-    "StudyRow", "StudyResult", "SPACES", "convergence_study",
+    "StudyRow", "StudyResult", "SPACES", "study_level", "convergence_study",
 ]
 
 JACOBI_NODES = 48
@@ -469,6 +469,19 @@ class StudyResult:
     stability: list = field(default_factory=list)
 
 
+def study_level(level, box, base_n, coupling, t_final):
+    """(n, h, n_steps) of a convergence study's level: the n = base_n 2^level
+    mesh of the box and round(t_final / dt) steps of dt = coupling * h."""
+    n = base_n * 2**level
+    h = max(box[2] - box[0], box[3] - box[1]) / n
+    dt = coupling * h
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_final = {t_final!r} gives level {level} no time step "
+                         f"of dt = {dt!r}")
+    return n, h, n_steps
+
+
 def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25,
                       t_final=1.0, kernel_spec=None, caputo_order=None,
                       box=(0.0, 0.0, 1.0, 1.0), newton_tol=1e-10, newton_cap=25,
@@ -485,17 +498,13 @@ def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25
         raise ValueError("a study needs at least 2 levels")
     if scheme not in SPACES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {sorted(SPACES)}")
+    sizes = [study_level(lev, box, base_n, coupling, t_final) for lev in range(levels)]
     case.self_check(box=box)
     f = forcing(case, params, kernel_spec, caputo_order)
     bc = None if case.homogeneous_bc else case.boundary
 
-    side = max(box[2] - box[0], box[3] - box[1])
     rows, reports = [], []
-    for lev in range(levels):
-        n = base_n * 2**lev
-        h = side / n
-        dt = coupling * h
-        n_steps = int(round(t_final / dt))
+    for lev, (n, h, n_steps) in enumerate(sizes):
         mesh = generate_rect_mesh(box, n)
         space = SPACES[scheme](mesh)
         grid = TimeGrid(t_final, n_steps)

@@ -1,13 +1,14 @@
 """Discontinuous piecewise-linear (P1) space and its face machinery.
 
 Three vertex-based Lagrange dofs per cell with no inter-element
-coupling.  The face tables (``face_data``) and ``traces`` give the
-one-sided traces on every edge, from which the forms build jumps and
-averages; the convention is that the "plus" side of an edge is its first
-adjacent cell and the stored edge normal points from plus to minus
-(outward on the boundary, where the exterior trace is the Dirichlet
-datum).  The datum enters weakly only: through the SIPG boundary terms
-(the Nitsche vector) and the upwind flux, so no dof is constrained.
+coupling.  One face table (``face_data``) over all edges and ``traces``
+give the one-sided traces, from which the forms build jumps and averages
+as one sum over all faces.  The "plus" side of an edge is its first
+adjacent cell; the edge normal points from plus to minus.  A boundary
+edge is a face whose minus side is the exterior: outward normal, zero
+minus trace table, the plus value as average, and the Dirichlet datum
+(or 0) as exterior trace.  The datum enters weakly only, through the
+SIPG boundary terms (the Nitsche vector) and the upwind flux.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ EDGE_QUAD_DEGREE = 5
 
 
 class _FaceData:
-    """Vectorized per-edge trace tables for one edge quadrature rule.
+    """Vectorized trace tables of all edges, in mesh order, for one edge
+    quadrature rule.
 
-    ``TpTm`` and the other products hold Ta_i * Tb_j at column 3*i + j,
-    (n_edges, nq, 9), so a weighted face block is one matmul.
+    ``im = ip`` and ``Tm = 0`` on the boundary faces ``bnd``.  ``gnp`` and
+    ``gnm`` are g_i . n times the average's side weights, (1/2, 1/2)
+    inside and (1, 0) on the boundary.  ``TpTm`` and the other products
+    hold Ta_i * Tb_j at column 3*i + j, (n_edges, nq, 9), so a weighted
+    face block is one matmul.  ``Xb``: the boundary quadrature points.
     """
 
     __slots__ = (
-        "rule", "int_edges", "bnd_edges",
-        "ip", "im", "n_int", "h_int", "Tp", "Tm", "pdofs", "mdofs",
-        "gnp", "gnm", "TpTp", "TpTm", "TmTm",
-        "bp", "n_bnd", "h_bnd", "Tb", "bdofs", "gnb", "Xb", "TbTb",
+        "rule", "ip", "im", "n", "h", "Tp", "Tm", "pdofs", "mdofs",
+        "gnp", "gnm", "TpTp", "TpTm", "TmTm", "bnd", "Xb",
     )
 
 
@@ -65,17 +68,17 @@ class DGSpace(P1Space):
     def pattern(self):
         """CSR pattern of every matrix on this space.
 
-        Cell blocks plus the plus-minus couplings of interior faces.  The
-        slots of face blocks within one cell ("pp", "mm" on interior
-        faces, "bb" on boundary faces) are the cell-block slots of that
-        cell.
+        Cell blocks plus the plus-minus couplings of the faces.  The slots
+        of face blocks within one cell ("pp", "mm", and every block of a
+        boundary face, whose minus cell is its plus cell) are the
+        cell-block slots of that cell.
         """
         fd = self.face_data
         cd = self.cell_dofs
         pattern = BlockPattern(self.n_dofs, {
             "cells": (cd, cd), "pm": (fd.pdofs, fd.mdofs), "mp": (fd.mdofs, fd.pdofs)})
         cells = pattern.slots["cells"]
-        pattern.slots.update(pp=cells[fd.ip], mm=cells[fd.im], bb=cells[fd.bp])
+        pattern.slots.update(pp=cells[fd.ip], mm=cells[fd.im])
         return pattern
 
     def basis_values(self, bary_points):
@@ -83,9 +86,7 @@ class DGSpace(P1Space):
 
     def diffusion_matrices(self, penalty_gamma):
         """(broken-gradient Gram, SIPG operator, DG energy-norm Gram)."""
-        return (forms.assemble_stiffness_cr(self),
-                forms.assemble_stiffness_dg(self, penalty_gamma),
-                forms.dg_norm_matrix(self, penalty_gamma))
+        return forms.sipg_matrices(self, penalty_gamma)
 
     def dirichlet(self, g, t, penalty_gamma):
         """Datum g(., t) of one step: (no strong values, the datum at the
@@ -123,69 +124,54 @@ class DGSpace(P1Space):
     def face_data(self):
         """Vectorized trace tables for all edges, built on first use.
 
-        For each interior edge: plus/minus cell indices, normal, length,
-        trace basis tables T (n_edges, nq, 3), dof index arrays and the
-        constant normal gradients g_i . n, on the ``EDGE_QUAD_DEGREE``
-        rule.  Boundary edges analogous, with the physical quadrature
-        points kept for datum evaluation.
+        For each edge: plus/minus cell indices, normal, length, trace
+        basis tables T (n_edges, nq, 3), dof index arrays and the weighted
+        normal gradients, on the ``EDGE_QUAD_DEGREE`` rule; the boundary
+        faces' indices and quadrature points (for datum evaluation).
         """
         mesh = self.mesh
         rule = edge_rule(EDGE_QUAD_DEGREE)
         s = rule.points
         nq = len(s)
-        fd = _FaceData()
-        fd.rule = rule
-        fd.int_edges = np.flatnonzero(~mesh.boundary_flags)
-        fd.bnd_edges = np.flatnonzero(mesh.boundary_flags)
+        a, b = mesh.edges[:, 0], mesh.edges[:, 1]
+        rows = np.arange(mesh.n_edges)[:, None]
+        cols = np.arange(nq)[None, :]
 
-        def trace_table(cells_subset, edges_subset):
-            a = mesh.edges[edges_subset, 0]
-            b = mesh.edges[edges_subset, 1]
-            la = self._local_vertex_index(cells_subset, a)
-            lb = self._local_vertex_index(cells_subset, b)
-            T = np.zeros((len(edges_subset), nq, 3))
-            rows = np.arange(len(edges_subset))
-            T[rows[:, None], np.arange(nq)[None, :], la[:, None]] = 1.0 - s[None, :]
-            T[rows[:, None], np.arange(nq)[None, :], lb[:, None]] = s[None, :]
+        def trace_table(cells):
+            T = np.zeros((mesh.n_edges, nq, 3))
+            T[rows, cols, self._local_vertex_index(cells, a)[:, None]] = 1.0 - s[None, :]
+            T[rows, cols, self._local_vertex_index(cells, b)[:, None]] = s[None, :]
             return T
 
-        ei = fd.int_edges
-        fd.ip = mesh.edge_cells[ei, 0]
-        fd.im = mesh.edge_cells[ei, 1]
-        fd.n_int = mesh.edge_normals[ei]
-        fd.h_int = mesh.edge_lengths[ei]
-        fd.Tp = trace_table(fd.ip, ei)
-        fd.Tm = trace_table(fd.im, ei)
+        fd = _FaceData()
+        fd.rule = rule
+        fd.bnd = np.flatnonzero(mesh.boundary_flags)
+        fd.ip = mesh.edge_cells[:, 0]
+        fd.im = np.where(mesh.boundary_flags, fd.ip, mesh.edge_cells[:, 1])
+        fd.n = mesh.edge_normals
+        fd.h = mesh.edge_lengths
+        fd.Tp = trace_table(fd.ip)
+        fd.Tm = trace_table(fd.im)
+        fd.Tm[fd.bnd] = 0.0
         fd.pdofs = self.cell_dofs[fd.ip]
         fd.mdofs = self.cell_dofs[fd.im]
-        fd.gnp = np.einsum("cid,cd->ci", self.grads[fd.ip], fd.n_int)
-        fd.gnm = np.einsum("cid,cd->ci", self.grads[fd.im], fd.n_int)
+        wm = np.where(mesh.boundary_flags, 0.0, 0.5)[:, None]
+        fd.gnp = (1.0 - wm) * np.einsum("cid,cd->ci", self.grads[fd.ip], fd.n)
+        fd.gnm = wm * np.einsum("cid,cd->ci", self.grads[fd.im], fd.n)
         fd.TpTp = _trace_products(fd.Tp, fd.Tp)
         fd.TpTm = _trace_products(fd.Tp, fd.Tm)
         fd.TmTm = _trace_products(fd.Tm, fd.Tm)
-
-        eb = fd.bnd_edges
-        fd.bp = mesh.edge_cells[eb, 0]
-        fd.n_bnd = mesh.edge_normals[eb]
-        fd.h_bnd = mesh.edge_lengths[eb]
-        fd.Tb = trace_table(fd.bp, eb)
-        fd.bdofs = self.cell_dofs[fd.bp]
-        fd.gnb = np.einsum("cid,cd->ci", self.grads[fd.bp], fd.n_bnd)
-        fd.TbTb = _trace_products(fd.Tb, fd.Tb)
-        a = mesh.edges[eb, 0]
-        b = mesh.edges[eb, 1]
-        fd.Xb = ((1.0 - s)[None, :, None] * mesh.vertices[a][:, None, :]
-                 + s[None, :, None] * mesh.vertices[b][:, None, :])
+        fd.Xb = ((1.0 - s)[None, :, None] * mesh.vertices[a[fd.bnd]][:, None, :]
+                 + s[None, :, None] * mesh.vertices[b[fd.bnd]][:, None, :])
         fd.Xb.flags.writeable = False      # shared by every datum evaluation
         return fd
 
-    def traces(self, u, fd):
-        """Plus/minus trace values on interior edges and plus traces on
-        boundary edges, each (n_edges, nq)."""
-        up = np.einsum("eqi,ei->eq", fd.Tp, u[fd.pdofs])
-        um = np.einsum("eqi,ei->eq", fd.Tm, u[fd.mdofs])
-        ub = np.einsum("eqi,ei->eq", fd.Tb, u[fd.bdofs])
-        return up, um, ub
+    def traces(self, u):
+        """Plus and minus trace values on every face, each (n_edges, nq);
+        the minus trace is 0 on boundary faces."""
+        fd = self.face_data
+        return (np.einsum("eqi,ei->eq", fd.Tp, u[fd.pdofs]),
+                np.einsum("eqi,ei->eq", fd.Tm, u[fd.mdofs]))
 
     def penalty_jump_sq(self, u, exact, t):
         """Jump part of the energy-norm error of u against exact(., t).
@@ -195,8 +181,7 @@ class DGSpace(P1Space):
         weighs it by the penalty scale.
         """
         fd = self.face_data
-        up, um, ub = self.traces(u, fd)
-        jump_sq = np.einsum("eq,q->", (up - um) ** 2, fd.rule.weights)
-        gvals = np.asarray(exact(fd.Xb.reshape(-1, 2), t), dtype=float).reshape(ub.shape)
-        bjump_sq = np.einsum("eq,q->", (ub - gvals) ** 2, fd.rule.weights)
-        return float(jump_sq + bjump_sq)
+        up, um = self.traces(u)
+        gvals = np.asarray(exact(fd.Xb.reshape(-1, 2), t), dtype=float)
+        um[fd.bnd] = gvals.reshape(fd.Xb.shape[:2])
+        return float(np.einsum("eq,q->", (up - um) ** 2, fd.rule.weights))

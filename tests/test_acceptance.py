@@ -11,8 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import gbhfem.mms as mms
-from gbhfem.forms import (ModelParams, assemble_mass, assemble_stiffness_cr,
-                          assemble_stiffness_dg, dg_norm_matrix)
+from gbhfem.forms import ModelParams, assemble_mass, assemble_stiffness_cr
 from gbhfem.kernel import KernelSpec, memory_weights
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.solver import BackwardEulerSolver, TimeGrid
@@ -252,8 +251,7 @@ def test_criterion_11_dg_coercivity():
     minima = []
     for n in (4, 8, 16):
         space = DGSpace(generate_rect_mesh(UNIT, n))
-        A = assemble_stiffness_dg(space, 40.0)
-        N = dg_norm_matrix(space, 40.0)
+        _, A, N = space.diffusion_matrices(40.0)
         ratios = np.empty(1000)
         for i in range(1000):
             v = rng.standard_normal(space.n_dofs)

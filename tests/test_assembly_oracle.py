@@ -6,16 +6,20 @@ summing, and residuals accumulated by ``np.add.at``.  The forms now add
 their blocks into a fixed CSR pattern's data with ``np.add.at``; both
 must agree to rounding.  The nonlinear references keep convection (CR volume,
 DG volume plus upwind flux) and reaction apart; ``ref_nonlinear``, their
-difference, is the oracle of the one cell kernel the spaces use.
+difference, is the oracle of the one cell kernel the spaces use.  The DG
+references keep their interior and boundary face formulas apart; they read
+the space's one face table re-sliced by ``mesh.boundary_flags``
+(``split_faces``).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from gbhfem.forms import (ModelParams, assemble_mass, assemble_stiffness_cr,
-                          assemble_stiffness_dg, dg_boundary_values, dg_norm_matrix,
-                          nonlinear_quad_degree)
+                          dg_boundary_values, nonlinear_quad_degree)
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
@@ -66,8 +70,29 @@ def ref_stiffness_blocks(space):
     return np.einsum("cid,cjd,c->cij", space.grads, space.grads, areas)
 
 
-def ref_sipg_pieces(space, penalty_gamma, penalty_only=False):
+def split_faces(space):
+    """The space's face table as separate interior and boundary tables, the
+    faces selected by ``mesh.boundary_flags``, with plain normal gradients
+    g_i . n."""
     fd = space.face_data
+    i, b = ~space.mesh.boundary_flags, space.mesh.boundary_flags
+    gnp = np.einsum("cid,cd->ci", space.grads[fd.ip], fd.n)
+    gnm = np.einsum("cid,cd->ci", space.grads[fd.im], fd.n)
+    return SimpleNamespace(
+        rule=fd.rule, n_int=fd.n[i], h_int=fd.h[i], Tp=fd.Tp[i], Tm=fd.Tm[i],
+        pdofs=fd.pdofs[i], mdofs=fd.mdofs[i], gnp=gnp[i], gnm=gnm[i],
+        n_bnd=fd.n[b], h_bnd=fd.h[b], Tb=fd.Tp[b], bdofs=fd.pdofs[b], gnb=gnp[b])
+
+
+def split_traces(space, u):
+    """Plus and minus traces on interior faces, plus traces on boundary faces."""
+    up, um = space.traces(u)
+    i, b = ~space.mesh.boundary_flags, space.mesh.boundary_flags
+    return up[i], um[i], up[b]
+
+
+def ref_sipg_pieces(space, penalty_gamma, penalty_only=False):
+    fd = split_faces(space)
     w = fd.rule.weights
     pieces = []
     IntTp = np.einsum("q,eqi->ei", w, fd.Tp) * fd.h_int[:, None]
@@ -125,9 +150,9 @@ def ref_convection_dg(space, u, params, boundary_values):
     res_cells, jac_cells = ref_volume_convection(space, u, alpha, delta)
     res = add_at(space, (space.cell_dofs, res_cells))
     pieces = [ref_cells(space, jac_cells)]
-    fd = space.face_data
+    fd = split_faces(space)
     w = fd.rule.weights
-    up, um, ub = space.traces(u, fd)
+    up, um, ub = split_traces(space, u)
     nsum_p = fd.n_int[:, 0] + fd.n_int[:, 1]
     W = w[None, :] * fd.h_int[:, None]
 
@@ -224,10 +249,10 @@ def test_constant_forms_match_coo_reference(kind):
     stiff = [ref_cells(space, ref_stiffness_blocks(space))]
     assert_matrix_close(assemble_stiffness_cr(space), coo_scatter(space, stiff))
     if kind == "dg":
-        assert_matrix_close(assemble_stiffness_dg(space, 40.0),
-                            coo_scatter(space, stiff + ref_sipg_pieces(space, 40.0)))
-        assert_matrix_close(dg_norm_matrix(space, 40.0),
-                            coo_scatter(space, stiff + ref_sipg_pieces(space, 40.0, True)))
+        G, A, N = space.diffusion_matrices(40.0)
+        assert_matrix_close(G, coo_scatter(space, stiff))
+        assert_matrix_close(A, coo_scatter(space, stiff + ref_sipg_pieces(space, 40.0)))
+        assert_matrix_close(N, coo_scatter(space, stiff + ref_sipg_pieces(space, 40.0, True)))
 
 
 def datums_of(space):

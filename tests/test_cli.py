@@ -492,6 +492,7 @@ def test_t_final_below_the_coarsest_step(tmp_path, capsys):
     assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}:{_key_line(text, 't_final')}: t_final"), err
+    assert "dt_coupling" in err
     assert not out.exists()
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "diagnostics.csv").exists()

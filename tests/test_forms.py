@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gbhfem.forms import (ModelParams, assemble_load, assemble_mass,
-                          assemble_stiffness_cr, assemble_stiffness_dg,
-                          bind_load, dg_boundary_values, dg_norm_matrix)
+                          assemble_stiffness_cr, bind_load, dg_boundary_values)
 from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.mms import error_l2
@@ -123,7 +122,7 @@ def test_cr_poisson_convergence(dirichlet_system):
 
 def test_stiffness_dg_symmetry_and_consistency():
     space = dg_space(8)
-    A = assemble_stiffness_dg(space, 40.0)
+    A = space.diffusion_matrices(40.0)[1]
     assert abs(A - A.T).max() < 1e-12
     # continuous interpolant of g vanishing on the boundary: face terms drop,
     # energy approximates the true Dirichlet energy
@@ -136,10 +135,23 @@ def test_stiffness_dg_symmetry_and_consistency():
     assert abs(got - np.pi**2 / 2.0) / (np.pi**2 / 2.0) < 0.1  # ||grad g||^2 = pi^2/2
 
 
+def test_sipg_is_consistent_for_a_linear_field():
+    # -lap u = 0 for a linear u, so the SIPG operator applied to its
+    # interpolant is the Nitsche vector of its boundary datum, every face
+    # term of both included; and the interpolant has no jump, boundary
+    # faces (exterior trace = u) included
+    space = dg_space(5)
+    u = lambda x, t: 0.5 + 2.0 * x[:, 0] - 3.0 * x[:, 1]
+    v = space.interpolate(lambda x: u(x, 0.0))
+    _, _, nitsche = space.dirichlet(u, 0.0, 40.0)
+    A = space.diffusion_matrices(40.0)[1]
+    assert np.abs(A @ v - nitsche).max() <= 1e-13 * np.abs(nitsche).max()
+    assert space.penalty_jump_sq(v, u, 0.0) <= 1e-28
+
+
 def test_dg_coercivity_random_fields():
     space = dg_space(4)
-    A = assemble_stiffness_dg(space, 40.0)
-    N = dg_norm_matrix(space, 40.0)
+    _, A, N = space.diffusion_matrices(40.0)
     rng = np.random.default_rng(5)
     ratios = []
     for _ in range(100):

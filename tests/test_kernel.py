@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,7 +191,21 @@ PROFILES = [[(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)], [(2.0, 1.5)], [(1.0, 0.0)],
 TIMES = [0.0, 1e-300, 0.37, 1.0, 2.5, np.linspace(0.0, 3.0, 31)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # negative powers of t = 0
+def test_causal_sum_is_zero_without_warning_where_masked():
+    # a negative power of t = 0 (or a fractional one of t < 0) is masked to
+    # 0 in a causal sum, so it raises no warning; a plain sum still warns
+    caputo = PowerSum([(0.5, 0.75), (1.0, 2.0)]).caputo(0.9)
+    assert caputo.terms[0][1] < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert caputo(0.0) == 0.0
+        ts = np.array([-1.0, 0.0, 0.25, 0.0])
+        assert np.array_equal(caputo(ts) == 0.0, ts <= 0.0)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        PowerSum(caputo.terms)(0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # the oracles' t^p at t = 0
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 0.9])
 def test_power_closed_forms_bit_identical_to_per_call_factors(profile, mu):
@@ -219,7 +234,7 @@ def test_derivative_term_by_term(profile):
     assert abs(dP(0.6) - (P(0.6 + h) - P(0.6 - h)) / (2 * h)) < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # the derivative's t^(-1/4) at t = 0
 @pytest.mark.parametrize("profile", PROFILES)
 def test_float_time_is_the_row_of_an_array_of_times(profile):
     # a float time and the matching entry of an array of times take the

@@ -4,8 +4,7 @@ import scipy.sparse as sp
 
 import gbhfem.linalg as linalg
 from gbhfem.errors import SingularMatrixError
-from gbhfem.forms import (assemble_load, assemble_mass, assemble_stiffness_cr,
-                          assemble_stiffness_dg, bind_load)
+from gbhfem.forms import assemble_load, assemble_mass, assemble_stiffness_cr, bind_load
 from gbhfem.linalg import SolveStats, factorize, solve
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace
@@ -26,7 +25,7 @@ def test_spmv_identity_and_mass_rows():
 def test_spmv_against_dense_oracle():
     rng = np.random.default_rng(13)
     space = DGSpace(generate_rect_mesh((0, 0, 1, 1), 3))
-    A = assemble_stiffness_dg(space, 40.0)
+    A = space.diffusion_matrices(40.0)[1]
     x = rng.standard_normal(space.n_dofs)
     assert np.abs(A @ x - A.toarray() @ x).max() <= 1e-13 * abs(A).max()
 
@@ -64,7 +63,7 @@ def test_solve_spd_from_poisson(dirichlet_system):
 def test_gmres_preconditioned_by_a_nearby_matrix():
     # the Newton-Krylov setting: P is the constant part, A = P + a perturbation
     space = DGSpace(generate_rect_mesh((0, 0, 1, 1), 4))
-    P = (assemble_mass(space) * 8.0 + assemble_stiffness_dg(space, 40.0)).tocsr()
+    P = (assemble_mass(space) * 8.0 + space.diffusion_matrices(40.0)[1]).tocsr()
     rng = np.random.default_rng(7)
     A = (P + 0.5 * sp.diags(rng.uniform(-1.0, 1.0, space.n_dofs)) @ assemble_mass(space)).tocsr()
     b = rng.standard_normal(space.n_dofs)
@@ -81,7 +80,7 @@ def test_gmres_miss_falls_back_to_lu(monkeypatch):
     # SIPG matrix: GMRES misses the tolerance, and the direct path still
     # returns a solution that passes
     space = DGSpace(generate_rect_mesh((0, 0, 1, 1), 8))
-    A = (assemble_mass(space) + assemble_stiffness_dg(space, 40.0)).tocsr()
+    A = (assemble_mass(space) + space.diffusion_matrices(40.0)[1]).tocsr()
     b = np.random.default_rng(3).standard_normal(space.n_dofs)
     stats = SolveStats()
     monkeypatch.setattr(linalg, "GMRES_MAXITER", 1)

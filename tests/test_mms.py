@@ -516,6 +516,20 @@ def test_convergence_study_shape_and_rates():
         mms.convergence_study(case, "cr", params, levels=1)
 
 
+def test_convergence_study_refuses_a_level_without_a_step(monkeypatch):
+    # t_final = 0.01 rounds to 0 steps of dt = h/4 = 1/16 on the coarsest
+    # level; the study says so before its self-check and its forcing
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the study went on past the step check")
+    monkeypatch.setattr(mms.ManufacturedCase, "self_check", not_reached)
+    monkeypatch.setattr(mms, "forcing", not_reached)
+    with pytest.raises(ValueError, match=r"t_final = 0\.01 gives level 0 no time step "
+                                         r"of dt = 0\.0625"):
+        mms.convergence_study(mms.type_one(), "cr", ModelParams(), levels=2, base_n=4,
+                              t_final=0.01)
+    assert mms.study_level(1, (0.0, 0.0, 1.0, 1.0), 4, 0.25, 0.04) == (8, 0.125, 1)
+
+
 def test_convergence_study_rejects_unknown_scheme():
     # "CR" once ran the DG scheme (24 dofs at base_n = 2, where CR has 16)
     params = ModelParams(alpha=0.0, beta=0.0)
