@@ -11,8 +11,8 @@ discrete energy balance.  For power-law kernels the double integrals
 have closed forms (second differences of the double antiderivative), so
 weights carry no quadrature error near the singularity.  The same
 weights applied to difference quotients give an L1-type scheme for the
-Caputo fractional derivative.  ``History`` keeps a run's exact sums
-sum_{j<k} omega_kj h_j, one block of steps per matrix product.
+Caputo fractional derivative.  ``History`` sums sum_{j<k} omega_kj h_j
+exactly over its caller's rows, one block of steps per matrix product.
 
 ``PowerSum`` is the one closed-form algebra of the power law on a
 profile sum_i c_i t^(p_i): its derivative, its convolution with
@@ -113,31 +113,27 @@ HISTORY_BLOCK = 32
 
 
 class History:
-    """The weighted history sums of one kernel: push h_1, h_2, ... in turn.
+    """The weighted history sums of one kernel over the caller's rows.
 
-    After k - 1 pushes, ``known()`` returns sum_{j<k} omega_kj h_j, step
-    k's sum over the rows already known.  On the first step k0 of each
-    block of ``HISTORY_BLOCK`` steps, the rows h_1 .. h_{k0-1} are summed
-    for every step of the block at once: a (B, k0-1) Toeplitz window of
-    the lag weights times the (k0-1, n) rows, one matrix product that
-    reads the rows once per block instead of once per step.  The few rows
-    pushed within the block are added per step.  The sum is the direct
-    one, ``weights.row(k)[:k-1] @ rows``, added in another order.
+    ``rows`` is the caller's (n_steps, n) array, row j - 1 holding h_j,
+    kept without a copy.  ``known(k)``, called in step order, returns
+    sum_{j<k} omega_kj h_j and reads only h_1 .. h_{k-1}, so row k - 1
+    may be written after it.  On the first step k0 of each block of
+    ``HISTORY_BLOCK`` steps, h_1 .. h_{k0-1} are summed for every step of
+    the block at once: a (B, k0-1) Toeplitz window of the lag weights
+    times the (k0-1, n) rows, one matrix product that reads the rows once
+    per block instead of once per step.  The rows of the block itself are
+    added per step: the direct sum ``weights.row(k)[:k-1] @ rows[:k-1]``
+    in another order.
     """
 
-    def __init__(self, weights, n):
+    def __init__(self, weights, rows):
         self._lag = weights.lag_weights
-        self._rows = np.zeros((weights.n_steps, n))
-        self._pushed = 0
+        self._rows = rows
         self._block = 0            # first step of the block in ``_older``
         self._older = None         # (B, n) sums over the rows before it
 
-    def push(self, h):
-        self._rows[self._pushed] = h
-        self._pushed += 1
-
-    def known(self):
-        k = self._pushed + 1
+    def known(self, k):
         k0 = k - (k - 1) % HISTORY_BLOCK
         if k0 != self._block:
             self._older = None          # free the last block's sums first

@@ -15,10 +15,12 @@ copy of L_base's data (``space.add_nonlinear_jacobian``).  The constant
 L_base holds the mass, diffusion, memory/Caputo diagonal and
 FitzHugh-Nagumo parts, and b_k every u-independent term of the step
 (load, previous iterate, history sums, Nitsche vector).  The history
-sums over j < k of the memory term, sources eta dt (A u^j - Nitsche^j),
-and of the Caputo term, sources M (u^j - u^{j-1}), are exact and kept
-by one ``kernel.History`` each, which sums the rows older than a block
-of steps in one matrix product per block.  The load evaluates the
+sums over j < k are exact, each a ``kernel.History`` that sums the rows
+older than a block of steps in one matrix product per block.  The
+memory history sums the stored fields u^j and the DG datum values g^j;
+A and the Nitsche vector are linear in them, so the memory term is
+eta dt (A S_u - Nitsche(S_g)), S = sum_j omega_kj (.)^j.  The Caputo
+history sums its own rows M (u^j - u^{j-1}).  The load evaluates the
 forcing at its three Gauss times in one call per step, and
 ``stability_check`` all of a run's Gauss times in a few calls.  Every Newton
 correction is GMRES on the exact Jacobian (Newton-Krylov),
@@ -198,7 +200,7 @@ class BackwardEulerSolver:
     # -- per-step pieces -------------------------------------------------
 
     def _step_data(self, k, u_prev, known, v_prev):
-        """Step k's strong datum values, face datum, Nitsche vector and b_k.
+        """Step k's strong datum values, face datum and b_k.
 
         ``known`` is the history part of the step over j < k (0.0 when
         absent): eta dt sum_j omega_kj (A u^j - Nitsche^j) for the memory
@@ -214,7 +216,7 @@ class BackwardEulerSolver:
         if self.fhn is not None:
             eps, rho = self.fhn
             b -= (self.M @ v_prev) / (1.0 + dt * eps * rho)
-        return bvals, datum, nitsche, b
+        return bvals, datum, b
 
     def _residual(self, u, b, datum):
         """F(u) = L_base u + alpha B(u) - beta C(u) - b, constrained rows zero."""
@@ -254,13 +256,13 @@ class BackwardEulerSolver:
         return x
 
     def step(self, k, u_prev, known, v_prev=None, guess=None):
-        """Advance one step; returns (u_k, v_k, Nitsche vector, record-tuple).
+        """Advance one step; returns (u_k, v_k, face datum, record-tuple).
 
         ``known`` is the step's history part (see ``_step_data``).  Newton
         starts from ``guess`` (``u_prev`` when None) with the datum pinned.
-        The returned fields are new arrays.
+        The returned fields are new arrays, the datum ``space.dirichlet``'s.
         """
-        bvals, datum, nitsche, b = self._step_data(k, u_prev, known, v_prev)
+        bvals, datum, b = self._step_data(k, u_prev, known, v_prev)
         bdofs = self.space.boundary_dofs
         u = (u_prev if guess is None else guess).copy()
         u[bdofs] = bvals
@@ -289,64 +291,64 @@ class BackwardEulerSolver:
         if self.fhn is not None:
             eps, rho = self.fhn
             v_new = fhn_v_update(v_prev, u, eps, rho, self.grid.delta_t)
-        return u, v_new, nitsche, (iters, rnorm, tuple(history), stats)
+        return u, v_new, datum, (iters, rnorm, tuple(history), stats)
 
     def run(self):
         """Execute all steps; returns the Trajectory with diagnostics.
 
-        One loop feeds the memory and the Caputo history: each step's
-        b_k subtracts their ``known()`` sums, and the solved field pushes
-        their next source rows.  The trajectory stores the fields that
-        ``step`` returns, without copies.
+        Each step writes its field into a row of one (N+1, dofs) array (v
+        into another); the trajectory stores the row views.  The memory
+        history sums these rows and, on DG steps with a datum, a small
+        history of the datum values (see the module docstring).
         """
         space = self.space
         grid = self.grid
         dt = grid.delta_t
         n = grid.n_steps
+        scale = self.params.eta * dt
 
-        if self.u0 is None:
-            u = np.zeros(space.n_dofs)
-        else:
-            u = space.interpolate(self.u0)
-        v = None
-        if self.fhn is not None:
-            v = (space.interpolate(self.v0) if self.v0 is not None
-                 else np.zeros(space.n_dofs))
+        U = np.empty((n + 1, space.n_dofs))
+        U[0] = 0.0 if self.u0 is None else space.interpolate(self.u0)
+        V = None if self.fhn is None else np.empty((n + 1, space.n_dofs))
+        if V is not None:
+            V[0] = 0.0 if self.v0 is None else space.interpolate(self.v0)
 
-        fields = [u]
-        v_fields = [v] if v is not None else None
         energy_cum = 0.0
-        records = [self._record(0, 0.0, u, 0, 0.0, (), energy_cum, linalg.SolveStats())]
+        records = [self._record(0, 0.0, U[0], 0, 0.0, (), energy_cum, linalg.SolveStats())]
 
         self._precond = None                # nothing carries over between runs
         self._last_krylov = 0
-        # (history, source of its next row) of the memory and the Caputo term
-        histories = []
-        if self.weights is not None:
-            scale = self.params.eta * dt
-            histories.append((History(self.weights, space.n_dofs),
-                              lambda u_new, u_old, nitsche: scale * (self.A @ u_new - nitsche)))
+        memory = None if self.weights is None else History(self.weights, U[1:])
+        caputo = datum_memory = None
         if self.cweights is not None:
-            histories.append((History(self.cweights, space.n_dofs),
-                              lambda u_new, u_old, nitsche: self.M @ (u_new - u_old)))
+            increments = np.empty((n, space.n_dofs))    # rows M (u^j - u^{j-1})
+            caputo = History(self.cweights, increments)
 
         for k in range(1, n + 1):
-            known = sum(history.known() for history, _ in histories)
-            guess = None if k == 1 else 2.0 * u - fields[-2]
-            u_new, v_new, nitsche, (iters, rnorm, hist, stats) = self.step(
-                k, u, known, v, guess)
-            for history, source in histories:
-                history.push(source(u_new, u, nitsche))
+            known = 0.0 if memory is None else scale * (self.A @ memory.known(k))
+            if datum_memory is not None:        # a datum exists only on DG spaces
+                S_g = datum_memory.known(k).reshape(datum.shape)
+                known -= scale * forms.dirichlet_rhs_dg(space, S_g, self.params.penalty_gamma)
+            if caputo is not None:
+                known += caputo.known(k)
+            guess = None if k == 1 else 2.0 * U[k - 1] - U[k - 2]
+            v = None if V is None else V[k - 1]
+            U[k], v_new, datum, (iters, rnorm, hist, stats) = self.step(
+                k, U[k - 1], known, v, guess)
+            if V is not None:
+                V[k] = v_new
+            if caputo is not None:
+                increments[k - 1] = self.M @ (U[k] - U[k - 1])
+            if memory is not None and datum is not None:
+                if datum_memory is None:        # the first datum: its history
+                    data = np.empty((n, datum.size))
+                    datum_memory = History(self.weights, data)
+                data[k - 1] = datum.reshape(-1)
 
-            u = u_new
-            if v_new is not None:
-                v = v_new
-                v_fields.append(v)
-            fields.append(u)
-            energy_cum += dt * float(u @ (self.N_energy @ u))
-            records.append(self._record(k, k * dt, u, iters, rnorm, hist, energy_cum, stats))
+            energy_cum += dt * float(U[k] @ (self.N_energy @ U[k]))
+            records.append(self._record(k, k * dt, U[k], iters, rnorm, hist, energy_cum, stats))
 
-        return Trajectory(grid.times, fields, records, v_fields)
+        return Trajectory(grid.times, list(U), records, None if V is None else list(V))
 
     def _record(self, k, t, u, iters, rnorm, hist, energy_cum, stats):
         l2 = float(np.sqrt(max(u @ (self.M @ u), 0.0)))

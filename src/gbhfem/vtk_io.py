@@ -3,10 +3,13 @@
 CR fields are exported as cell averages plus a companion field array of
 the edge-midpoint dof values; DG fields as per-cell vertex point data on
 duplicated points.  Floats are written with 17 significant digits so
-output bytes are reproducible.
+output bytes are reproducible.  The mesh geometry of the last space
+written is kept formatted for its next snapshot.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,18 +27,21 @@ def _header(lines, comment):
     lines.append("DATASET UNSTRUCTURED_GRID")
 
 
-def _points_block(lines, pts):
-    lines.append(f"POINTS {len(pts)} double")
-    for p in pts:
-        lines.append(f"{_fmt(p[0])} {_fmt(p[1])} 0")
-
-
-def _cells_block(lines, cells):
+@functools.lru_cache(maxsize=1)
+def _geometry(space, duplicated):
+    """POINTS, CELLS and CELL_TYPES as one text, once per space: the mesh
+    vertices, or (``duplicated``) three points per cell of its own."""
+    mesh = space.mesh
+    pts, cells = mesh.vertices, mesh.cells
+    if duplicated:
+        pts, cells = pts[cells].reshape(-1, 2), np.arange(3 * mesh.n_cells).reshape(-1, 3)
+    lines = [f"POINTS {len(pts)} double"]
+    lines.extend(f"{_fmt(p[0])} {_fmt(p[1])} 0" for p in pts)
     lines.append(f"CELLS {len(cells)} {4 * len(cells)}")
-    for c in cells:
-        lines.append(f"3 {c[0]} {c[1]} {c[2]}")
+    lines.extend(f"3 {c[0]} {c[1]} {c[2]}" for c in cells)
     lines.append(f"CELL_TYPES {len(cells)}")
     lines.extend(["5"] * len(cells))
+    return "\n".join(lines)
 
 
 def _scalars(lines, name, values):
@@ -50,8 +56,7 @@ def write_cr_vtk(space, u, path, comment="", v=None):
     vals = np.asarray(u, dtype=float)
     lines = []
     _header(lines, comment)
-    _points_block(lines, mesh.vertices)
-    _cells_block(lines, mesh.cells)
+    lines.append(_geometry(space, False))
     lines.append(f"CELL_DATA {mesh.n_cells}")
     _scalars(lines, "u", vals[space.cell_dofs].mean(axis=1))
     if v is not None:
@@ -70,13 +75,10 @@ def write_dg_vtk(space, u, path, comment="", v=None):
     """DG field: duplicated per-cell vertices with POINT_DATA values."""
     mesh = space.mesh
     vals = np.asarray(u, dtype=float)
-    pts = mesh.vertices[mesh.cells].reshape(-1, 2)
-    cells = np.arange(3 * mesh.n_cells).reshape(-1, 3)
     lines = []
     _header(lines, comment)
-    _points_block(lines, pts)
-    _cells_block(lines, cells)
-    lines.append(f"POINT_DATA {len(pts)}")
+    lines.append(_geometry(space, True))
+    lines.append(f"POINT_DATA {3 * mesh.n_cells}")
     _scalars(lines, "u", vals)
     if v is not None:
         _scalars(lines, "v", np.asarray(v, dtype=float))

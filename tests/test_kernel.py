@@ -325,13 +325,31 @@ def test_history_matches_the_direct_sum(n_steps, weights):
     # the blocked sums against row(k) @ H, the direct sum of every step
     w = HISTORY_WEIGHTS[weights](n_steps)
     H = np.random.default_rng(n_steps).uniform(-1.0, 1.0, (n_steps, 5))
-    history = History(w, 5)
+    history = History(w, H)
     for k in range(1, n_steps + 1):
-        got = history.known()
+        got = history.known(k)
         want = w.row(k)[: k - 1] @ H[: k - 1]
         assert got.shape == (5,)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(initial=0.0)
-        history.push(H[k - 1])
+
+
+def test_history_reads_only_the_rows_written_into_a_callers_view():
+    # the rows are a view of a larger caller array, written one step at a
+    # time after each sum, as run() writes the fields; the unwritten rows
+    # hold NaN, so a read past row k - 1 would show
+    n_steps, n = 2 * B + 7, 4
+    w = memory_weights(KernelSpec(mu=0.5), 1.0 / n_steps, n_steps)
+    store = np.full((n_steps + 1, n + 2), np.nan)
+    rows = store[1:, 1:-1]
+    history = History(w, rows)
+    H = np.random.default_rng(3).uniform(-1.0, 1.0, (n_steps, n))
+    for k in range(1, n_steps + 1):
+        got = history.known(k)
+        want = w.row(k)[: k - 1] @ H[: k - 1]
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(initial=0.0)
+        rows[k - 1] = H[k - 1]
+    assert np.array_equal(store[1:, 1:-1], H)
 
 
 def test_history_scratch_per_block_is_bounded():
@@ -339,14 +357,13 @@ def test_history_scratch_per_block_is_bounded():
     # is the Toeplitz window's copy (B x k0 weights) and the block's
     # (B, n) sums, not a (B, k0) index matrix or a per-step copy of rows
     n_steps, n = 1500, 800
-    history = History(memory_weights(KernelSpec(mu=0.5), 1.0 / n_steps, n_steps), n)
-    row = np.ones(n)
+    rows = np.ones((n_steps, n))
+    history = History(memory_weights(KernelSpec(mu=0.5), 1.0 / n_steps, n_steps), rows)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for _ in range(n_steps):
-            history.known()
-            history.push(row)
+        for k in range(1, n_steps + 1):
+            history.known(k)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

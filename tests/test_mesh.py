@@ -168,6 +168,32 @@ def test_vtk_mesh_export(tmp_path):
     assert all(l == "5" for l in lines[types_at + 1 : types_at + 1 + m.n_cells])
 
 
+@pytest.mark.parametrize("scheme", ["cr", "dg"])
+def test_vtk_snapshots_on_one_space_format_its_geometry_once(tmp_path, monkeypatch, scheme):
+    # a later snapshot on the same space reuses the formatted geometry and
+    # writes the bytes of a fresh write: the space's first and one on a
+    # new space of the same mesh
+    import gbhfem.vtk_io as vtk_io
+    from gbhfem.space_dg import DGSpace
+    m = generate_rect_mesh(UNIT, 3)
+    make, write = {"cr": (CRSpace, vtk_io.write_cr_vtk),
+                   "dg": (DGSpace, vtk_io.write_dg_vtk)}[scheme]
+    space = make(m)
+    u, v = np.random.default_rng(5).uniform(-1.0, 1.0, (2, space.n_dofs))
+    write(space, u, tmp_path / "first.vtk", "c", v)
+    write(space, v, tmp_path / "other.vtk")
+    calls = []
+    fmt = vtk_io._fmt
+    monkeypatch.setattr(vtk_io, "_fmt", lambda x: calls.append(x) or fmt(x))
+    write(space, u, tmp_path / "again.vtk", "c", v)
+    n_values = 2 * space.n_dofs + (2 * m.n_cells if scheme == "cr" else 0)
+    assert len(calls) == n_values                # no point coordinates
+    write(make(m), u, tmp_path / "fresh.vtk", "c", v)
+    first = (tmp_path / "first.vtk").read_bytes()
+    assert first == (tmp_path / "again.vtk").read_bytes() == (tmp_path / "fresh.vtk").read_bytes()
+    assert first != (tmp_path / "other.vtk").read_bytes()
+
+
 def _edges_by_loop(vertices, cells):
     """Reference edge tables: the per-cell scan that defines the numbering."""
     index, edges, edge_cells = {}, [], []

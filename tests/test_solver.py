@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -326,12 +327,12 @@ def _wave_dg(n_steps=6, **kw):
         kernel_spec=spec, **kw)
 
 
-def _memory_caputo_cr(n_steps=6, **kw):
+def _memory_caputo_cr(n_steps=6, cells=4, **kw):
     case = mms.type_one()
     params = ModelParams(eta=1.0)
     spec = KernelSpec(mu=0.5, caputo_order=0.5)
     return BackwardEulerSolver(
-        CRSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(1.0, n_steps),
+        CRSpace(generate_rect_mesh(UNIT, cells)), params, TimeGrid(1.0, n_steps),
         forcing=mms.forcing(case, params, spec), u0=case.initial, kernel_spec=spec, **kw)
 
 
@@ -574,14 +575,14 @@ def test_residual_and_newton_matrix_match_the_per_term_formula(make):
     v_prev = v_prev if s.fhn is not None else None
 
     known = p.eta * dt * mem_known + cap_known
-    bvals, datum, nitsche, b = s._step_data(k, u_prev, known, v_prev)
+    bvals, datum, b = s._step_data(k, u_prev, known, v_prev)
     u[space.boundary_dofs] = bvals
     load = forms.assemble_load(space, forms.bind_load(space, s.forcing), (k - 1) * dt, t_k)
     flux_datum = nitsche_k = fhn_const = None
     if isinstance(s.space, DGSpace) and s.bc is not None:
         flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
         nitsche_k = forms.dirichlet_rhs_dg(space, flux_datum, p.penalty_gamma)
-        assert np.array_equal(datum, flux_datum) and np.array_equal(nitsche, nitsche_k)
+        assert np.array_equal(datum, flux_datum)
     if s.fhn is not None:
         eps, rho = s.fhn
         fhn_const = (s.M @ v_prev) / (1.0 + dt * eps * rho)
@@ -671,6 +672,44 @@ def test_trajectory_solves_the_per_term_equations(make):
     for k, terms in per_step_terms(s, traj):
         F = per_term_residual(s, U[k], U[k - 1], *terms)
         assert np.linalg.norm(F) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [_memory_caputo_cr_long, _wave_dg_long])
+def test_run_history_term_matches_the_direct_sums(make, monkeypatch):
+    # run() sums the memory over the stored fields and the DG datum and
+    # maps the sums once through A and the Nitsche vector; the history
+    # part it hands to each step against the row-by-row sums
+    # eta dt sum_j omega_kj (A u^j - Nitsche^j) + sum_j omega^c_kj M (u^j - u^{j-1})
+    s = make()
+    step, knowns = s.step, []
+    monkeypatch.setattr(s, "step", lambda k, u_prev, known, *rest: (
+        knowns.append(np.copy(known)) or step(k, u_prev, known, *rest)))
+    traj = s.run()
+    assert len(knowns) == s.grid.n_steps
+    p, dt = s.params, s.grid.delta_t
+    for k, (_, mem_known, cap_known, *_) in per_step_terms(s, traj):
+        want = p.eta * dt * mem_known + cap_known
+        got = knowns[k - 1]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(knowns[-1]) > 0.0
+
+
+def test_run_keeps_one_field_array_and_the_caputo_rows():
+    # the stored fields are the memory history, so the run's traced peak
+    # is the (N+1, dofs) fields plus the Caputo rows and the solver's
+    # small working set, well below three such arrays
+    s = _memory_caputo_cr(800, cells=16)
+    n_dofs = s.space.n_dofs
+    assert n_dofs == 800
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = s.run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(traj.fields) == 801
+    assert peak < 2.5 * 801 * n_dofs * 8
 
 
 @pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_cr, _wave_dg, _spiral_dg])
