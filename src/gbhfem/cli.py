@@ -53,7 +53,6 @@ class RunConfig:
     domain: tuple = (0.0, 0.0, 1.0, 1.0)
     out_dir: Path = Path(".")
     snapshot_interval: float = 0.25
-    linear_solver: str = "gmres"
     model: ModelParams = field(default_factory=ModelParams)
     kernel: KernelSpec | None = None
     newton_tol: float = 1e-10
@@ -66,8 +65,7 @@ class RunConfig:
 
     def __post_init__(self):
         # one field per check, so a config error can name its line
-        for name, allowed in (("scheme", tuple(mms.SPACES)), ("case", _CASES),
-                              ("linear_solver", ("lu", "gmres"))):
+        for name, allowed in (("scheme", tuple(mms.SPACES)), ("case", _CASES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name in ("mesh_n", "n_steps", "t_final", "dt_coupling", "snapshot_interval"):
@@ -108,7 +106,6 @@ _KEYS = {
     ("run", "domain"): (RunConfig, "domain", _domain),
     ("run", "out_dir"): (RunConfig, "out_dir", Path),
     ("run", "snapshot_interval"): (RunConfig, "snapshot_interval", float),
-    ("run", "linear_solver"): (RunConfig, "linear_solver", str),
     ("model", "nu"): (ModelParams, "nu", float),
     ("model", "alpha"): (ModelParams, "alpha", float),
     ("model", "beta"): (ModelParams, "beta", float),
@@ -224,7 +221,7 @@ def _solver_options(cfg):
     """Keyword arguments that ``convergence_study`` and
     ``BackwardEulerSolver`` take alike."""
     return dict(kernel_spec=cfg.kernel, newton_tol=cfg.newton_tol,
-                newton_cap=cfg.newton_cap, linear_solver=cfg.linear_solver)
+                newton_cap=cfg.newton_cap)
 
 
 def _metadata_lines(cfg, extra=()):

@@ -68,18 +68,18 @@ class ModelParams:
     penalty_gamma: float = 40.0
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu!r}")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be nonnegative")
+        # one field per check, so a config error can name its line; the
+        # comparisons are written so that NaN fails them
+        for name in ("nu", "penalty_gamma"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        for name in ("alpha", "beta", "eta"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
         if not 0.0 < self.reaction_gamma < 1.0:
             raise ValueError(f"reaction_gamma must lie in (0, 1), got {self.reaction_gamma!r}")
         if not isinstance(self.delta, (int, np.integer)) or self.delta < 1:
             raise ValueError(f"delta must be a positive integer, got {self.delta!r}")
-        if self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
-        if not self.penalty_gamma > 0.0:
-            raise ValueError("penalty_gamma must be positive")
 
 
 def nonlinear_quad_degree(delta):

@@ -4,15 +4,14 @@ Matrices are scipy CSR in canonical form (sorted indices, summed
 duplicates).  All matrices of one space live on one ``BlockPattern``:
 they share its ``indptr``/``indices`` and differ only in ``data``, so
 sums of them are sums of ``data`` vectors.  Every solve meets
-||Ax - b|| <= 1e-10 (1 + ||b||) and has two paths:
-
-* "lu": SuperLU of A itself with COLAMD ordering, one factorization per
-  call; deterministic for a fixed matrix.
-* "gmres": Newton-Krylov.  GMRES on A, right-preconditioned by the
-  factor of a nearby matrix P (``factorize``, MMD ordering on A^T + A),
-  which the solver keeps across Newton iterations and steps and rebuilds
-  only when GMRES starts to need many iterations.  A call whose GMRES
-  misses the tolerance falls back to the "lu" path.
+||Ax - b|| <= 1e-10 (1 + ||b||).  Newton corrections are Newton-Krylov:
+GMRES on A, right-preconditioned by the factor of a nearby matrix P
+(``factorize``), which the solver keeps across Newton iterations and
+steps and rebuilds only when GMRES starts to need many iterations.  A
+solve whose GMRES misses the tolerance falls back to a direct LU of A,
+which is also what ``solve`` does without a preconditioner (the tests'
+reference).  Every factor is SuperLU with minimum-degree ordering on
+A^T + A, deterministic for a fixed matrix.
 
 Norms are the overflow-safe ``norm``, so a huge right-hand side keeps a
 finite tolerance.
@@ -31,8 +30,10 @@ from .errors import SingularMatrixError
 __all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "norm"]
 
 SOLVE_RTOL = 1e-10
-GMRES_RESTART = 60
-GMRES_MAXITER = 3         # restart cycles before the LU fallback
+#: scipy allocates a (GMRES_RESTART + 1, n) Krylov basis per call; at 20 it
+#: stays below numpy's 4 MiB huge-page advice threshold up to n = 24,966
+GMRES_RESTART = 20
+GMRES_MAXITER = 9         # restart cycles before the LU fallback
 #: a Newton solver whose last GMRES solve took more iterations than this
 #: factors its current matrix as the new preconditioner
 REFRESH_KRYLOV_ITERS = 10
@@ -102,25 +103,30 @@ class BlockPattern:
                 np.flatnonzero(on[rows] & (rows == self.indices)))
 
 
-def _splu(A, permc_spec):
-    # entries a constraint zeroed stay in a pattern matrix; they must not
-    # couple dofs in the ordering or the fill
-    A = sp.csc_matrix(A, copy=True)
-    A.eliminate_zeros()
-    try:
-        return spla.splu(A, permc_spec=permc_spec)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularMatrixError(str(exc)) from exc
-
-
-def factorize(A):
+def _splu(A):
     """SuperLU factor of A with minimum-degree ordering on A^T + A.
 
     On the structurally symmetric FE matrices this has about half the
     fill of COLAMD, which makes both the factorization and every later
     triangular solve cheaper.  ``.solve(v)`` applies A^{-1}.
     """
-    return _splu(A, "MMD_AT_PLUS_A")
+    # entries a constraint zeroed stay in a pattern matrix; they must not
+    # couple dofs in the ordering or the fill
+    A = sp.csc_matrix(A, copy=True)
+    A.eliminate_zeros()
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularMatrixError(str(exc)) from exc
+
+
+def factorize(A):
+    """The ``_splu`` factor of A, for use as a preconditioner.
+
+    The direct path calls ``_splu`` itself, so a stand-in for
+    ``factorize`` never reaches the LU fallback.
+    """
+    return _splu(A)
 
 
 def _residual(A, x, b):
@@ -130,7 +136,7 @@ def _residual(A, x, b):
 
 
 def _direct(A, b, tol):
-    lu = _splu(A, "COLAMD")
+    lu = _splu(A)
     x = lu.solve(b)
     if _residual(A, x, b) > tol:
         x = x + lu.solve(b - A @ x)  # one step of iterative refinement
@@ -170,30 +176,26 @@ def _gmres(A, b, tol, precond, stats):
     return x if _residual(A, x, b) <= tol else None
 
 
-def solve(A, b, method="lu", precond=None, stats=None):
+def solve(A, b, precond=None, stats=None):
     """Solve A x = b with residual ||Ax-b|| <= 1e-10 (1 + ||b||).
 
-    ``method`` is "lu" (sparse LU of A, deterministic pivoting/ordering)
-    or "gmres" (GMRES on A, right-preconditioned by ``precond``, a
-    callable v -> P^{-1} v such as ``factorize(P).solve``).  GMRES
+    With ``precond``, a callable v -> P^{-1} v such as
+    ``factorize(P).solve``, GMRES on A right-preconditioned by it; GMRES
     restarts every ``GMRES_RESTART`` iterations and stops after
-    ``GMRES_MAXITER`` cycles; if it has missed the tolerance by then, A
-    is factored directly for this call.  ``stats``, a SolveStats, counts
-    Krylov iterations and those fallbacks.  A matrix that is singular to
-    tolerance raises SingularMatrixError.
+    ``GMRES_MAXITER`` cycles, and if it has missed the tolerance by then,
+    A is factored directly for this call.  Without one, the direct LU of
+    A.  ``stats``, a SolveStats, counts Krylov iterations and LU
+    fallbacks.  A matrix that is singular to tolerance raises
+    SingularMatrixError.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} vs rhs {b.shape}")
-    if method not in ("lu", "gmres"):
-        raise ValueError(f"unknown solve method {method!r}")
-    if method == "gmres" and precond is None:
-        raise ValueError("gmres needs a preconditioner")
     tol = SOLVE_RTOL * (1.0 + norm(b))
 
-    if method == "gmres":
+    if precond is not None:
         x = _gmres(A, b, tol, precond, stats)
         if x is not None:
             return x

@@ -484,15 +484,16 @@ def study_level(level, box, base_n, coupling, t_final):
 
 def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25,
                       t_final=1.0, kernel_spec=None, caputo_order=None,
-                      box=(0.0, 0.0, 1.0, 1.0), newton_tol=1e-10, newton_cap=25,
-                      linear_solver="gmres"):
+                      box=(0.0, 0.0, 1.0, 1.0), newton_tol=1e-10, newton_cap=25):
     """Refinement study with dt proportional to h (dt = coupling * h).
 
     Runs ``levels`` meshes obtained by doubling ``base_n`` and reports
     nodal-max L2 and energy-norm errors with rates log2(e_i / e_{i+1}).
-    The case's self-consistency gate runs first.  ``linear_solver`` is
-    passed to every level's BackwardEulerSolver.  Cases with homogeneous
-    Dirichlet data also get each level's ``stability_check`` report.
+    The case's self-consistency gate runs first.  Every level's
+    BackwardEulerSolver solves its Newton corrections by preconditioned
+    GMRES with the direct LU as fallback (``linalg.solve``).  Cases with
+    homogeneous Dirichlet data also get each level's ``stability_check``
+    report.
     """
     if levels < 2:
         raise ValueError("a study needs at least 2 levels")
@@ -511,7 +512,7 @@ def convergence_study(case, scheme, params, *, levels=3, base_n=8, coupling=0.25
         solver = BackwardEulerSolver(
             space, params, grid, forcing=f, u0=case.initial, bc=bc,
             kernel_spec=kernel_spec, caputo_order=caputo_order,
-            newton_tol=newton_tol, newton_cap=newton_cap, linear_solver=linear_solver)
+            newton_tol=newton_tol, newton_cap=newton_cap)
         traj = solver.run()
         e_l2 = error_linf_l2(space, traj, case)
         e_en = error_energy(space, traj, case, params)

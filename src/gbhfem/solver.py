@@ -28,8 +28,9 @@ right-preconditioned by a lagged factor: L_base is factored on the run's
 first Newton solve, and whenever a GMRES solve needs more than
 ``linalg.REFRESH_KRYLOV_ITERS`` iterations the next Newton matrix is
 factored in its place and kept across iterations and steps (Knoll &
-Keyes, J. Comput. Phys. 193 (2004) 357); ``linear_solver="lu"`` factors
-every Newton matrix directly instead.  From step 2 on, Newton starts
+Keyes, J. Comput. Phys. 193 (2004) 357); a solve that GMRES cannot
+bring to tolerance falls back to a direct LU of that Newton matrix
+(``linalg.solve``).  From step 2 on, Newton starts
 from the linear extrapolation 2 u^{k-1} - u^{k-2} with the datum
 pinned, step 1 from u^0.  All matrices share the space's CSR pattern,
 so a Newton matrix is a sum of ``data`` vectors, and a Jacobian is
@@ -132,14 +133,11 @@ class BackwardEulerSolver:
         differ)
     fhn : (eps, rho) to enable the recovery-variable coupling
     v0 : callable initial datum of the recovery variable
-    linear_solver : "gmres" (Newton-Krylov, see the module docstring) or
-        "lu" (direct factorization of every Newton matrix); read at step
-        time
     """
 
     def __init__(self, space, params, grid, *, forcing=None, u0=None, bc=None,
                  kernel_spec=None, caputo_order=None, fhn=None, v0=None,
-                 newton_tol=1e-10, newton_cap=25, linear_solver="gmres"):
+                 newton_tol=1e-10, newton_cap=25):
         self.space = space
         self.params = params
         self.grid = grid
@@ -148,7 +146,6 @@ class BackwardEulerSolver:
         self.bc = bc
         self.newton_tol = float(newton_tol)
         self.newton_cap = int(newton_cap)
-        self.linear_solver = linear_solver
 
         dt = grid.delta_t
         self.M = forms.assemble_mass(space)
@@ -241,8 +238,6 @@ class BackwardEulerSolver:
         return self.space.pattern.matrix(data)
 
     def _linear_solve(self, J, F, stats):
-        if self.linear_solver != "gmres":
-            return linalg.solve(J, F, method=self.linear_solver)
         if self._precond is None:
             self._precond = linalg.factorize(self._newton_matrix())
         elif self._last_krylov > linalg.REFRESH_KRYLOV_ITERS:
@@ -250,8 +245,7 @@ class BackwardEulerSolver:
             self._precond = linalg.factorize(J)
             stats.precond_refreshes += 1
         before = stats.krylov_iters
-        x = linalg.solve(J, F, method="gmres", precond=self._precond.solve,
-                         stats=stats)
+        x = linalg.solve(J, F, precond=self._precond.solve, stats=stats)
         self._last_krylov = stats.krylov_iters - before
         return x
 

@@ -8,7 +8,6 @@ from gbhfem.cli import _KEYS, RunConfig, main, parse_config
 from gbhfem.errors import ConfigError
 from gbhfem.forms import ModelParams
 from gbhfem.kernel import KernelSpec
-from gbhfem.solver import BackwardEulerSolver
 
 MINIMAL = """\
 [run]
@@ -191,52 +190,6 @@ rho = 1
     assert len(factored) > 2                  # one L_base factor per run, plus refreshes
     assert "diagnostics.csv" in outputs[0] and len(outputs[0]) == 5
     assert outputs[0] == outputs[1]
-
-
-def test_convergence_forwards_linear_solver(tmp_path, monkeypatch):
-    # [run] linear_solver reaches every level's solver: LU makes no Krylov
-    # iterations and agrees with the default Newton-Krylov CSV
-    krylov = []
-    run = BackwardEulerSolver.run
-
-    def recording(self):
-        traj = run(self)
-        krylov.append((self.linear_solver, sum(r.krylov_iters for r in traj.records)))
-        return traj
-
-    monkeypatch.setattr(BackwardEulerSolver, "run", recording)
-    text = """\
-[run]
-scheme = cr
-case = type1
-mesh_n = 2
-levels = 2
-linear_solver = {solver}
-
-[model]
-eta = 1.0
-
-[kernel]
-kind = power
-mu = 0.5
-"""
-    bodies = {}
-    for solver in ("gmres", "lu"):
-        out = tmp_path / solver
-        cfg = write(tmp_path, text.format(solver=solver), name=f"{solver}.cfg")
-        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "convergence.csv").read_text().splitlines()
-        bodies[solver] = [l.split(",") for l in lines if not l.startswith("#")]
-    assert [s for s, _ in krylov] == ["gmres"] * 2 + ["lu"] * 2
-    assert all(k > 0 for s, k in krylov if s == "gmres")
-    assert all(k == 0 for s, k in krylov if s == "lu")
-    gm, lu = bodies["gmres"], bodies["lu"]
-    assert gm[0] == lu[0] and len(gm) == len(lu) == 3
-
-    def numbers(rows):
-        return np.array([[float(v) if v else np.nan for v in r] for r in rows[1:]])
-
-    np.testing.assert_allclose(numbers(lu), numbers(gm), rtol=1e-8, equal_nan=True)
 
 
 def test_caputo_flag_changes_results(tmp_path):
@@ -455,6 +408,10 @@ BAD_CONFIGS = {
     "snapshot_interval": ("type1", "snapshot_interval = -1\n", "snapshot_interval"),
     "reynolds_inf": ("traveling_wave", "[traveling_wave]\nreynolds = inf\n", "reynolds"),
     "kernel_callable": ("type1", "[kernel]\nkind = callable\n", "kind"),
+    "linear_solver": ("type1", "linear_solver = lu\n", "linear_solver"),
+    "alpha_nan": ("type1", "[model]\nalpha = nan\n", "alpha"),
+    "eta_nan": ("type1", "[model]\neta = nan\n", "eta"),
+    "nu_inf": ("type1", "[model]\nnu = inf\n", "nu"),
 }
 
 

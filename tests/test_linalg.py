@@ -52,9 +52,9 @@ def test_solve_spd_from_poisson(dirichlet_system):
     J, F, _ = dirichlet_system(space, A, b, None)
     A2, b2 = J, -F          # u = 0 at the boundary midpoints, A u = b elsewhere
     P = factorize(A2)
-    for method, precond in (("lu", None), ("gmres", P.solve)):
+    for precond in (None, P.solve):
         stats = SolveStats()
-        x = solve(A2, b2, method=method, precond=precond, stats=stats)
+        x = solve(A2, b2, precond=precond, stats=stats)
         assert np.linalg.norm(A2 @ x - b2) <= 1e-10 * (1.0 + np.linalg.norm(b2))
         assert stats.lu_fallbacks == 0
     assert stats.krylov_iters <= 2           # preconditioned by A2 itself
@@ -68,10 +68,10 @@ def test_gmres_preconditioned_by_a_nearby_matrix():
     A = (P + 0.5 * sp.diags(rng.uniform(-1.0, 1.0, space.n_dofs)) @ assemble_mass(space)).tocsr()
     b = rng.standard_normal(space.n_dofs)
     stats = SolveStats()
-    x = solve(A, b, method="gmres", precond=factorize(P).solve, stats=stats)
+    x = solve(A, b, precond=factorize(P).solve, stats=stats)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
     assert 0 < stats.krylov_iters <= 30 and stats.lu_fallbacks == 0
-    x_lu = solve(A, b, method="lu")
+    x_lu = solve(A, b)
     assert np.linalg.norm(x - x_lu) <= 1e-8 * np.linalg.norm(x_lu)
 
 
@@ -84,7 +84,7 @@ def test_gmres_miss_falls_back_to_lu(monkeypatch):
     b = np.random.default_rng(3).standard_normal(space.n_dofs)
     stats = SolveStats()
     monkeypatch.setattr(linalg, "GMRES_MAXITER", 1)
-    x = solve(A, b, method="gmres", precond=lambda v: v, stats=stats)
+    x = solve(A, b, precond=lambda v: v, stats=stats)
     assert stats.lu_fallbacks == 1 and stats.krylov_iters > 0
     assert np.linalg.norm(A @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
@@ -93,7 +93,7 @@ def test_gmres_fallback_keeps_singular_error():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     stats = SolveStats()
     with pytest.raises(SingularMatrixError):
-        solve(A, np.array([1.0, 1.0]), method="gmres", precond=lambda v: v, stats=stats)
+        solve(A, np.array([1.0, 1.0]), precond=lambda v: v, stats=stats)
     assert stats.lu_fallbacks == 1
 
 
@@ -102,15 +102,9 @@ def test_huge_rhs_keeps_a_finite_tolerance():
     # 1 + ||b|| overflowed to inf once b's entries passed about 1e154, and
     # GMRES then accepted x = 0
     b = np.full(4, 1e200)
-    for method, precond in (("gmres", lambda v: v), ("lu", None)):
-        assert np.array_equal(solve(sp.identity(4, format="csr"), b, method=method,
-                                    precond=precond), b)
+    for precond in (lambda v: v, None):
+        assert np.array_equal(solve(sp.identity(4, format="csr"), b, precond=precond), b)
     assert linalg.norm(b) == 2e200
-
-
-def test_gmres_requires_preconditioner():
-    with pytest.raises(ValueError):
-        solve(sp.eye(3, format="csr"), np.ones(3), method="gmres")
 
 
 def test_factorize_singular_raises():

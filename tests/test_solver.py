@@ -22,6 +22,13 @@ from test_assembly_oracle import ref_nonlinear
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
+class DirectLU(BackwardEulerSolver):
+    """Reference solver: every Newton correction by a direct LU of its matrix."""
+
+    def _linear_solve(self, J, F, stats):
+        return linalg.solve(J, F)
+
+
 def test_time_grid():
     grid = TimeGrid(2.0, 8)
     assert grid.delta_t == 0.25
@@ -178,10 +185,10 @@ def test_step_failure_carries_context():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")      # overflow on purpose
-@pytest.mark.parametrize("linear_solver", ["gmres", "lu"])
+@pytest.mark.parametrize("make_solver", [BackwardEulerSolver, DirectLU], ids=["gmres", "lu"])
 @pytest.mark.parametrize("make_space", [CRSpace, DGSpace])
 @pytest.mark.parametrize("bad", ["huge_initial_value", "nan_forcing"])
-def test_non_finite_residual_fails_before_any_solve(bad, make_space, linear_solver,
+def test_non_finite_residual_fails_before_any_solve(bad, make_space, make_solver,
                                                     monkeypatch):
     solves = []
     solve = linalg.solve
@@ -192,7 +199,7 @@ def test_non_finite_residual_fails_before_any_solve(bad, make_space, linear_solv
         data = dict(u0=lambda x: np.full(len(x), 1e100))
     else:
         data = dict(forcing=lambda x, t: np.full(len(x), np.nan))
-    s = BackwardEulerSolver(space, params, TimeGrid(10.0, 1), linear_solver=linear_solver, **data)
+    s = make_solver(space, params, TimeGrid(10.0, 1), **data)
     with pytest.raises(StepFailureError, match="step 1: residual is not finite") as info:
         s.run()
     assert info.value.step == 1 and info.value.iterations == 0
@@ -207,9 +214,8 @@ def test_huge_finite_residual_is_reported_finite(make_space):
     # allowed leaves a rounding-level residual (about 1e-16 ||F||), so the
     # step fails at the iteration cap with a finite norm
     space = make_space(generate_rect_mesh(UNIT, 2))
-    s = BackwardEulerSolver(space, ModelParams(alpha=0.0, beta=0.0), TimeGrid(1.0, 1),
-                            forcing=lambda x, t: np.full(len(x), 1e200),
-                            newton_cap=1, linear_solver="lu")
+    s = DirectLU(space, ModelParams(alpha=0.0, beta=0.0), TimeGrid(1.0, 1),
+                 forcing=lambda x, t: np.full(len(x), 1e200), newton_cap=1)
     with pytest.raises(StepFailureError, match=r"residual \d\.\d{3}e\+\d+ after 1 ") as info:
         s.run()
     assert np.isfinite(info.value.residual) and info.value.residual > 1e150
@@ -220,14 +226,13 @@ def test_huge_forcing_krylov_reduces_residual_as_far_as_lu():
     # the solve tolerance 1e-10 (1 + ||F||) stays finite, so GMRES cannot
     # accept x = 0 for a residual whose squares overflow
     residual = {}
-    for linear_solver in ("gmres", "lu"):
-        s = BackwardEulerSolver(CRSpace(generate_rect_mesh(UNIT, 2)),
-                                ModelParams(alpha=0.0, beta=0.0), TimeGrid(1.0, 1),
-                                forcing=lambda x, t: np.full(len(x), 1e200),
-                                newton_cap=1, linear_solver=linear_solver)
+    for name, make_solver in (("gmres", BackwardEulerSolver), ("lu", DirectLU)):
+        s = make_solver(CRSpace(generate_rect_mesh(UNIT, 2)),
+                        ModelParams(alpha=0.0, beta=0.0), TimeGrid(1.0, 1),
+                        forcing=lambda x, t: np.full(len(x), 1e200), newton_cap=1)
         with pytest.raises(StepFailureError) as info:
             s.run()
-        residual[linear_solver] = info.value.residual
+        residual[name] = info.value.residual
     assert residual["lu"] < 1e190
     assert residual["gmres"] <= 2.0 * residual["lu"]
 
@@ -305,12 +310,12 @@ def test_stability_holds_for_manufactured_run():
     assert rep.holds and rep.lhs < rep.rhs
 
 
-def _wave_cr(**kw):
+def _wave_cr(cls=BackwardEulerSolver, **kw):
     # nonhomogeneous Dirichlet data imposed strongly, memory on
     case = mms.traveling_wave(20)
     params = ModelParams(nu=1.0 / 20, eta=1.0)
     spec = KernelSpec(mu=0.5)
-    return BackwardEulerSolver(
+    return cls(
         CRSpace(generate_rect_mesh(UNIT, 4)), params, TimeGrid(0.5, 6),
         forcing=mms.forcing(case, params, spec), u0=case.initial, bc=case.boundary,
         kernel_spec=spec, **kw)
@@ -327,11 +332,11 @@ def _wave_dg(n_steps=6, **kw):
         kernel_spec=spec, **kw)
 
 
-def _memory_caputo_cr(n_steps=6, cells=4, **kw):
+def _memory_caputo_cr(n_steps=6, cells=4, cls=BackwardEulerSolver, **kw):
     case = mms.type_one()
     params = ModelParams(eta=1.0)
     spec = KernelSpec(mu=0.5, caputo_order=0.5)
-    return BackwardEulerSolver(
+    return cls(
         CRSpace(generate_rect_mesh(UNIT, cells)), params, TimeGrid(1.0, n_steps),
         forcing=mms.forcing(case, params, spec), u0=case.initial, kernel_spec=spec, **kw)
 
@@ -348,9 +353,9 @@ def _wave_dg_long(**kw):
     return _wave_dg(LONG, **kw)
 
 
-def _spiral_dg(**kw):
+def _spiral_dg(cls=BackwardEulerSolver, **kw):
     params = ModelParams(nu=4.0, alpha=0.1, beta=1.0, reaction_gamma=0.25, eta=0.01)
-    return BackwardEulerSolver(
+    return cls(
         DGSpace(generate_rect_mesh((0.0, 0.0, 300.0, 300.0), 8)), params,
         TimeGrid(3.0, 3), u0=lambda x: np.where(x[:, 1] >= 150.0, 1.0, 0.0),
         v0=lambda x: np.where(x[:, 0] >= 150.0, 0.4, 0.0), fhn=(0.005, 1.0),
@@ -359,9 +364,7 @@ def _spiral_dg(**kw):
 
 @pytest.mark.parametrize("make", [_wave_cr, _memory_caputo_cr, _spiral_dg])
 def test_newton_krylov_matches_direct_lu(make):
-    default = make()
-    assert default.linear_solver == "gmres"
-    krylov, direct = default.run(), make(linear_solver="lu").run()
+    krylov, direct = make().run(), make(cls=DirectLU).run()
     for a, b in zip(krylov.fields, direct.fields):
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
     assert ([r.newton_iters for r in krylov.records]
@@ -393,8 +396,9 @@ def test_preconditioner_factored_once_per_run(make, monkeypatch):
     else:
         assert refreshes == 0
     calls.clear()
-    traj = make(linear_solver="lu").run()
-    assert len(calls) == sum(r.newton_iters for r in traj.records)
+    traj = make(cls=DirectLU).run()
+    # the direct reference factors every Newton matrix, with the same ordering
+    assert calls == ["MMD_AT_PLUS_A"] * sum(r.newton_iters for r in traj.records)
     assert all(r.precond_refreshes == 0 for r in traj.records)
 
 
@@ -435,8 +439,8 @@ def test_runs_are_bit_identical(make):
 
 
 def test_missed_krylov_solve_falls_back_to_lu(monkeypatch):
-    # a useless preconditioner and one-iteration Krylov cycles make every
-    # GMRES solve miss; the direct fallback keeps the run exact
+    # a useless preconditioner and three one-iteration Krylov cycles make
+    # every GMRES solve miss; the direct fallback keeps the run exact
     class Identity:
         def __init__(self, P):
             pass
@@ -446,8 +450,9 @@ def test_missed_krylov_solve_falls_back_to_lu(monkeypatch):
 
     monkeypatch.setattr(linalg, "factorize", Identity)
     monkeypatch.setattr(linalg, "GMRES_RESTART", 1)
+    monkeypatch.setattr(linalg, "GMRES_MAXITER", 3)
     traj = _wave_cr().run()
-    direct = _wave_cr(linear_solver="lu").run()
+    direct = _wave_cr(cls=DirectLU).run()
     assert all(r.lu_fallbacks == r.newton_iters > 0 and r.krylov_iters > 0
                for r in traj.records[1:])
     for a, b in zip(traj.fields, direct.fields):
