@@ -205,16 +205,18 @@ def parse_config(path):
         if kernel is not None and kernel.caputo_order is not None:
             _fail(path, "caputo_order must be unset for case traveling_wave "
                   "(its forcing has no Caputo term)", "caputo_order", "kernel")
+        if "nu" in values[ModelParams]:
+            _fail(path, "nu must be unset for case traveling_wave "
+                  "(it is 1 / [traveling_wave] reynolds)", "nu", "model")
         cfg.model = replace(model, nu=1.0 / cfg.reynolds)
     return cfg
 
 
 def _case_for(cfg):
-    if cfg.case == "spiral":
-        raise ConfigError("case 'spiral' has no manufactured solution")
+    """The manufactured case of ``cfg.case``; KeyError for spiral, which has none."""
     if cfg.case == "traveling_wave":
         return mms.traveling_wave(cfg.reynolds)
-    return mms.type_one() if cfg.case == "type1" else mms.type_two()
+    return {"type1": mms.type_one, "type2": mms.type_two}[cfg.case]()
 
 
 def _solver_options(cfg):
@@ -367,6 +369,8 @@ def main(argv=None):
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: --levels {args.levels}: {exc}") from exc
         if args.func is cmd_convergence:
+            if cfg.case == "spiral":
+                _fail(args.config, "case 'spiral' has no manufactured solution", "case", "run")
             try:
                 mms.study_level(0, cfg.domain, cfg.mesh_n, cfg.dt_coupling, cfg.t_final)
             except ValueError as exc:

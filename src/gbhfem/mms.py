@@ -175,43 +175,33 @@ class Separable:
             lambda x, t: P(t) * lapS(x), homogeneous_bc, separable=self)
 
 
-def type_one():
-    """u = (t^3 - t^2 + 1) sin(pi x) sin(pi y)."""
-    pi = np.pi
+def _sine_mode(m, profile, name):
+    """The separable case u = P(t) sin(m pi x) sin(m pi y), P = ``profile``."""
+    k = m * np.pi
 
     def S(x):
-        return np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1])
+        return np.sin(k * x[:, 0]) * np.sin(k * x[:, 1])
 
     def gradS(x):
-        return pi * np.column_stack([
-            np.cos(pi * x[:, 0]) * np.sin(pi * x[:, 1]),
-            np.sin(pi * x[:, 0]) * np.cos(pi * x[:, 1]),
+        return k * np.column_stack([
+            np.cos(k * x[:, 0]) * np.sin(k * x[:, 1]),
+            np.sin(k * x[:, 0]) * np.cos(k * x[:, 1]),
         ])
 
     def lapS(x):
-        return -2.0 * pi**2 * S(x)
+        return -2.0 * k**2 * S(x)
 
-    return Separable(PowerSum([(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)]),
-                     S, gradS, lapS).case("type1")
+    return Separable(profile, S, gradS, lapS).case(name)
+
+
+def type_one():
+    """u = (t^3 - t^2 + 1) sin(pi x) sin(pi y)."""
+    return _sine_mode(1, PowerSum([(1.0, 3.0), (-1.0, 2.0), (1.0, 0.0)]), "type1")
 
 
 def type_two():
     """u = t^(3/2) sin(2 pi x) sin(2 pi y)."""
-    pi = np.pi
-
-    def S(x):
-        return np.sin(2 * pi * x[:, 0]) * np.sin(2 * pi * x[:, 1])
-
-    def gradS(x):
-        return 2 * pi * np.column_stack([
-            np.cos(2 * pi * x[:, 0]) * np.sin(2 * pi * x[:, 1]),
-            np.sin(2 * pi * x[:, 0]) * np.cos(2 * pi * x[:, 1]),
-        ])
-
-    def lapS(x):
-        return -8.0 * pi**2 * S(x)
-
-    return Separable(PowerSum([(1.0, 1.5)]), S, gradS, lapS).case("type2")
+    return _sine_mode(2, PowerSum([(1.0, 1.5)]), "type2")
 
 
 def traveling_wave(reynolds):

@@ -13,17 +13,20 @@ F(u) = L_base u + alpha B(u) - beta C(u) - b_k, one call per iterate,
 and one Newton matrix L_base + J(u), the form's Jacobian J added into a
 copy of L_base's data (``space.add_nonlinear_jacobian``).  The constant
 L_base holds the mass, diffusion, memory/Caputo diagonal and
-FitzHugh-Nagumo parts, and b_k every u-independent term of the step
-(load, previous iterate, history sums, Nitsche vector).  The history
-sums over j < k are exact, each a ``kernel.History`` that sums the rows
-older than a block of steps in one matrix product per block.  The
-memory history sums the stored fields u^j and the DG datum values g^j;
-A and the Nitsche vector are linear in them, so the memory term is
-eta dt (A S_u - Nitsche(S_g)), S = sum_j omega_kj (.)^j.  The Caputo
-history sums its own rows M (u^j - u^{j-1}).  The load evaluates the
-forcing at its three Gauss times in one call per step, and
-``stability_check`` all of a run's Gauss times in a few calls.  Every Newton
-correction is GMRES on the exact Jacobian (Newton-Krylov),
+FitzHugh-Nagumo parts.  ``run`` builds b_k, every u-independent term of
+the step, in one place: the load, (1/dt + Caputo diagonal) M u^{k-1},
+minus the history part ``known`` = eta dt A S_u (+ the Caputo sum),
+minus M v^{k-1} / (1 + dt eps rho) for the FitzHugh-Nagumo coupling,
+and, on a space with a face datum g (DG), one Nitsche vector of
+nu g^k + eta dt sum_{j<=k} omega_kj g^j, the SIPG boundary terms being
+linear in g (``space.nitsche``).  ``step`` is Newton's iteration alone.
+The history sums over j < k are exact, each a ``kernel.History`` that
+sums the rows older than a block of steps in one matrix product per
+block: S_u = sum_j omega_kj u^j over the stored fields, S_g over the
+datum values, and the Caputo sum over its own rows M (u^j - u^{j-1}).
+The load evaluates the forcing at its three Gauss times in one call per
+step, and ``stability_check`` all of a run's Gauss times in a few calls.
+Every Newton correction is GMRES on the exact Jacobian (Newton-Krylov),
 right-preconditioned by a lagged factor: L_base is factored on the run's
 first Newton solve, and whenever a GMRES solve needs more than
 ``linalg.REFRESH_KRYLOV_ITERS`` iterations the next Newton matrix is
@@ -37,10 +40,11 @@ so a Newton matrix is a sum of ``data`` vectors, and a Jacobian is
 built only for the iterations that solve with it.
 The space supplies what differs between the schemes: diffusion and
 energy-norm matrices, nonlinear form and Dirichlet datum, evaluated
-once per step in one ``space.dirichlet`` call.  The datum pins the
-``boundary_dofs`` (CR midpoints; none for DG), whose residual rows are
-zero and whose Newton rows and columns are the identity's; DG's weak
-datum enters b_k (Nitsche vector) and the upwind flux.  The optional
+once per step in one ``space.dirichlet`` call.  Its strong values pin
+the ``boundary_dofs`` (CR midpoints; none for DG), whose residual rows
+are zero and whose Newton rows and columns are the identity's; its face
+datum (DG; None for CR) enters b_k through the Nitsche vector and the
+nonlinear form through the upwind flux.  The optional
 recovery variable of the FitzHugh-Nagumo coupling is eliminated per dof
 with its closed-form implicit Euler update.
 """
@@ -196,25 +200,6 @@ class BackwardEulerSolver:
 
     # -- per-step pieces -------------------------------------------------
 
-    def _step_data(self, k, u_prev, known, v_prev):
-        """Step k's strong datum values, face datum and b_k.
-
-        ``known`` is the history part of the step over j < k (0.0 when
-        absent): eta dt sum_j omega_kj (A u^j - Nitsche^j) for the memory
-        plus sum_j omega^c_kj M (u^j - u^{j-1}) for the Caputo term.
-        """
-        p = self.params
-        dt = self.grid.delta_t
-        t_k = k * dt
-        bvals, datum, nitsche = self.space.dirichlet(self.bc, t_k, p.penalty_gamma)
-        b = (forms.assemble_load(self.space, self.load, (k - 1) * dt, t_k)
-             + self._prev_coef * (self.M @ u_prev) - known
-             + self._stiff_coef * nitsche)
-        if self.fhn is not None:
-            eps, rho = self.fhn
-            b -= (self.M @ v_prev) / (1.0 + dt * eps * rho)
-        return bvals, datum, b
-
     def _residual(self, u, b, datum):
         """F(u) = L_base u + alpha B(u) - beta C(u) - b, constrained rows zero."""
         F = self.L_base @ u - b
@@ -249,16 +234,15 @@ class BackwardEulerSolver:
         self._last_krylov = stats.krylov_iters - before
         return x
 
-    def step(self, k, u_prev, known, v_prev=None, guess=None):
-        """Advance one step; returns (u_k, v_k, face datum, record-tuple).
+    def step(self, k, b, bvals, datum, guess):
+        """Newton's iteration of step k; returns (u_k, record-tuple).
 
-        ``known`` is the step's history part (see ``_step_data``).  Newton
-        starts from ``guess`` (``u_prev`` when None) with the datum pinned.
-        The returned fields are new arrays, the datum ``space.dirichlet``'s.
+        Solves F(u) = L_base u + alpha B(u) - beta C(u) - b = 0 with
+        ``bvals`` pinned at the boundary dofs and ``datum`` the face datum
+        of the nonlinear form, from a copy of ``guess``.
         """
-        bvals, datum, b = self._step_data(k, u_prev, known, v_prev)
         bdofs = self.space.boundary_dofs
-        u = (u_prev if guess is None else guess).copy()
+        u = guess.copy()
         u[bdofs] = bvals
         F = self._residual(u, b, datum)
         rnorm = linalg.norm(F)
@@ -280,20 +264,16 @@ class BackwardEulerSolver:
                 break
             if iters >= self.newton_cap:
                 raise StepFailureError(k, rnorm, iters)
-
-        v_new = None
-        if self.fhn is not None:
-            eps, rho = self.fhn
-            v_new = fhn_v_update(v_prev, u, eps, rho, self.grid.delta_t)
-        return u, v_new, datum, (iters, rnorm, tuple(history), stats)
+        return u, (iters, rnorm, tuple(history), stats)
 
     def run(self):
         """Execute all steps; returns the Trajectory with diagnostics.
 
-        Each step writes its field into a row of one (N+1, dofs) array (v
-        into another); the trajectory stores the row views.  The memory
-        history sums these rows and, on DG steps with a datum, a small
-        history of the datum values (see the module docstring).
+        Builds each step's b_k (see the module docstring) and hands it to
+        ``step``.  Each step writes its field into a row of one (N+1, dofs)
+        array (v into another); the trajectory stores the row views.  The
+        memory history sums these rows and, on DG steps with a datum, a
+        small history of the datum values.
         """
         space = self.space
         grid = self.grid
@@ -306,6 +286,7 @@ class BackwardEulerSolver:
         V = None if self.fhn is None else np.empty((n + 1, space.n_dofs))
         if V is not None:
             V[0] = 0.0 if self.v0 is None else space.interpolate(self.v0)
+            eps, rho = self.fhn
 
         energy_cum = 0.0
         records = [self._record(0, 0.0, U[0], 0, 0.0, (), energy_cum, linalg.SolveStats())]
@@ -319,28 +300,33 @@ class BackwardEulerSolver:
             caputo = History(self.cweights, increments)
 
         for k in range(1, n + 1):
+            t_k = k * dt
             known = 0.0 if memory is None else scale * (self.A @ memory.known(k))
-            if datum_memory is not None:        # a datum exists only on DG spaces
-                S_g = datum_memory.known(k).reshape(datum.shape)
-                known -= scale * forms.dirichlet_rhs_dg(space, S_g, self.params.penalty_gamma)
             if caputo is not None:
                 known += caputo.known(k)
-            guess = None if k == 1 else 2.0 * U[k - 1] - U[k - 2]
-            v = None if V is None else V[k - 1]
-            U[k], v_new, datum, (iters, rnorm, hist, stats) = self.step(
-                k, U[k - 1], known, v, guess)
+            bvals, datum = space.dirichlet(self.bc, t_k)
+            b = (forms.assemble_load(space, self.load, (k - 1) * dt, t_k)
+                 + self._prev_coef * (self.M @ U[k - 1]) - known)
+            if datum is not None:               # one Nitsche vector, datum and its history
+                g = self._stiff_coef * datum
+                if memory is not None:
+                    if datum_memory is None:
+                        data = np.empty((n, datum.size))
+                        datum_memory = History(self.weights, data)
+                    data[k - 1] = datum.reshape(-1)
+                    g += scale * datum_memory.known(k).reshape(datum.shape)
+                b += space.nitsche(g, self.params.penalty_gamma)
             if V is not None:
-                V[k] = v_new
+                b -= (self.M @ V[k - 1]) / (1.0 + dt * eps * rho)
+            guess = U[0] if k == 1 else 2.0 * U[k - 1] - U[k - 2]
+            U[k], (iters, rnorm, hist, stats) = self.step(k, b, bvals, datum, guess)
+            if V is not None:
+                V[k] = fhn_v_update(V[k - 1], U[k], eps, rho, dt)
             if caputo is not None:
                 increments[k - 1] = self.M @ (U[k] - U[k - 1])
-            if memory is not None and datum is not None:
-                if datum_memory is None:        # the first datum: its history
-                    data = np.empty((n, datum.size))
-                    datum_memory = History(self.weights, data)
-                data[k - 1] = datum.reshape(-1)
 
             energy_cum += dt * float(U[k] @ (self.N_energy @ U[k]))
-            records.append(self._record(k, k * dt, U[k], iters, rnorm, hist, energy_cum, stats))
+            records.append(self._record(k, t_k, U[k], iters, rnorm, hist, energy_cum, stats))
 
         return Trajectory(grid.times, list(U), records, None if V is None else list(V))
 

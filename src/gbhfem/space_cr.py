@@ -134,14 +134,14 @@ class CRSpace(P1Space):
         G = forms.assemble_stiffness_cr(self)
         return G, G, G
 
-    def dirichlet(self, g, t, penalty_gamma):
+    def dirichlet(self, g, t):
         """Datum g(., t) of one step: (values at the ``boundary_dofs``, zero
-        for g None; face datum None and Nitsche vector 0.0, nothing is weak)."""
+        for g None; face datum None, nothing is weak)."""
         b = self.boundary_dofs
         if g is None:
-            return np.zeros(len(b)), None, 0.0
+            return np.zeros(len(b)), None
         vals = np.asarray(g(self.dof_locations[b], t), dtype=float)
-        return np.broadcast_to(vals, (len(b),)).copy(), None, 0.0
+        return np.broadcast_to(vals, (len(b),)).copy(), None
 
     def penalty_jump_sq(self, u, exact, t):
         """Jump part of the energy-norm error: 0.0, the CR norm has none."""

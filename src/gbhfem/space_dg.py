@@ -88,18 +88,21 @@ class DGSpace(P1Space):
         """(broken-gradient Gram, SIPG operator, DG energy-norm Gram)."""
         return forms.sipg_matrices(self, penalty_gamma)
 
-    def dirichlet(self, g, t, penalty_gamma):
+    def dirichlet(self, g, t):
         """Datum g(., t) of one step: (no strong values, the datum at the
-        boundary-edge quadrature points, its Nitsche vector).
+        boundary-edge quadrature points, None for g None).
 
-        The datum is evaluated once; the Nitsche vector is built from it,
-        and the solver hands it to the upwind flux.  (empty, None, 0.0)
-        for g None.
+        The datum is evaluated once; the solver hands it to the upwind
+        flux and, with its history, to ``nitsche``.
         """
         if g is None:
-            return np.zeros(0), None, 0.0
-        datum = forms.dg_boundary_values(self, g, t)
-        return np.zeros(0), datum, forms.dirichlet_rhs_dg(self, datum, penalty_gamma)
+            return np.zeros(0), None
+        return np.zeros(0), forms.dg_boundary_values(self, g, t)
+
+    def nitsche(self, datum, penalty_gamma):
+        """The Nitsche vector of face datum values: the SIPG boundary
+        terms, linear in the datum (``forms.dirichlet_rhs_dg``)."""
+        return forms.dirichlet_rhs_dg(self, datum, penalty_gamma)
 
     def nonlinear_residual(self, u, params, datum):
         """The volume kernel plus the upwind flux, face datum as exterior trace."""
@@ -182,6 +185,5 @@ class DGSpace(P1Space):
         """
         fd = self.face_data
         up, um = self.traces(u)
-        gvals = np.asarray(exact(fd.Xb.reshape(-1, 2), t), dtype=float)
-        um[fd.bnd] = gvals.reshape(fd.Xb.shape[:2])
+        um[fd.bnd] = forms.dg_boundary_values(self, exact, t)
         return float(np.einsum("eq,q->", (up - um) ** 2, fd.rule.weights))

@@ -368,7 +368,7 @@ def test_unknown_scheme_is_a_config_error(tmp_path):
         parse_config(write(tmp_path, text))
 
 
-def test_convergence_rejects_spiral(tmp_path):
+def test_convergence_rejects_spiral(tmp_path, capsys):
     text = """\
 [run]
 scheme = dg
@@ -381,7 +381,11 @@ t_final = 2
 eps = 0.01
 rho = 1.0
 """
-    assert main(["convergence", "--config", str(write(tmp_path, text))]) == 2
+    path = write(tmp_path, text)
+    assert main(["convergence", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:{_key_line(text, 'case')}: "), err
+    assert "spiral" in err
 
 
 BAD_BASE = """\
@@ -412,6 +416,7 @@ BAD_CONFIGS = {
     "alpha_nan": ("type1", "[model]\nalpha = nan\n", "alpha"),
     "eta_nan": ("type1", "[model]\neta = nan\n", "eta"),
     "nu_inf": ("type1", "[model]\nnu = inf\n", "nu"),
+    "nu_wave": ("traveling_wave", "[model]\nnu = 0.3\n", "nu"),
 }
 
 

@@ -78,3 +78,32 @@ def test_no_address_or_writeable_reads_in_the_package():
              for path in sorted(Path(gbhfem.__file__).parent.glob("*.py"))
              for line in _address_reads(ast.parse(path.read_text()))]
     assert found == []
+
+
+#: The forms functions that only the spaces call: the solver and the
+#: studies reach the scheme's operators through the space object.
+SPACE_ONLY_FORMS = {"assemble_stiffness_cr", "sipg_matrices", "dirichlet_rhs_dg",
+                    "dg_boundary_values", "upwind_residual", "add_upwind_jacobian"}
+
+
+def _space_only_names(tree):
+    """Lines naming a ``SPACE_ONLY_FORMS`` function: a name, an
+    attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in SPACE_ONLY_FORMS:
+            yield node.lineno
+
+
+def test_only_the_spaces_name_the_scheme_forms():
+    code = ("a = forms.dirichlet_rhs_dg(s, g, 1)\nfrom .forms import (x,\n    sipg_matrices)\n"
+            "b = upwind_residual\nc = s.nitsche(g, 1)\nd = 'dg_boundary_values'\n")
+    assert sorted(_space_only_names(ast.parse(code))) == [1, 3, 4]
+    found = [f"{path.name}:{line}"
+             for path in sorted(Path(gbhfem.__file__).parent.glob("*.py"))
+             if path.stem not in ("forms", "space_cr", "space_dg")
+             for line in _space_only_names(ast.parse(path.read_text()))]
+    assert found == []

@@ -566,33 +566,30 @@ def per_term_residual(s, u, u_prev, load, mem_known, cap_known, fhn_const,
     return F
 
 
+def _recorded_run(s, monkeypatch):
+    """Run ``s`` with the arguments (k, b, bvals, datum, guess) of each of
+    its ``step`` calls recorded; returns (trajectory, calls)."""
+    step, calls = s.step, []
+    monkeypatch.setattr(s, "step", lambda *args: calls.append(args) or step(*args))
+    return s.run(), calls
+
+
 @pytest.mark.parametrize("make", [_memory_caputo_cr, _wave_cr, _wave_dg, _spiral_dg])
-def test_residual_and_newton_matrix_match_the_per_term_formula(make):
+def test_residual_and_newton_matrix_match_the_per_term_formula(make, monkeypatch):
+    # the b_k that run() hands to step 3, at a random iterate, against
+    # the per-term residual with the history rebuilt from the stored fields
     s = make()
     space, p = s.space, s.params
-    dt = s.grid.delta_t
     k = 3
-    t_k = k * dt
-    rng = np.random.default_rng(11)
-    u_prev, u, v_prev, mem_known, cap_known = rng.uniform(-1, 1, (5, space.n_dofs))
-    mem_known = mem_known if s.weights is not None else 0.0
-    cap_known = cap_known if s.cweights is not None else 0.0
-    v_prev = v_prev if s.fhn is not None else None
-
-    known = p.eta * dt * mem_known + cap_known
-    bvals, datum, b = s._step_data(k, u_prev, known, v_prev)
+    traj, calls = _recorded_run(s, monkeypatch)
+    _, b, bvals, datum, _ = calls[k - 1]
+    terms = dict(per_step_terms(s, traj))[k]
+    flux_datum = terms[-1]
+    assert (datum is None) == (flux_datum is None)
+    assert datum is None or np.array_equal(datum, flux_datum)
+    u = np.random.default_rng(11).uniform(-1, 1, space.n_dofs)
     u[space.boundary_dofs] = bvals
-    load = forms.assemble_load(space, forms.bind_load(space, s.forcing), (k - 1) * dt, t_k)
-    flux_datum = nitsche_k = fhn_const = None
-    if isinstance(s.space, DGSpace) and s.bc is not None:
-        flux_datum = forms.dg_boundary_values(space, s.bc, t_k)
-        nitsche_k = forms.dirichlet_rhs_dg(space, flux_datum, p.penalty_gamma)
-        assert np.array_equal(datum, flux_datum)
-    if s.fhn is not None:
-        eps, rho = s.fhn
-        fhn_const = (s.M @ v_prev) / (1.0 + dt * eps * rho)
-    ref = per_term_residual(s, u, u_prev, load, mem_known, cap_known, fhn_const,
-                            nitsche_k, flux_datum)
+    ref = per_term_residual(s, u, traj.fields[k - 1], *terms)
     F = s._residual(u, b, datum)
     assert np.linalg.norm(F - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -630,9 +627,20 @@ def test_dirichlet_datum_one_call_per_step(make):
     n_points = len(s.space.boundary_dofs) or len(s.space.face_data.Xb.reshape(-1, 2))
     assert n_points > 0
     assert calls == [(n_points, t) for t in traj.times[1:]]
-    values, datum, nitsche = s.space.dirichlet(None, 0.5, s.params.penalty_gamma)
+    values, datum = s.space.dirichlet(None, 0.5)
     assert np.array_equal(values, np.zeros(len(s.space.boundary_dofs)))
-    assert datum is None and nitsche == 0.0
+    assert datum is None
+
+
+def test_dg_nitsche_vector_built_once_per_step(monkeypatch):
+    # the datum and its memory history enter each b_k through one
+    # Nitsche vector
+    calls = []
+    nitsche = forms.dirichlet_rhs_dg
+    monkeypatch.setattr(forms, "dirichlet_rhs_dg", lambda *a: calls.append(1) or nitsche(*a))
+    s = _wave_dg_long()
+    s.run()
+    assert len(calls) == s.grid.n_steps
 
 
 def per_step_terms(s, traj):
@@ -681,22 +689,46 @@ def test_trajectory_solves_the_per_term_equations(make):
 
 @pytest.mark.parametrize("make", [_memory_caputo_cr_long, _wave_dg_long])
 def test_run_history_term_matches_the_direct_sums(make, monkeypatch):
-    # run() sums the memory over the stored fields and the DG datum and
-    # maps the sums once through A and the Nitsche vector; the history
-    # part it hands to each step against the row-by-row sums
-    # eta dt sum_j omega_kj (A u^j - Nitsche^j) + sum_j omega^c_kj M (u^j - u^{j-1})
+    # run() sums the memory over the stored fields and the DG datum; the
+    # history part of each b_k, eta dt sum_j omega_kj A u^j
+    # + sum_j omega^c_kj M (u^j - u^{j-1}) over j < k, and the argument
+    # nu g^k + eta dt sum_{j<=k} omega_kj g^j of its Nitsche vector
+    # against the row-by-row sums
     s = make()
-    step, knowns = s.step, []
-    monkeypatch.setattr(s, "step", lambda k, u_prev, known, *rest: (
-        knowns.append(np.copy(known)) or step(k, u_prev, known, *rest)))
-    traj = s.run()
-    assert len(knowns) == s.grid.n_steps
-    p, dt = s.params, s.grid.delta_t
-    for k, (_, mem_known, cap_known, *_) in per_step_terms(s, traj):
-        want = p.eta * dt * mem_known + cap_known
-        got = knowns[k - 1]
+    space, p, dt = s.space, s.params, s.grid.delta_t
+    args, vectors = [], []
+    weak = isinstance(space, DGSpace) and s.bc is not None
+    if weak:
+        nitsche = space.nitsche
+
+        def recording(g, penalty_gamma):
+            args.append(g.copy())
+            vectors.append(nitsche(g, penalty_gamma))
+            return vectors[-1]
+
+        monkeypatch.setattr(space, "nitsche", recording)
+    traj, calls = _recorded_run(s, monkeypatch)
+    assert len(calls) == s.grid.n_steps
+    U = traj.fields
+    if weak:
+        g = [None] + [forms.dg_boundary_values(space, s.bc, k * dt) for k in range(1, len(U))]
+    load = forms.bind_load(space, s.forcing)
+    for k in range(1, len(U)):
+        row = s.weights.row(k)
+        want = p.eta * dt * sum(row[j - 1] * (s.A @ U[j]) for j in range(1, k))
+        if s.cweights is not None:
+            crow = s.cweights.row(k)
+            want = want + sum(crow[j - 1] * (s.M @ (U[j] - U[j - 1])) for j in range(1, k))
+        got = (forms.assemble_load(space, load, (k - 1) * dt, k * dt)
+               + s._prev_coef * (s.M @ U[k - 1]))
+        if weak:
+            got = got + vectors[k - 1]
+            want_g = p.nu * g[k] + p.eta * dt * sum(row[j - 1] * g[j] for j in range(1, k + 1))
+            assert np.linalg.norm(args[k - 1] - want_g) <= 1e-10 * np.linalg.norm(want_g)
+        got = got - calls[k - 1][1]
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    assert np.linalg.norm(knowns[-1]) > 0.0
+    assert np.linalg.norm(want) > 0.0
+    assert len(vectors) == (s.grid.n_steps if weak else 0)
 
 
 def test_run_keeps_one_field_array_and_the_caputo_rows():
@@ -727,8 +759,7 @@ def test_newton_starts_from_the_extrapolated_field(make):
     bdofs = s.space.boundary_dofs
     for k, terms in per_step_terms(s, traj):
         start = U[0].copy() if k == 1 else 2.0 * U[k - 1] - U[k - 2]
-        start[bdofs] = s.space.dirichlet(s.bc, k * s.grid.delta_t,
-                                         s.params.penalty_gamma)[0]
+        start[bdofs] = s.space.dirichlet(s.bc, k * s.grid.delta_t)[0]
         r_start = np.linalg.norm(per_term_residual(s, start, U[k - 1], *terms))
         r_prev = np.linalg.norm(per_term_residual(s, U[k - 1], U[k - 1], *terms))
         got = traj.records[k].residual_history[0]
@@ -743,8 +774,14 @@ def test_extrapolated_start_saves_newton_iterations(monkeypatch):
 
     extrapolated = newton_total(_memory_caputo_cr())
     s = _memory_caputo_cr()
-    step = s.step
-    monkeypatch.setattr(s, "step", lambda *args: step(*args[:-1]))   # start at u^{k-1}
+    step, fields = s.step, []
+
+    def from_previous(k, b, bvals, datum, guess):       # start at u^{k-1}
+        u, record = step(k, b, bvals, datum, fields[-1] if fields else guess)
+        fields.append(u)
+        return u, record
+
+    monkeypatch.setattr(s, "step", from_previous)
     assert extrapolated < newton_total(s)
 
 
