@@ -8,7 +8,8 @@ each (section, key) to its cast and to a field of ``RunConfig``,
 ``ModelParams`` or ``KernelSpec``; the defaults and the checks of each
 field live in its dataclass.  Every bad config (unknown section or key,
 a value that does not cast, a value a dataclass rejects, a bad
-``--levels`` override) is a config error naming the offending line.
+``--levels`` override, a key that the run would ignore) is a config
+error naming the offending line.
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -37,6 +38,8 @@ __all__ = ["RunConfig", "parse_config", "cmd_convergence", "cmd_simulate",
            "cmd_weights_dump", "main"]
 
 _CASES = ("type1", "type2", "traveling_wave", "spiral")
+#: section -> the one case that reads it
+_CASE_SECTIONS = {"fhn": "spiral", "traveling_wave": "traveling_wave"}
 
 
 @dataclass
@@ -199,6 +202,14 @@ def parse_config(path):
         kernel = _build(path, KernelSpec, values[KernelSpec])
     cfg = _build(path, RunConfig, values[RunConfig], model=model, kernel=kernel,
                  config_hash=hashlib.sha256(path.read_bytes()).hexdigest())
+    for section, owner in _CASE_SECTIONS.items():
+        if cfg.case != owner and cp.has_section(section) and cp[section]:
+            key = next(iter(cp[section]))
+            _fail(path, f"{key} must be unset for case {cfg.case} "
+                  f"([{section}] is read only for case {owner})", key, section)
+    if kernel is not None and kernel.kind == "constant" and "mu" in values[KernelSpec]:
+        _fail(path, "mu must be unset for kernel kind constant (its exponent is 0)",
+              "mu", "kernel")
     if cfg.case == "spiral" and (cfg.fhn_eps is None or cfg.fhn_rho is None):
         _fail(path, "case=spiral requires [fhn] eps and rho (no defaults)", "case", "run")
     if cfg.case == "traveling_wave":

@@ -22,9 +22,9 @@ vectors are summed with ``np.bincount`` over the dof indices.  No COO arrays and
 no duplicate summing occur, matrices of one space share their index
 arrays, and the accumulation order is fixed, so results are
 deterministic.  Quadrature is tensorized: volume blocks are one matmul
-of weighted coefficient values with the basis products B_i B_j (nq, 9),
-and face blocks one batched matmul with the trace products
-Ta_i Tb_j (n_edges, nq, 9) cached with the DG face tables.
+of weighted coefficient values with the basis products B_i B_j (nq, 9);
+every face vector (``_face_integral``) and face block (``_face_block``) is
+one batched matmul with the DG trace tables Tp, Tm (n_edges, nq, 3).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quadrature import MAX_DEGREE
 
 __all__ = [
     "ModelParams", "nonlinear_quad_degree",
@@ -56,7 +58,7 @@ class ModelParams:
     ``reaction_gamma`` is the Huxley constant in (0, 1); ``penalty_gamma``
     is the (unrelated) interior-penalty scale used only by the DG scheme.
     ``delta`` must be a positive integer so u**delta is well defined for
-    negative iterates.
+    negative iterates, with ``nonlinear_quad_degree(delta) <= MAX_DEGREE``.
     """
 
     nu: float = 1.0
@@ -78,15 +80,17 @@ class ModelParams:
                 raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
         if not 0.0 < self.reaction_gamma < 1.0:
             raise ValueError(f"reaction_gamma must lie in (0, 1), got {self.reaction_gamma!r}")
-        if not isinstance(self.delta, (int, np.integer)) or self.delta < 1:
-            raise ValueError(f"delta must be a positive integer, got {self.delta!r}")
+        if (not isinstance(self.delta, (int, np.integer)) or self.delta < 1
+                or nonlinear_quad_degree(self.delta) > MAX_DEGREE):
+            raise ValueError(f"delta must be a positive integer with "
+                             f"nonlinear_quad_degree(delta) <= {MAX_DEGREE}, got {self.delta!r}")
 
 
 def nonlinear_quad_degree(delta):
     """Fixed volume quadrature degree for the nonlinear terms.
 
-    Exact for the delta in {1, 2} polynomial products that occur in the
-    reaction Jacobian (total degree 2*delta + 2).
+    Exact for the polynomial products of total degree 2*delta + 2 that
+    occur in the reaction Jacobian, for every delta ``ModelParams`` admits.
     """
     return max(2 * int(delta) + 3, 4)
 
@@ -121,9 +125,14 @@ def _volume_tables(space, degree):
     return rule.weights, B, BB
 
 
-def _face_integral(coef, TT):
-    """sum_q coef[e, q] * TT[e, q, :] for (ne, nq) coef, one batched matmul."""
-    return np.matmul(coef[:, None, :], TT)[:, 0, :]
+def _face_integral(coef, T):
+    """sum_q coef[e, q] * T[e, q, :] for (ne, nq) coef, one batched matmul."""
+    return np.matmul(coef[:, None, :], T)[:, 0, :]
+
+
+def _face_block(coef, Ta, Tb):
+    """sum_q coef[e, q] * Ta[e, q, i] * Tb[e, q, j] at column 3*i + j, (ne, 9)."""
+    return np.matmul(Ta.transpose(0, 2, 1) * coef[:, None, :], Tb).reshape(-1, 9)
 
 
 def _transpose(blocks):
@@ -158,9 +167,9 @@ def sipg_matrices(space, penalty_gamma):
     gh = (penalty_gamma / fd.h)[:, None]
 
     # penalty gamma_h [[u]].[[v]]
-    pm = -gh * _face_integral(W, fd.TpTm)
-    penalty = {"pp": gh * _face_integral(W, fd.TpTp), "pm": pm, "mp": _transpose(pm),
-               "mm": gh * _face_integral(W, fd.TmTm)}
+    pm = -gh * _face_block(W, fd.Tp, fd.Tm)
+    penalty = {"pp": gh * _face_block(W, fd.Tp, fd.Tp), "pm": pm, "mp": _transpose(pm),
+               "mm": gh * _face_block(W, fd.Tm, fd.Tm)}
 
     # consistency -({{grad u}}.n) [[v]] and its transpose (symmetry term);
     # C[r + c] couples rows on side r with columns on side c
@@ -185,12 +194,10 @@ def dirichlet_rhs_dg(space, datum, penalty_gamma):
     datum's symmetry and penalty terms.
     """
     fd = space.face_data
-    w = fd.rule.weights
     h = fd.h[fd.bnd]
-    gInt = np.einsum("q,eq->e", w, datum) * h                # int_E g ds
-    r_sym = -np.einsum("e,ei->ei", gInt, fd.gnp[fd.bnd])
-    gT = np.einsum("q,eq,eqi->ei", w, datum, fd.Tp[fd.bnd]) * h[:, None]
-    r_pen = (penalty_gamma / h)[:, None] * gT
+    Wg = fd.rule.weights[None, :] * h[:, None] * datum
+    r_sym = -Wg.sum(axis=1)[:, None] * fd.gnp[fd.bnd]          # int_E g ds * g_i.n
+    r_pen = (penalty_gamma / h)[:, None] * _face_integral(Wg, fd.Tp[fd.bnd])
     return _scatter(space.n_dofs, fd.pdofs[fd.bnd], r_sym + r_pen)
 
 
@@ -299,10 +306,10 @@ def add_upwind_jacobian(space, data, u, params, datum):
     dcp, dcm = [np.where(wn < 0.0, delta * us ** (delta - 1) * ns[:, None], 0.0)
                 for us, ns, wn in zip((up, um), nsums, wns)]
     return _add_blocks(space, data, {
-        "pm": scale * _face_integral(W * (cp - cm - dcm * um), fd.TpTm),
-        "mp": scale * _transpose(_face_integral(W * (cm - cp - dcp * up), fd.TpTm)),
-        "pp": scale * _face_integral(W * dcp * um, fd.TpTp),
-        "mm": scale * _face_integral(W * dcm * up, fd.TmTm),
+        "pm": scale * _face_block(W * (cp - cm - dcm * um), fd.Tp, fd.Tm),
+        "mp": scale * _face_block(W * (cm - cp - dcp * up), fd.Tm, fd.Tp),
+        "pp": scale * _face_block(W * dcp * um, fd.Tp, fd.Tp),
+        "mm": scale * _face_block(W * dcm * up, fd.Tm, fd.Tm),
     })
 
 

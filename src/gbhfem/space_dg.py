@@ -34,19 +34,12 @@ class _FaceData:
 
     ``im = ip`` and ``Tm = 0`` on the boundary faces ``bnd``.  ``gnp`` and
     ``gnm`` are g_i . n times the average's side weights, (1/2, 1/2)
-    inside and (1, 0) on the boundary.  ``TpTm`` and the other products
-    hold Ta_i * Tb_j at column 3*i + j, (n_edges, nq, 9), so a weighted
-    face block is one matmul.  ``Xb``: the boundary quadrature points.
+    inside and (1, 0) on the boundary.  The forms build every face term
+    from ``Tp`` and ``Tm`` alone.  ``Xb``: the boundary quadrature points.
     """
 
-    __slots__ = (
-        "rule", "ip", "im", "n", "h", "Tp", "Tm", "pdofs", "mdofs",
-        "gnp", "gnm", "TpTp", "TpTm", "TmTm", "bnd", "Xb",
-    )
-
-
-def _trace_products(Ta, Tb):
-    return (Ta[:, :, :, None] * Tb[:, :, None, :]).reshape(*Ta.shape[:2], 9)
+    __slots__ = ("rule", "ip", "im", "n", "h", "Tp", "Tm", "pdofs", "mdofs",
+                 "gnp", "gnm", "bnd", "Xb")
 
 
 class DGSpace(P1Space):
@@ -161,9 +154,6 @@ class DGSpace(P1Space):
         wm = np.where(mesh.boundary_flags, 0.0, 0.5)[:, None]
         fd.gnp = (1.0 - wm) * np.einsum("cid,cd->ci", self.grads[fd.ip], fd.n)
         fd.gnm = wm * np.einsum("cid,cd->ci", self.grads[fd.im], fd.n)
-        fd.TpTp = _trace_products(fd.Tp, fd.Tp)
-        fd.TpTm = _trace_products(fd.Tp, fd.Tm)
-        fd.TmTm = _trace_products(fd.Tm, fd.Tm)
         fd.Xb = ((1.0 - s)[None, :, None] * mesh.vertices[a[fd.bnd]][:, None, :]
                  + s[None, :, None] * mesh.vertices[b[fd.bnd]][:, None, :])
         fd.Xb.flags.writeable = False      # shared by every datum evaluation

@@ -9,7 +9,8 @@ DG volume plus upwind flux) and reaction apart; ``ref_nonlinear``, their
 difference, is the oracle of the one cell kernel the spaces use.  The DG
 references keep their interior and boundary face formulas apart; they read
 the space's one face table re-sliced by ``mesh.boundary_flags``
-(``split_faces``).
+(``split_faces``).  The Nitsche vector's reference is a loop over the
+boundary faces and their quadrature points (``ref_nitsche``).
 """
 
 from types import SimpleNamespace
@@ -115,6 +116,19 @@ def ref_sipg_pieces(space, penalty_gamma, penalty_only=False):
         blk = -np.einsum("ei,ej->eij", IntTb, fd.gnb)
         pieces += [(fd.bdofs, fd.bdofs, blk), (fd.bdofs, fd.bdofs, blk.transpose(0, 2, 1))]
     return pieces
+
+
+def ref_nitsche(space, datum, penalty_gamma):
+    """The Nitsche vector, one boundary face and quadrature point at a
+    time: sum over E, q of w_q h_E g(x_q) (gamma / h_E v(x_q) - grad v . n)."""
+    fd = split_faces(space)
+    out = np.zeros(space.n_dofs)
+    for e, h in enumerate(fd.h_bnd):
+        for q, w in enumerate(fd.rule.weights):
+            for i in range(3):
+                test = penalty_gamma / h * fd.Tb[e, q, i] - fd.gnb[e, i]
+                out[fd.bdofs[e, i]] += w * h * datum[e, q] * test
+    return out
 
 
 def ref_volume_convection(space, u, alpha, delta):
@@ -253,6 +267,15 @@ def test_constant_forms_match_coo_reference(kind):
         assert_matrix_close(G, coo_scatter(space, stiff))
         assert_matrix_close(A, coo_scatter(space, stiff + ref_sipg_pieces(space, 40.0)))
         assert_matrix_close(N, coo_scatter(space, stiff + ref_sipg_pieces(space, 40.0, True)))
+
+
+@pytest.mark.parametrize("penalty_gamma", [1.0, 40.0])
+def test_nitsche_vector_matches_face_loop(penalty_gamma):
+    space = space_of("dg")
+    datum = dg_boundary_values(space, lambda x, t: np.sin(3.0 * x[:, 0] + t) + x[:, 1] ** 2,
+                               0.3)
+    assert_vector_close(space.nitsche(datum, penalty_gamma),
+                        ref_nitsche(space, datum, penalty_gamma))
 
 
 def datums_of(space):

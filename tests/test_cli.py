@@ -417,6 +417,10 @@ BAD_CONFIGS = {
     "eta_nan": ("type1", "[model]\neta = nan\n", "eta"),
     "nu_inf": ("type1", "[model]\nnu = inf\n", "nu"),
     "nu_wave": ("traveling_wave", "[model]\nnu = 0.3\n", "nu"),
+    "reynolds_type1": ("type1", "[traveling_wave]\nreynolds = 7\n", "reynolds"),
+    "fhn_type1": ("type1", "[fhn]\neps = 0.1\nrho = 1.0\n", "eps"),
+    "mu_constant": ("type1", "[kernel]\nkind = constant\nmu = 0.7\n", "mu"),
+    "delta_4": ("type1", "[model]\ndelta = 4\n", "delta"),
 }
 
 

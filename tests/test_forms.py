@@ -62,6 +62,8 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(delta=1.5)
     with pytest.raises(ValueError):
+        ModelParams(delta=4)        # its volume quadrature degree exceeds MAX_DEGREE
+    with pytest.raises(ValueError):
         ModelParams(eta=-1.0)
     with pytest.raises(ValueError):
         ModelParams(penalty_gamma=0.0)

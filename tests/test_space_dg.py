@@ -162,3 +162,14 @@ def test_penalty_jump_sq_is_the_norm_matrix_jump_part():
     assert abs(jump - u @ ((N - G) @ u)) <= 1e-12 * jump
     cr = CRSpace(generate_rect_mesh(UNIT, 3))
     assert cr.penalty_jump_sq(np.ones(cr.n_dofs), zero, 0.0) == 0.0
+
+
+def test_face_data_holds_the_trace_tables_alone():
+    # the face table stores the traces Tp, Tm (n_edges, nq, 3) and no
+    # product of them: at most 400 bytes per edge, no (.., 9) array
+    space = DGSpace(generate_rect_mesh(UNIT, 16))
+    fd = space.face_data
+    arrays = [getattr(fd, name) for name in fd.__slots__]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert all(a.shape[-1] != 9 for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 400 * space.mesh.n_edges
