@@ -8,8 +8,9 @@ each (section, key) to its cast and to a field of ``RunConfig``,
 ``ModelParams`` or ``KernelSpec``; the defaults and the checks of each
 field live in its dataclass.  Every bad config (unknown section or key,
 a value that does not cast, a value a dataclass rejects, a bad
-``--levels`` override, a key that the run would ignore) is a config
-error naming the offending line.
+``--levels`` override, a key that the run would ignore, such as
+``[kernel] kind`` or ``mu`` for a ``convergence`` or ``simulate`` run
+with eta = 0) is a config error naming the offending line.
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -379,6 +380,12 @@ def main(argv=None):
                 cfg = replace(cfg, levels=args.levels)
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: --levels {args.levels}: {exc}") from exc
+        if args.func is not cmd_weights_dump and cfg.model.eta == 0.0:
+            # without memory a run reads the kernel's caputo_order alone
+            for key in ("kind", "mu"):
+                if _find_line(args.config, key, "kernel"):
+                    _fail(args.config, f"{key} must be unset when eta = 0 (only the "
+                          "memory term and weights-dump read it)", key, "kernel")
         if args.func is cmd_convergence:
             if cfg.case == "spiral":
                 _fail(args.config, "case 'spiral' has no manufactured solution", "case", "run")

@@ -4,14 +4,22 @@ Matrices are scipy CSR in canonical form (sorted indices, summed
 duplicates).  All matrices of one space live on one ``BlockPattern``:
 they share its ``indptr``/``indices`` and differ only in ``data``, so
 sums of them are sums of ``data`` vectors.  Every solve meets
-||Ax - b|| <= 1e-10 (1 + ||b||).  Newton corrections are Newton-Krylov:
-GMRES on A, right-preconditioned by the factor of a nearby matrix P
-(``factorize``), which the solver keeps across Newton iterations and
-steps and rebuilds only when GMRES starts to need many iterations.  A
-solve whose GMRES misses the tolerance falls back to a direct LU of A,
-which is also what ``solve`` does without a preconditioner (the tests'
-reference).  Every factor is SuperLU with minimum-degree ordering on
-A^T + A, deterministic for a fixed matrix.
+||Ax - b|| <= 1e-10 (1 + ||b||) unless its caller passes a looser
+forcing.  Newton corrections are Newton-Krylov: GMRES on A,
+right-preconditioned by the factor of a nearby matrix P (``factorize``),
+which the solver keeps across Newton iterations and steps and rebuilds
+only when GMRES starts to need many iterations.  GMRES keeps the
+preconditioned basis Z = P^{-1} V beside its Arnoldi basis V (Saad, SIAM
+J. Sci. Comput. 14 (1993) 461), so each Krylov iteration costs one
+triangular solve pair and one product with A, and neither the iterate
+nor a restart residual needs another solve.  A Newton solver passes the
+Eisenstat-Walker forcing of its correction (Eisenstat & Walker, SIAM J.
+Sci. Comput. 17 (1996) 16), which loosens the GMRES aim while the
+Newton residual is large.  A solve whose GMRES misses its tolerance
+falls back to a direct LU of A, which is also what ``solve`` does
+without a preconditioner (the tests' reference).  Every factor is
+SuperLU with minimum-degree ordering on A^T + A, deterministic for a
+fixed matrix.
 
 Norms are the overflow-safe ``norm``, so a huge right-hand side keeps a
 finite tolerance.
@@ -19,6 +27,7 @@ finite tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +39,14 @@ from .errors import SingularMatrixError
 __all__ = ["SolveStats", "BlockPattern", "factorize", "solve", "norm"]
 
 SOLVE_RTOL = 1e-10
-#: scipy allocates a (GMRES_RESTART + 1, n) Krylov basis per call; at 20 it
-#: stays below numpy's 4 MiB huge-page advice threshold up to n = 24,966
+#: GMRES keeps two (GMRES_RESTART, n) bases per call; at 20 each stays
+#: below numpy's 4 MiB huge-page advice threshold up to n = 26,214
 GMRES_RESTART = 20
 GMRES_MAXITER = 9         # restart cycles before the LU fallback
 #: a Newton solver whose last GMRES solve took more iterations than this
 #: factors its current matrix as the new preconditioner
 REFRESH_KRYLOV_ITERS = 10
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -148,43 +158,84 @@ def _direct(A, b, tol):
     return x
 
 
-def _gmres(A, b, tol, precond, stats):
-    """Right-preconditioned GMRES: solve (A P^{-1}) y = b, x = P^{-1} y.
+def _gmres(A, b, aim, accept, precond, stats):
+    """Right-preconditioned GMRES(``GMRES_RESTART``) on A x = b; None on a miss.
 
-    The Krylov residual is then the true residual of A x = b.  GMRES aims
-    at a tenth of ``tol``, so that the recomputed residual passes too, and
-    below ||b||^2 (the Eisenstat-Walker forcing term eta = ||b||), so that
-    a Newton iteration whose residual is b still converges quadratically;
-    never below the 1e-12 ||b|| that rounding allows.  Returns None when
-    ``tol`` is missed.
+    Arnoldi builds an orthonormal basis V of the Krylov space of A P^{-1}
+    by classical Gram-Schmidt done twice, and keeps Z[j] = P^{-1} V[j], so
+    an iteration makes one ``precond`` call and one product with A, and
+    the iterate x = Z y costs no further solve.  Givens rotations keep the
+    least-squares residual, which is the true residual of A x = b up to
+    rounding; a cycle ends once it is at most ``aim``.  A restart starts
+    from b - A x.  After ``GMRES_MAXITER`` cycles, or once that residual
+    is at most ``aim``, x is returned if its true residual is at most
+    ``accept``.  A zero pivot of the rotated Hessenberg matrix (A P^{-1}
+    singular on the Krylov space) returns None at once, so that the
+    direct path decides.
     """
-    AP = spla.LinearOperator(A.shape, matvec=lambda v: A @ precond(v), dtype=float)
-    iters = 0
+    n = len(b)
+    m = min(GMRES_RESTART, n)
+    V = np.empty((m, n))
+    Z = np.empty((m, n))
+    x = np.zeros(n)
+    r, rnorm = b, norm(b)
+    for _ in range(GMRES_MAXITER):
+        if rnorm <= aim:
+            break
+        V[0] = r / rnorm
+        g = [rnorm]               # rotated right-hand side
+        R = []                    # rotated Hessenberg columns
+        rotations = []
+        for j in range(m):
+            stats.krylov_iters += 1
+            Z[j] = precond(V[j])
+            w = A @ Z[j]
+            wnorm = norm(w)
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            h2 = V[:j + 1] @ w
+            w -= h2 @ V[:j + 1]
+            col = (h + h2).tolist()
+            below = norm(w)
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            pivot = math.hypot(col[j], below)
+            if pivot == 0.0:
+                return None
+            c, s = col[j] / pivot, below / pivot
+            rotations.append((c, s))
+            col[j] = pivot
+            R.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            # a Krylov space that A P^{-1} maps into itself holds the solution
+            if abs(g[j + 1]) <= aim or below <= _EPS * wnorm or j + 1 == m:
+                break
+            V[j + 1] = w / below
+        y = [0.0] * len(R)
+        for i in reversed(range(len(R))):
+            y[i] = (g[i] - sum(R[k][i] * y[k] for k in range(i + 1, len(R)))) / R[i][i]
+        x += np.asarray(y) @ Z[:len(R)]
+        r = b - A @ x
+        rnorm = norm(r)
+    return x if rnorm <= accept else None
 
-    def count(_):
-        nonlocal iters
-        iters += 1
 
-    bnorm = norm(b)
-    # bnorm * bnorm is inf on overflow, where a float's ** 2 would raise
-    target = max(min(0.1 * tol, bnorm * bnorm), 1e-12 * bnorm)
-    y, _ = spla.gmres(AP, b, rtol=0.0, atol=target, restart=GMRES_RESTART,
-                      maxiter=GMRES_MAXITER, callback=count, callback_type="pr_norm")
-    if stats is not None:
-        stats.krylov_iters += iters
-    x = precond(y)
-    return x if _residual(A, x, b) <= tol else None
-
-
-def solve(A, b, precond=None, stats=None):
+def solve(A, b, precond=None, stats=None, forcing=0.0):
     """Solve A x = b with residual ||Ax-b|| <= 1e-10 (1 + ||b||).
 
     With ``precond``, a callable v -> P^{-1} v such as
     ``factorize(P).solve``, GMRES on A right-preconditioned by it; GMRES
     restarts every ``GMRES_RESTART`` iterations and stops after
     ``GMRES_MAXITER`` cycles, and if it has missed the tolerance by then,
-    A is factored directly for this call.  Without one, the direct LU of
-    A.  ``stats``, a SolveStats, counts Krylov iterations and LU
+    A is factored directly for this call.  GMRES aims at a tenth of the
+    tolerance, and below ||b||^2 so that a Newton correction whose
+    right-hand side is the residual b keeps Newton quadratic; never below
+    the 1e-12 ||b|| that rounding allows.  A ``forcing`` (a Newton
+    solver's Eisenstat-Walker term) can only loosen that aim: GMRES then
+    aims at the larger of the two and accepts a residual of up to ten
+    times its aim.  Without ``precond``, the direct LU of A, which ignores
+    ``forcing``.  ``stats``, a SolveStats, counts Krylov iterations and LU
     fallbacks.  A matrix that is singular to tolerance raises
     SingularMatrixError.
     """
@@ -193,12 +244,16 @@ def solve(A, b, precond=None, stats=None):
         raise ValueError(f"matrix must be square, got {A.shape}")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} vs rhs {b.shape}")
-    tol = SOLVE_RTOL * (1.0 + norm(b))
+    bnorm = norm(b)
+    tol = SOLVE_RTOL * (1.0 + bnorm)
 
     if precond is not None:
-        x = _gmres(A, b, tol, precond, stats)
+        if stats is None:
+            stats = SolveStats()
+        # bnorm * bnorm is inf on overflow, where a float's ** 2 would raise
+        aim = max(min(0.1 * tol, bnorm * bnorm), 1e-12 * bnorm, forcing)
+        x = _gmres(A, b, aim, max(tol, 10.0 * aim), precond, stats)
         if x is not None:
             return x
-        if stats is not None:
-            stats.lu_fallbacks += 1
+        stats.lu_fallbacks += 1
     return _direct(A, b, tol)

@@ -33,11 +33,19 @@ first Newton solve, and whenever a GMRES solve needs more than
 factored in its place and kept across iterations and steps (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357); a solve that GMRES cannot
 bring to tolerance falls back to a direct LU of that Newton matrix
-(``linalg.solve``).  From step 2 on, Newton starts
-from the linear extrapolation 2 u^{k-1} - u^{k-2} with the datum
-pinned, step 1 from u^0.  All matrices share the space's CSR pattern,
-so a Newton matrix is a sum of ``data`` vectors, and a Jacobian is
-built only for the iterations that solve with it.
+(``linalg.solve``).  A correction is solved only as far as Newton can
+use (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16): with C =
+||F_{k+1}|| / ||F_k||^2 the last contraction observed in the run,
+GMRES aims at min(ETA_MAX ||F_k||, C ||F_k||^2), the residual the next
+iterate is expected to have anyway, but never tighter than
+``linalg.solve``'s default aim.  That default alone applies until the
+run has observed a C, and where C ||F_k||^2 < newton_tol, so that the
+correction expected to be the last is solved tightly.  A converged
+residual sits at rounding level, so it sets no C.  From step 2 on,
+Newton starts from the linear extrapolation 2 u^{k-1} - u^{k-2} with
+the datum pinned, step 1 from u^0.  All matrices share the space's CSR
+pattern, so a Newton matrix is a sum of ``data`` vectors, and a
+Jacobian is built only for the iterations that solve with it.
 The space supplies what differs between the schemes: diffusion and
 energy-norm matrices, nonlinear form and Dirichlet datum, evaluated
 once per step in one ``space.dirichlet`` call.  Its strong values pin
@@ -64,6 +72,9 @@ __all__ = [
     "TimeGrid", "StepRecord", "Trajectory", "BackwardEulerSolver",
     "StabilityReport", "stability_check", "fhn_v_update",
 ]
+
+#: a Newton correction's GMRES aim is at most this fraction of ||F||
+ETA_MAX = 0.01
 
 
 @dataclass(frozen=True)
@@ -188,10 +199,12 @@ class BackwardEulerSolver:
         self.L_base = space.pattern.matrix(mass_coef * self.M.data
                                            + self._stiff_coef * self.A.data)
         self._bc_zero, self._bc_one = space.pattern.dirichlet_slots(space.boundary_dofs)
-        # the lagged preconditioner factor and the last GMRES iteration
-        # count; run() resets both, so construction factors nothing
+        # the lagged preconditioner factor, the last GMRES iteration count
+        # and the last Newton contraction ||F_{k+1}|| / ||F_k||^2 (0 before
+        # the first); run() resets all three, so construction factors nothing
         self._precond = None
         self._last_krylov = 0
+        self._contraction = 0.0
 
     @cached_property
     def load(self):
@@ -222,7 +235,7 @@ class BackwardEulerSolver:
         data[self._bc_one] = 1.0
         return self.space.pattern.matrix(data)
 
-    def _linear_solve(self, J, F, stats):
+    def _linear_solve(self, J, F, stats, forcing):
         if self._precond is None:
             self._precond = linalg.factorize(self._newton_matrix())
         elif self._last_krylov > linalg.REFRESH_KRYLOV_ITERS:
@@ -230,7 +243,7 @@ class BackwardEulerSolver:
             self._precond = linalg.factorize(J)
             stats.precond_refreshes += 1
         before = stats.krylov_iters
-        x = linalg.solve(J, F, precond=self._precond.solve, stats=stats)
+        x = linalg.solve(J, F, precond=self._precond.solve, stats=stats, forcing=forcing)
         self._last_krylov = stats.krylov_iters - before
         return x
 
@@ -252,18 +265,26 @@ class BackwardEulerSolver:
         while True:
             if not np.isfinite(rnorm):
                 raise StepFailureError(k, rnorm, iters)
+            # Eisenstat-Walker: the correction need not be more accurate
+            # than the residual the last contraction predicts, unless that
+            # residual would end the iteration
+            expected = self._contraction * rnorm * rnorm
+            forcing = min(ETA_MAX * rnorm, expected) if expected >= self.newton_tol else 0.0
             # one Jacobian per correction; none at the converged iterate
             J = self._newton_matrix(u, datum)
-            u = u - self._linear_solve(J, F, stats)
+            u = u - self._linear_solve(J, F, stats, forcing)
             u[bdofs] = bvals
             F = self._residual(u, b, datum)
             iters += 1
-            rnorm = linalg.norm(F)
+            prev, rnorm = rnorm, linalg.norm(F)
             history.append(rnorm)
             if rnorm <= self.newton_tol:
                 break
             if iters >= self.newton_cap:
                 raise StepFailureError(k, rnorm, iters)
+            # a converged residual sits at rounding level and predicts nothing
+            if prev * prev > 0.0:
+                self._contraction = rnorm / (prev * prev)
         return u, (iters, rnorm, tuple(history), stats)
 
     def run(self):
@@ -293,6 +314,7 @@ class BackwardEulerSolver:
 
         self._precond = None                # nothing carries over between runs
         self._last_krylov = 0
+        self._contraction = 0.0
         memory = None if self.weights is None else History(self.weights, U[1:])
         caputo = datum_memory = None
         if self.cweights is not None:

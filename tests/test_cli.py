@@ -421,6 +421,9 @@ BAD_CONFIGS = {
     "fhn_type1": ("type1", "[fhn]\neps = 0.1\nrho = 1.0\n", "eps"),
     "mu_constant": ("type1", "[kernel]\nkind = constant\nmu = 0.7\n", "mu"),
     "delta_4": ("type1", "[model]\ndelta = 4\n", "delta"),
+    "mu_without_memory": ("type1", "[kernel]\nmu = 0.3\n", "mu"),
+    "kind_without_memory": ("type1", "[kernel]\nkind = constant\n", "kind"),
+    "mu_caputo_without_memory": ("type1", "[kernel]\ncaputo_order = 0.5\nmu = 0.3\n", "mu"),
 }
 
 
@@ -446,6 +449,17 @@ def test_bad_config_is_a_config_error_at_its_line(tmp_path, capsys, command, nam
     if name == "kernel_callable":
         assert "('power', 'constant')" in message
     assert not (tmp_path / "o").exists()
+
+
+def test_weights_dump_reads_the_kernel_without_memory(tmp_path, capsys):
+    # with eta = 0, simulate and convergence reject [kernel] mu (BAD_CONFIGS);
+    # weights-dump reads it
+    dumps = []
+    for mu in ("0.3", "0.7"):
+        path = write(tmp_path, BAD_BASE.format(case="type1", extra=f"[kernel]\nmu = {mu}\n"))
+        assert main(["weights-dump", "--config", str(path)]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] != dumps[1]
 
 
 def test_t_final_below_the_coarsest_step(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import gbhfem.linalg as linalg
 from gbhfem.errors import SingularMatrixError
@@ -9,6 +10,7 @@ from gbhfem.linalg import SolveStats, factorize, solve
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
+from test_solver import _spiral_dg, _wave_cr
 
 
 def test_spmv_identity_and_mass_rows():
@@ -141,3 +143,39 @@ def test_add_scaled():
         assert np.abs(C @ x - (M @ x + 2.0 * (A @ x))).max() <= 1e-13
         with pytest.raises(ValueError):
             pattern.matrix(np.ones(pattern.nnz + 1))
+
+
+def _newton_system(make):
+    # J(u) at the first step's field of a solver miniature, its L_base
+    # factor, and a right-hand side with the Newton residual's zero
+    # constrained rows
+    s = make()
+    u = s.run().fields[1]
+    _, datum = s.space.dirichlet(s.bc, s.grid.delta_t)
+    F = np.random.default_rng(5).standard_normal(s.space.n_dofs)
+    F[s.space.boundary_dofs] = 0.0
+    return s._newton_matrix(u, datum), F, factorize(s._newton_matrix())
+
+
+@pytest.mark.parametrize("make", [_spiral_dg, _wave_cr])
+def test_gmres_matches_scipy_with_one_preconditioner_call_per_iteration(make):
+    # scipy's GMRES on the right-preconditioned operator A P^{-1} is the
+    # reference: the same solution and Krylov count, and one P^{-1} per
+    # Krylov iteration (scipy's wrapper spent two more per solve)
+    A, b, P = _newton_system(make)
+    calls = []
+    stats = SolveStats()
+    x = solve(A, b, precond=lambda v: calls.append(1) or P.solve(v), stats=stats)
+    assert stats.lu_fallbacks == 0 and len(calls) == stats.krylov_iters > 0
+
+    bnorm = np.linalg.norm(b)
+    tol = linalg.SOLVE_RTOL * (1.0 + bnorm)
+    AP = spla.LinearOperator(A.shape, matvec=lambda v: A @ P.solve(v), dtype=float)
+    iters = []
+    y, info = spla.gmres(AP, b, rtol=0.0, atol=max(min(0.1 * tol, bnorm**2), 1e-12 * bnorm),
+                         restart=linalg.GMRES_RESTART, maxiter=linalg.GMRES_MAXITER,
+                         callback=iters.append, callback_type="pr_norm")
+    x_ref = P.solve(y)
+    assert info == 0
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+    assert abs(stats.krylov_iters - len(iters)) <= 1

@@ -25,7 +25,7 @@ UNIT = (0.0, 0.0, 1.0, 1.0)
 class DirectLU(BackwardEulerSolver):
     """Reference solver: every Newton correction by a direct LU of its matrix."""
 
-    def _linear_solve(self, J, F, stats):
+    def _linear_solve(self, J, F, stats, forcing):
         return linalg.solve(J, F)
 
 
@@ -371,6 +371,21 @@ def test_newton_krylov_matches_direct_lu(make):
             == [r.newton_iters for r in direct.records])
     assert all(r.krylov_iters > 0 and r.lu_fallbacks == 0 for r in krylov.records[1:])
     assert all(r.krylov_iters == 0 and r.lu_fallbacks == 0 for r in direct.records)
+
+
+@pytest.mark.parametrize("make", [_wave_cr, _spiral_dg])
+def test_forcing_saves_krylov_iterations_not_newton_iterations(make, monkeypatch):
+    # ETA_MAX = 0 makes every correction's forcing 0, so GMRES keeps the
+    # tight aim of a solve without forcing: the reference run
+    s = make()
+    forced = s.run()
+    monkeypatch.setattr(solver, "ETA_MAX", 0.0)
+    tight = make().run()
+    assert all(r.newton_residual <= s.newton_tol for r in forced.records[1:])
+    assert ([r.newton_iters for r in forced.records]
+            == [r.newton_iters for r in tight.records])
+    assert (sum(r.krylov_iters for r in forced.records)
+            < sum(r.krylov_iters for r in tight.records))
 
 
 @pytest.mark.parametrize("make", [_wave_cr, _memory_caputo_cr, _spiral_dg])
