@@ -252,12 +252,14 @@ def _metadata_lines(cfg, extra=()):
         f"# newton_tol = {cfg.newton_tol!r}  newton_cap = {cfg.newton_cap}",
         f"# seed = {cfg.seed}",
     ]
-    if cfg.kernel is not None:
-        lines.append(f"# kernel = {cfg.kernel.kind} mu={cfg.kernel.mu!r} "
-                     f"caputo_order={cfg.kernel.caputo_order!r} "
-                     f"weights=power-law-closed-form")
-    else:
+    k = cfg.kernel
+    if k is None:
         lines.append("# kernel = none")
+    elif m.eta == 0.0 and k.caputo_order is not None:   # without memory only this is read
+        lines.append(f"# kernel = caputo_order={k.caputo_order!r}")
+    else:
+        lines.append(f"# kernel = {k.kind} mu={k.mu!r} caputo_order={k.caputo_order!r} "
+                     "weights=power-law-closed-form")
     lines.extend(extra)
     return lines
 

@@ -16,15 +16,16 @@ its kink w.n = 0, where its derivative is taken as zero.
 
 Every matrix lives on its space's fixed CSR pattern (``space.pattern``,
 built once: cell blocks, plus the plus/minus face couplings for DG).  A
-form computes one 3x3 block per cell or face and adds the blocks into
-the pattern's ``data`` with ``np.add.at`` over precomputed slot maps;
-vectors are summed with ``np.bincount`` over the dof indices.  No COO arrays and
-no duplicate summing occur, matrices of one space share their index
-arrays, and the accumulation order is fixed, so results are
-deterministic.  Quadrature is tensorized: volume blocks are one matmul
-of weighted coefficient values with the basis products B_i B_j (nq, 9);
-every face vector (``_face_integral``) and face block (``_face_block``) is
-one batched matmul with the DG trace tables Tp, Tm (n_edges, nq, 3).
+form computes one block per cell or face and adds the blocks into the
+pattern's ``data`` with ``np.add.at`` over precomputed slot maps;
+vectors are summed with ``np.bincount`` over the dof indices.  No COO
+arrays and no duplicate summing occur, matrices of one space share their
+index arrays, and the accumulation order is fixed, so results are
+deterministic.  Quadrature is tensorized, each term one ``@`` (not
+``einsum``, ten times slower here) of weighted coefficient values with a
+basis table: B_i B_j (nq, 9) for a volume block, the reference-edge
+Theta (nq, 2) for a face vector and Theta_a Theta_b (nq, 4) for a face
+block on the edge's vertices (``space_dg``).
 """
 
 from __future__ import annotations
@@ -99,9 +100,10 @@ def _add_blocks(space, data, blocks):
     """Add a dict of slot name -> block values into ``data`` on the space's
     pattern, in place; returns ``data``.
 
-    ``blocks[name]`` is (m, 3, 3) or (m, 9), one 3x3 block per row of
-    ``space.pattern.slots[name]``.  ``np.add.at`` accumulates in a fixed
-    order, so results are deterministic, and makes no (nnz,) temporary.
+    ``blocks[name]`` holds one block per row of ``space.pattern.slots[name]``:
+    (m, 3, 3) or (m, 9), or (m, 4) on an edge's vertices.  ``np.add.at``
+    accumulates in a fixed order, so results are deterministic, and makes
+    no (nnz,) temporary.
     """
     for name, values in blocks.items():
         np.add.at(data, space.pattern.slots[name].ravel(), values.ravel())
@@ -123,16 +125,6 @@ def _volume_tables(space, degree):
     rule, B, _ = space.volume_quad(degree)
     BB = (B[:, :, None] * B[:, None, :]).reshape(len(B), 9)
     return rule.weights, B, BB
-
-
-def _face_integral(coef, T):
-    """sum_q coef[e, q] * T[e, q, :] for (ne, nq) coef, one batched matmul."""
-    return np.matmul(coef[:, None, :], T)[:, 0, :]
-
-
-def _face_block(coef, Ta, Tb):
-    """sum_q coef[e, q] * Ta[e, q, i] * Tb[e, q, j] at column 3*i + j, (ne, 9)."""
-    return np.matmul(Ta.transpose(0, 2, 1) * coef[:, None, :], Tb).reshape(-1, 9)
 
 
 def _transpose(blocks):
@@ -164,20 +156,22 @@ def sipg_matrices(space, penalty_gamma):
     """
     fd = space.face_data
     W = fd.rule.weights[None, :] * fd.h[:, None]
-    gh = (penalty_gamma / fd.h)[:, None]
 
-    # penalty gamma_h [[u]].[[v]]
-    pm = -gh * _face_block(W, fd.Tp, fd.Tm)
-    penalty = {"pp": gh * _face_block(W, fd.Tp, fd.Tp), "pm": pm, "mp": _transpose(pm),
-               "mm": gh * _face_block(W, fd.Tm, fd.Tm)}
+    # penalty gamma_h [[u]].[[v]]; on the edge's vertices "mp" equals "pm"
+    pp = (penalty_gamma / fd.h)[:, None] * (W @ fd.theta2)
+    mm = fd.inner * pp
+    penalty = {"pp": pp, "pm": -mm, "mp": -mm, "mm": mm}
 
     # consistency -({{grad u}}.n) [[v]] and its transpose (symmetry term);
-    # C[r + c] couples rows on side r with columns on side c
-    IntT = {"p": _face_integral(W, fd.Tp), "m": -_face_integral(W, fd.Tm)}
+    # C[r + c] couples rows on side r with columns on side c, whole cells
+    # each, so the edge integrals of [[v]] go to their vertices' positions
+    IntT = {"p": np.zeros((len(W), 3)), "m": np.zeros((len(W), 3))}
+    np.put_along_axis(IntT["p"], fd.lp, W @ fd.theta, axis=1)
+    np.put_along_axis(IntT["m"], fd.lm, -fd.inner * (W @ fd.theta), axis=1)
     gn = {"p": fd.gnp, "m": fd.gnm}
     C = {r + c: (-IntT[r][:, :, None] * gn[c][:, None, :]).reshape(-1, 9)
          for r in "pm" for c in "pm"}
-    consistency = {rc: C[rc] + _transpose(C[rc[::-1]]) for rc in C}
+    consistency = {rc + "9": C[rc] + _transpose(C[rc[::-1]]) for rc in C}
 
     G = _add_blocks(space, np.zeros(space.pattern.nnz), {"cells": _volume_stiffness(space)})
     N = _add_blocks(space, G.copy(), penalty)
@@ -197,8 +191,9 @@ def dirichlet_rhs_dg(space, datum, penalty_gamma):
     h = fd.h[fd.bnd]
     Wg = fd.rule.weights[None, :] * h[:, None] * datum
     r_sym = -Wg.sum(axis=1)[:, None] * fd.gnp[fd.bnd]          # int_E g ds * g_i.n
-    r_pen = (penalty_gamma / h)[:, None] * _face_integral(Wg, fd.Tp[fd.bnd])
-    return _scatter(space.n_dofs, fd.pdofs[fd.bnd], r_sym + r_pen)
+    r_pen = (penalty_gamma / h)[:, None] * (Wg @ fd.theta)
+    return (_scatter(space.n_dofs, space.cell_dofs[fd.ip[fd.bnd]], r_sym)
+            + _scatter(space.n_dofs, fd.pe[fd.bnd], r_pen))
 
 
 def dg_boundary_values(space, g, t):
@@ -262,8 +257,9 @@ def add_nonlinear_jacobian(space, data, u, params):
 
 
 def _upwind_values(space, u, delta, datum):
-    """Face tables, weights W, the traces (up, um) with the datum (or 0) as
-    um on boundary faces, and per side (1,1).n and w.n with w = u^delta
+    """Face tables, weights W and Wm = ``fd.inner`` W (for terms that test
+    or trial on the minus side), the traces (up, um) with the datum (or 0)
+    as um on boundary faces, and per side (1,1).n and w.n with w = u^delta
     (1,1)^T of its own trace.  w.n is taken before the datum enters um, so
     a boundary face's exterior side has w.n = 0 and no upwind factor."""
     fd = space.face_data
@@ -273,7 +269,8 @@ def _upwind_values(space, u, delta, datum):
     wns = [(us ** delta) * ns[:, None] for us, ns in zip((up, um), nsums)]
     if datum is not None:
         um[fd.bnd] = datum
-    return fd, fd.rule.weights[None, :] * fd.h[:, None], (up, um), nsums, wns
+    W = fd.rule.weights[None, :] * fd.h[:, None]
+    return fd, W, fd.inner * W, (up, um), nsums, wns
 
 
 def upwind_residual(space, u, params, datum):
@@ -286,11 +283,11 @@ def upwind_residual(space, u, params, datum):
     if not params.alpha > 0.0:
         return 0.0
     scale = params.alpha / (params.delta + 2.0)
-    fd, W, (up, um), _, (wnp, wnm) = _upwind_values(space, u, params.delta, datum)
+    fd, W, Wm, (up, um), _, (wnp, wnm) = _upwind_values(space, u, params.delta, datum)
     cp, cm = np.minimum(wnp, 0.0), np.minimum(wnm, 0.0)
     # side s adds scale*int c_s u_o v_s - scale*int c_s u_s v_o, c_s = c(u_s)
-    return (_scatter(space.n_dofs, fd.pdofs, scale * _face_integral(W * (cp - cm) * um, fd.Tp))
-            + _scatter(space.n_dofs, fd.mdofs, scale * _face_integral(W * (cm - cp) * up, fd.Tm)))
+    return (_scatter(space.n_dofs, fd.pe, scale * ((W * (cp - cm) * um) @ fd.theta))
+            + _scatter(space.n_dofs, fd.me, scale * ((Wm * (cm - cp) * up) @ fd.theta)))
 
 
 def add_upwind_jacobian(space, data, u, params, datum):
@@ -301,15 +298,15 @@ def add_upwind_jacobian(space, data, u, params, datum):
         return data
     delta = params.delta
     scale = params.alpha / (delta + 2.0)
-    fd, W, (up, um), nsums, wns = _upwind_values(space, u, delta, datum)
+    fd, W, Wm, (up, um), nsums, wns = _upwind_values(space, u, delta, datum)
     cp, cm = np.minimum(wns[0], 0.0), np.minimum(wns[1], 0.0)
     dcp, dcm = [np.where(wn < 0.0, delta * us ** (delta - 1) * ns[:, None], 0.0)
                 for us, ns, wn in zip((up, um), nsums, wns)]
     return _add_blocks(space, data, {
-        "pm": scale * _face_block(W * (cp - cm - dcm * um), fd.Tp, fd.Tm),
-        "mp": scale * _face_block(W * (cm - cp - dcp * up), fd.Tm, fd.Tp),
-        "pp": scale * _face_block(W * dcp * um, fd.Tp, fd.Tp),
-        "mm": scale * _face_block(W * dcm * up, fd.Tm, fd.Tm),
+        "pm": scale * ((Wm * (cp - cm - dcm * um)) @ fd.theta2),
+        "mp": scale * ((Wm * (cm - cp - dcp * up)) @ fd.theta2),
+        "pp": scale * ((W * dcp * um) @ fd.theta2),
+        "mm": scale * ((Wm * dcm * up) @ fd.theta2),
     })
 
 

@@ -27,12 +27,12 @@ datum values, and the Caputo sum over its own rows M (u^j - u^{j-1}).
 The load evaluates the forcing at its three Gauss times in one call per
 step, and ``stability_check`` all of a run's Gauss times in a few calls.
 Every Newton correction is GMRES on the exact Jacobian (Newton-Krylov),
-right-preconditioned by a lagged factor: L_base is factored on the run's
+right-preconditioned by a lagged incomplete LU: L_base is factored on the run's
 first Newton solve, and whenever a GMRES solve needs more than
 ``linalg.REFRESH_KRYLOV_ITERS`` iterations the next Newton matrix is
 factored in its place and kept across iterations and steps (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357); a solve that GMRES cannot
-bring to tolerance falls back to a direct LU of that Newton matrix
+bring to tolerance falls back to an exact LU of that Newton matrix
 (``linalg.solve``).  A correction is solved only as far as Newton can
 use (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16): with C =
 ||F_{k+1}|| / ||F_k||^2 the last contraction observed in the run,

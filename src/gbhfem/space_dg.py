@@ -3,12 +3,14 @@
 Three vertex-based Lagrange dofs per cell with no inter-element
 coupling.  One face table (``face_data``) over all edges and ``traces``
 give the one-sided traces, from which the forms build jumps and averages
-as one sum over all faces.  The "plus" side of an edge is its first
+as one sum over all faces.  A trace is the reference-edge table
+Theta(s) = (1 - s, s) on the dofs of the edge's vertices a, b (Kirby &
+Logg, ACM TOMS 32 (2006) 417).  The "plus" side of an edge is its first
 adjacent cell; the edge normal points from plus to minus.  A boundary
-edge is a face whose minus side is the exterior: outward normal, zero
-minus trace table, the plus value as average, and the Dirichlet datum
-(or 0) as exterior trace.  The datum enters weakly only, through the
-SIPG boundary terms (the Nitsche vector) and the upwind flux.
+edge is a face whose minus side is the exterior: outward normal, a zero
+mask on the minus side, the plus value as average, and the Dirichlet
+datum (or 0) as exterior trace.  The datum enters weakly only, through
+the SIPG boundary terms (the Nitsche vector) and the upwind flux.
 """
 
 from __future__ import annotations
@@ -29,17 +31,19 @@ EDGE_QUAD_DEGREE = 5
 
 
 class _FaceData:
-    """Vectorized trace tables of all edges, in mesh order, for one edge
-    quadrature rule.
+    """Face tables of all edges, in mesh order, for one edge quadrature rule.
 
-    ``im = ip`` and ``Tm = 0`` on the boundary faces ``bnd``.  ``gnp`` and
-    ``gnm`` are g_i . n times the average's side weights, (1/2, 1/2)
-    inside and (1, 0) on the boundary.  The forms build every face term
-    from ``Tp`` and ``Tm`` alone.  ``Xb``: the boundary quadrature points.
+    ``theta`` (nq, 2) is Theta = (1 - s, s), ``theta2`` (nq, 4) Theta_a
+    Theta_b at column 2a + b.  ``lp``/``lm`` (n_edges, 2): the positions of
+    the edge's vertices a, b in the plus/minus cell; ``pe``/``me``: their
+    dofs.  ``im = ip`` and the minus side mask ``inner`` is 0 on the
+    boundary faces ``bnd``.  ``gnp``, ``gnm``: g_i . n times the average's
+    side weights, (1/2, 1/2) inside and (1, 0) on the boundary.  ``Xb``:
+    the boundary quadrature points.
     """
 
-    __slots__ = ("rule", "ip", "im", "n", "h", "Tp", "Tm", "pdofs", "mdofs",
-                 "gnp", "gnm", "bnd", "Xb")
+    __slots__ = ("rule", "theta", "theta2", "ip", "im", "n", "h", "lp", "lm", "pe", "me",
+                 "inner", "gnp", "gnm", "bnd", "Xb")
 
 
 class DGSpace(P1Space):
@@ -64,14 +68,20 @@ class DGSpace(P1Space):
         Cell blocks plus the plus-minus couplings of the faces.  The slots
         of face blocks within one cell ("pp", "mm", and every block of a
         boundary face, whose minus cell is its plus cell) are the
-        cell-block slots of that cell.
+        cell-block slots of that cell.  A face block rc couples the side-r
+        cell's dofs with the side-c cell's ("rc9", (n_edges, 9)) or the
+        edge's vertex dofs alone ("rc", (n_edges, 4), columns as ``theta2``).
         """
         fd = self.face_data
         cd = self.cell_dofs
-        pattern = BlockPattern(self.n_dofs, {
-            "cells": (cd, cd), "pm": (fd.pdofs, fd.mdofs), "mp": (fd.mdofs, fd.pdofs)})
+        pattern = BlockPattern(self.n_dofs, {"cells": (cd, cd), "pm9": (cd[fd.ip], cd[fd.im]),
+                                             "mp9": (cd[fd.im], cd[fd.ip])})
         cells = pattern.slots["cells"]
-        pattern.slots.update(pp=cells[fd.ip], mm=cells[fd.im])
+        pattern.slots.update(pp9=cells[fd.ip], mm9=cells[fd.im])
+        loc = {"p": fd.lp, "m": fd.lm}
+        for rc in ("pp", "pm", "mp", "mm"):
+            cols = (3 * loc[rc[0]][:, :, None] + loc[rc[1]][:, None, :]).reshape(-1, 4)
+            pattern.slots[rc] = np.take_along_axis(pattern.slots[rc + "9"], cols, axis=1)
         return pattern
 
     def basis_values(self, bary_points):
@@ -109,51 +119,43 @@ class DGSpace(P1Space):
         return forms.add_upwind_jacobian(self, data, u, params, datum)
 
     def _local_vertex_index(self, cells_subset, vertex_ids):
-        # position of each vertex id within its cell's vertex triple
+        # position of each vertex id (m, k) within its cell's vertex triple
         cells = self.mesh.cells[cells_subset]
-        loc = np.argmax(cells == vertex_ids[:, None], axis=1)
-        if not np.all(cells[np.arange(len(loc)), loc] == vertex_ids):
+        loc = np.argmax(cells[:, None, :] == vertex_ids[:, :, None], axis=2)
+        if not np.array_equal(np.take_along_axis(cells, loc, axis=1), vertex_ids):
             raise RuntimeError("edge vertex not found in adjacent cell")
         return loc
 
     @cached_property
     def face_data(self):
-        """Vectorized trace tables for all edges, built on first use.
+        """Face tables for all edges, built on first use.
 
-        For each edge: plus/minus cell indices, normal, length, trace
-        basis tables T (n_edges, nq, 3), dof index arrays and the weighted
-        normal gradients, on the ``EDGE_QUAD_DEGREE`` rule; the boundary
-        faces' indices and quadrature points (for datum evaluation).
+        For each edge: plus/minus cell indices, normal, length, its
+        vertices' positions and dofs on each side, the minus side mask and
+        the weighted normal gradients; the reference-edge tables of the
+        ``EDGE_QUAD_DEGREE`` rule; the boundary faces' indices and
+        quadrature points (for datum evaluation).
         """
         mesh = self.mesh
         rule = edge_rule(EDGE_QUAD_DEGREE)
         s = rule.points
-        nq = len(s)
         a, b = mesh.edges[:, 0], mesh.edges[:, 1]
-        rows = np.arange(mesh.n_edges)[:, None]
-        cols = np.arange(nq)[None, :]
-
-        def trace_table(cells):
-            T = np.zeros((mesh.n_edges, nq, 3))
-            T[rows, cols, self._local_vertex_index(cells, a)[:, None]] = 1.0 - s[None, :]
-            T[rows, cols, self._local_vertex_index(cells, b)[:, None]] = s[None, :]
-            return T
-
         fd = _FaceData()
         fd.rule = rule
+        fd.theta = np.stack([1.0 - s, s], axis=1)
+        fd.theta2 = (fd.theta[:, :, None] * fd.theta[:, None, :]).reshape(-1, 4)
         fd.bnd = np.flatnonzero(mesh.boundary_flags)
         fd.ip = mesh.edge_cells[:, 0]
         fd.im = np.where(mesh.boundary_flags, fd.ip, mesh.edge_cells[:, 1])
         fd.n = mesh.edge_normals
         fd.h = mesh.edge_lengths
-        fd.Tp = trace_table(fd.ip)
-        fd.Tm = trace_table(fd.im)
-        fd.Tm[fd.bnd] = 0.0
-        fd.pdofs = self.cell_dofs[fd.ip]
-        fd.mdofs = self.cell_dofs[fd.im]
-        wm = np.where(mesh.boundary_flags, 0.0, 0.5)[:, None]
-        fd.gnp = (1.0 - wm) * np.einsum("cid,cd->ci", self.grads[fd.ip], fd.n)
-        fd.gnm = wm * np.einsum("cid,cd->ci", self.grads[fd.im], fd.n)
+        fd.lp = self._local_vertex_index(fd.ip, mesh.edges)
+        fd.lm = self._local_vertex_index(fd.im, mesh.edges)
+        fd.pe = np.take_along_axis(self.cell_dofs[fd.ip], fd.lp, axis=1)
+        fd.me = np.take_along_axis(self.cell_dofs[fd.im], fd.lm, axis=1)
+        fd.inner = np.where(mesh.boundary_flags, 0.0, 1.0)[:, None]
+        fd.gnp = (1.0 - 0.5 * fd.inner) * np.einsum("cid,cd->ci", self.grads[fd.ip], fd.n)
+        fd.gnm = 0.5 * fd.inner * np.einsum("cid,cd->ci", self.grads[fd.im], fd.n)
         fd.Xb = ((1.0 - s)[None, :, None] * mesh.vertices[a[fd.bnd]][:, None, :]
                  + s[None, :, None] * mesh.vertices[b[fd.bnd]][:, None, :])
         fd.Xb.flags.writeable = False      # shared by every datum evaluation
@@ -163,8 +165,7 @@ class DGSpace(P1Space):
         """Plus and minus trace values on every face, each (n_edges, nq);
         the minus trace is 0 on boundary faces."""
         fd = self.face_data
-        return (np.einsum("eqi,ei->eq", fd.Tp, u[fd.pdofs]),
-                np.einsum("eqi,ei->eq", fd.Tm, u[fd.mdofs]))
+        return u[fd.pe] @ fd.theta.T, fd.inner * (u[fd.me] @ fd.theta.T)
 
     def penalty_jump_sq(self, u, exact, t):
         """Jump part of the energy-norm error of u against exact(., t).

@@ -7,8 +7,10 @@ their blocks into a fixed CSR pattern's data with ``np.add.at``; both
 must agree to rounding.  The nonlinear references keep convection (CR volume,
 DG volume plus upwind flux) and reaction apart; ``ref_nonlinear``, their
 difference, is the oracle of the one cell kernel the spaces use.  The DG
-references keep their interior and boundary face formulas apart; they read
-the space's one face table re-sliced by ``mesh.boundary_flags``
+references keep their interior and boundary face formulas apart, on the
+earlier per-face trace tables (n_edges, nq, 3): the barycentric coordinates
+of each edge's quadrature points in its two cells, built here from the mesh
+geometry (``ref_trace_tables``) and split by ``mesh.boundary_flags``
 (``split_faces``).  The Nitsche vector's reference is a loop over the
 boundary faces and their quadrature points (``ref_nitsche``).
 """
@@ -71,23 +73,48 @@ def ref_stiffness_blocks(space):
     return np.einsum("cid,cjd,c->cij", space.grads, space.grads, areas)
 
 
+def ref_trace_tables(space):
+    """Per-face trace tables (n_edges, nq, 3) of the plus and minus cells:
+    the cell's barycentric coordinates at the edge quadrature points
+    (1 - s) a + s b, from the mesh geometry; the minus table is 0 on
+    boundary edges."""
+    mesh, fd = space.mesh, space.face_data
+    s = fd.rule.points
+    a, b = (mesh.vertices[mesh.edges[:, k]][:, None, :] for k in (0, 1))
+    x = (1.0 - s)[None, :, None] * a + s[None, :, None] * b
+    tables = []
+    for cells in (fd.ip, fd.im):
+        v = mesh.vertices[mesh.cells[cells]]
+        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)     # columns
+        xi = np.einsum("eqd,ekd->eqk", x - v[:, None, 0], np.linalg.inv(J))
+        tables.append(np.concatenate([1.0 - xi.sum(axis=2, keepdims=True), xi], axis=2))
+    tables[1][mesh.boundary_flags] = 0.0
+    return tables
+
+
 def split_faces(space):
-    """The space's face table as separate interior and boundary tables, the
-    faces selected by ``mesh.boundary_flags``, with plain normal gradients
-    g_i . n."""
+    """The reference trace tables as separate interior and boundary tables,
+    the faces selected by ``mesh.boundary_flags``, with plain normal
+    gradients g_i . n."""
     fd = space.face_data
+    Tp, Tm = ref_trace_tables(space)
+    pdofs, mdofs = space.cell_dofs[fd.ip], space.cell_dofs[fd.im]
     i, b = ~space.mesh.boundary_flags, space.mesh.boundary_flags
     gnp = np.einsum("cid,cd->ci", space.grads[fd.ip], fd.n)
     gnm = np.einsum("cid,cd->ci", space.grads[fd.im], fd.n)
     return SimpleNamespace(
-        rule=fd.rule, n_int=fd.n[i], h_int=fd.h[i], Tp=fd.Tp[i], Tm=fd.Tm[i],
-        pdofs=fd.pdofs[i], mdofs=fd.mdofs[i], gnp=gnp[i], gnm=gnm[i],
-        n_bnd=fd.n[b], h_bnd=fd.h[b], Tb=fd.Tp[b], bdofs=fd.pdofs[b], gnb=gnp[b])
+        rule=fd.rule, n_int=fd.n[i], h_int=fd.h[i], Tp=Tp[i], Tm=Tm[i],
+        pdofs=pdofs[i], mdofs=mdofs[i], gnp=gnp[i], gnm=gnm[i],
+        n_bnd=fd.n[b], h_bnd=fd.h[b], Tb=Tp[b], bdofs=pdofs[b], gnb=gnp[b])
 
 
 def split_traces(space, u):
-    """Plus and minus traces on interior faces, plus traces on boundary faces."""
-    up, um = space.traces(u)
+    """Plus and minus traces on interior faces, plus traces on boundary
+    faces, from the reference trace tables."""
+    fd = space.face_data
+    Tp, Tm = ref_trace_tables(space)
+    up = np.einsum("eqi,ei->eq", Tp, u[space.cell_dofs[fd.ip]])
+    um = np.einsum("eqi,ei->eq", Tm, u[space.cell_dofs[fd.im]])
     i, b = ~space.mesh.boundary_flags, space.mesh.boundary_flags
     return up[i], um[i], up[b]
 

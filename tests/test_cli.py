@@ -563,3 +563,24 @@ def test_defaults_are_those_of_the_dataclasses(tmp_path):
     cfg = parse_config(write(tmp_path, f"[run]\nout_dir = {tmp_path}\n[model]\neta = 0.5\n"))
     assert cfg.model == ModelParams(eta=0.5)
     assert cfg.kernel == KernelSpec()
+
+
+@pytest.mark.parametrize("eta, kernel_line", [
+    ("0.0", "# kernel = caputo_order=0.5"),
+    ("1.0", "# kernel = power mu=0.5 caputo_order=0.5 weights=power-law-closed-form")])
+def test_kernel_echo_names_what_the_run_reads(tmp_path, eta, kernel_line):
+    # without memory a simulate run builds no weights and reads only the
+    # kernel's Caputo order, so its diagnostics name only that
+    text = MINIMAL.format(out=tmp_path / "o") + f"""\
+t_final = 0.5
+
+[model]
+eta = {eta}
+
+[kernel]
+caputo_order = 0.5
+"""
+    cfg = write(tmp_path, text)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    lines = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
+    assert [l for l in lines if l.startswith("# kernel")] == [kernel_line]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gbhfem
 from gbhfem.forms import (ModelParams, assemble_load, assemble_mass,
                           assemble_stiffness_cr, bind_load, dg_boundary_values)
 from gbhfem.linalg import solve
@@ -319,3 +325,39 @@ def test_assembly_deterministic():
         assert np.array_equal(s.nonlinear_residual(v, params, None),
                               s.nonlinear_residual(v, params, None))
         assert np.array_equal(jacobian(s, v, params).data, jacobian(s, v, params).data)
+
+
+#: Prints a digest of the DG volume and upwind residuals and Jacobians of
+#: one iterate, with a nonzero boundary datum.
+_KERNEL_DIGEST = """
+import hashlib
+import numpy as np
+from gbhfem import forms
+from gbhfem.mesh import generate_rect_mesh
+from gbhfem.space_dg import DGSpace
+space = DGSpace(generate_rect_mesh((0.0, 0.0, 1.0, 1.0), 32))
+params = forms.ModelParams(alpha=1.5, beta=2.0, reaction_gamma=0.3, delta=2)
+u = np.random.default_rng(3).uniform(-1.0, 1.0, space.n_dofs)
+datum = forms.dg_boundary_values(space, lambda x, t: 0.5 + x[:, 0] - x[:, 1], 0.0)
+digest = hashlib.sha256()
+for out in (forms.nonlinear_residual(space, u, params),
+            forms.add_nonlinear_jacobian(space, np.zeros(space.pattern.nnz), u, params),
+            forms.upwind_residual(space, u, params, datum),
+            forms.add_upwind_jacobian(space, np.zeros(space.pattern.nnz), u, params, datum)):
+    digest.update(out.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_dg_kernels_are_bit_identical_across_blas_threads():
+    # the volume and face quadrature products are plain matmuls; the bytes
+    # of every residual and Jacobian must not depend on the BLAS threads
+    src = str(Path(gbhfem.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _KERNEL_DIGEST], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

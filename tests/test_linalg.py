@@ -10,7 +10,7 @@ from gbhfem.linalg import SolveStats, factorize, solve
 from gbhfem.mesh import generate_rect_mesh
 from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
-from test_solver import _spiral_dg, _wave_cr
+from test_solver import _spiral_dg, _wave_cr, count_factors
 
 
 def test_spmv_identity_and_mass_rows():
@@ -53,13 +53,15 @@ def test_solve_spd_from_poisson(dirichlet_system):
     b = assemble_load(space, bind_load(space, lambda x, t: np.ones(len(x))), 0.0, 1.0)
     J, F, _ = dirichlet_system(space, A, b, None)
     A2, b2 = J, -F          # u = 0 at the boundary midpoints, A u = b elsewhere
-    P = factorize(A2)
-    for precond in (None, P.solve):
+    iters = []
+    for precond in (None, linalg._splu(A2).solve, factorize(A2).solve):
         stats = SolveStats()
         x = solve(A2, b2, precond=precond, stats=stats)
         assert np.linalg.norm(A2 @ x - b2) <= 1e-10 * (1.0 + np.linalg.norm(b2))
         assert stats.lu_fallbacks == 0
-    assert stats.krylov_iters <= 2           # preconditioned by A2 itself
+        iters.append(stats.krylov_iters)
+    assert iters[0] == 0 and iters[1] <= 2   # preconditioned by A2's exact factor
+    assert iters[2] > 0                      # and by its incomplete one
 
 
 def test_gmres_preconditioned_by_a_nearby_matrix():
@@ -80,14 +82,16 @@ def test_gmres_preconditioned_by_a_nearby_matrix():
 def test_gmres_miss_falls_back_to_lu(monkeypatch):
     # an identity preconditioner and one restart cycle on an ill-conditioned
     # SIPG matrix: GMRES misses the tolerance, and the direct path still
-    # returns a solution that passes
+    # returns a solution that passes, from an exact LU
     space = DGSpace(generate_rect_mesh((0, 0, 1, 1), 8))
     A = (assemble_mass(space) + space.diffusion_matrices(40.0)[1]).tocsr()
     b = np.random.default_rng(3).standard_normal(space.n_dofs)
     stats = SolveStats()
     monkeypatch.setattr(linalg, "GMRES_MAXITER", 1)
+    factors = count_factors(monkeypatch)
     x = solve(A, b, precond=lambda v: v, stats=stats)
     assert stats.lu_fallbacks == 1 and stats.krylov_iters > 0
+    assert factors == ["splu"]
     assert np.linalg.norm(A @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
@@ -155,6 +159,22 @@ def _newton_system(make):
     F = np.random.default_rng(5).standard_normal(s.space.n_dofs)
     F[s.space.boundary_dofs] = 0.0
     return s._newton_matrix(u, datum), F, factorize(s._newton_matrix())
+
+
+@pytest.mark.parametrize("which", ["L_base", "newton"])
+def test_preconditioner_factor_is_incomplete(which):
+    # on the spiral miniature's L_base and one Newton matrix the incomplete
+    # factor has less fill than the exact one, and GMRES with it converges
+    # with no LU fallback
+    J, F, _ = _newton_system(_spiral_dg)
+    if which == "L_base":
+        J = _spiral_dg()._newton_matrix()
+    ilu, lu = factorize(J), linalg._splu(J)
+    assert ilu.L.nnz + ilu.U.nnz < lu.L.nnz + lu.U.nnz
+    stats = SolveStats()
+    x = solve(J, F, precond=ilu.solve, stats=stats)
+    assert stats.lu_fallbacks == 0 and stats.krylov_iters > 0
+    assert np.linalg.norm(J @ x - F) <= 1e-10 * (1.0 + np.linalg.norm(F))
 
 
 @pytest.mark.parametrize("make", [_spiral_dg, _wave_cr])

@@ -29,6 +29,19 @@ class DirectLU(BackwardEulerSolver):
         return linalg.solve(J, F)
 
 
+def count_factors(monkeypatch, option=None):
+    """List that records each SuperLU factorization as its function's name
+    ("splu" exact, "spilu" incomplete), or as (name, the ``option`` keyword
+    it was given)."""
+    calls = []
+    for name in ("splu", "spilu"):
+        def counting(*args, _name=name, _factor=getattr(linalg.spla, name), **kwargs):
+            calls.append(_name if option is None else (_name, kwargs.get(option)))
+            return _factor(*args, **kwargs)
+        monkeypatch.setattr(linalg.spla, name, counting)
+    return calls
+
+
 def test_time_grid():
     grid = TimeGrid(2.0, 8)
     assert grid.delta_t == 0.25
@@ -392,28 +405,22 @@ def test_forcing_saves_krylov_iterations_not_newton_iterations(make, monkeypatch
 def test_preconditioner_factored_once_per_run(make, monkeypatch):
     # L_base is factored once per run; a Newton matrix only when GMRES has
     # started to need many iterations, which the CR miniatures never do
-    # and the DG spiral does
-    calls = []
-    splu = linalg.spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec"))
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(linalg.spla, "splu", counting)
+    # and the DG spiral does.  Preconditioner factors are incomplete, the
+    # direct reference's exact, all with one ordering
+    calls = count_factors(monkeypatch, "permc_spec")
     s = make()
     assert calls == []                      # construction factors nothing
     traj = s.run()
     refreshes = sum(r.precond_refreshes for r in traj.records)
-    assert calls == ["MMD_AT_PLUS_A"] * (1 + refreshes)
+    assert calls == [("spilu", "MMD_AT_PLUS_A")] * (1 + refreshes)
     if isinstance(s.space, DGSpace):
         assert refreshes >= 1
     else:
         assert refreshes == 0
     calls.clear()
     traj = make(cls=DirectLU).run()
-    # the direct reference factors every Newton matrix, with the same ordering
-    assert calls == ["MMD_AT_PLUS_A"] * sum(r.newton_iters for r in traj.records)
+    # the direct reference factors every Newton matrix exactly
+    assert calls == [("splu", "MMD_AT_PLUS_A")] * sum(r.newton_iters for r in traj.records)
     assert all(r.precond_refreshes == 0 for r in traj.records)
 
 

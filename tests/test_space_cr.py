@@ -6,6 +6,7 @@ from gbhfem.linalg import solve
 from gbhfem.mesh import generate_rect_mesh, refine_uniform
 from gbhfem.space_cr import CRSpace
 from gbhfem.space_dg import DGSpace
+from test_assembly_oracle import ref_trace_tables
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -79,15 +80,17 @@ def test_interpolation_first_order_in_broken_h1():
 
 def test_jump_mean_zero():
     # the inter-element jump of a CR field integrates to zero on every edge;
-    # the DG face tables of the same mesh hold the barycentric traces, and
-    # the CR trace is (1 - 2 lambda) . u
+    # the reference trace tables of the same mesh hold the barycentric
+    # traces, and the CR trace is (1 - 2 lambda) . u
     m = generate_rect_mesh(UNIT, 3)
     space = CRSpace(m)
-    fd = DGSpace(m).face_data
+    dg = DGSpace(m)
+    fd = dg.face_data
+    Tp, Tm = ref_trace_tables(dg)
     vals = np.random.default_rng(7).uniform(-1, 1, space.n_dofs)
     i = ~m.boundary_flags
-    up = np.einsum("eqi,ei->eq", 1.0 - 2.0 * fd.Tp[i], vals[space.cell_dofs[fd.ip[i]]])
-    um = np.einsum("eqi,ei->eq", 1.0 - 2.0 * fd.Tm[i], vals[space.cell_dofs[fd.im[i]]])
+    up = np.einsum("eqi,ei->eq", 1.0 - 2.0 * Tp[i], vals[space.cell_dofs[fd.ip[i]]])
+    um = np.einsum("eqi,ei->eq", 1.0 - 2.0 * Tm[i], vals[space.cell_dofs[fd.im[i]]])
     assert len(fd.ip) == m.n_edges
     assert np.abs(up - um).max() > 0.1                   # the jump itself is not zero
     assert np.abs(fd.h[i] * ((up - um) @ fd.rule.weights)).max() < 1e-12

@@ -37,9 +37,11 @@ def jumps_and_averages(space, u):
     return jump[~b], 0.5 * (up + um)[~b], jump[b], up[b]
 
 
-def face_points(space, T, cells):
-    """Physical points of trace tables T (n_edges, nq, 3) on the given cells."""
-    return np.einsum("eqi,eid->eqd", T, space.mesh.vertices[space.mesh.cells[cells]])
+def face_points(space):
+    """The edge quadrature points (1 - s) a + s b of every edge, (n_edges, nq, 2)."""
+    mesh, s = space.mesh, space.face_data.rule.points
+    a, b = (mesh.vertices[mesh.edges[:, k]][:, None, :] for k in (0, 1))
+    return (1.0 - s)[None, :, None] * a + s[None, :, None] * b
 
 
 def test_jump_average_piecewise_constants():
@@ -66,8 +68,9 @@ def test_jump_average_boundary():
     _, _, bjump, bavg = jumps_and_averages(space, vals)
     assert np.array_equal(fd.bnd, np.flatnonzero(m.boundary_flags)) and len(fd.bnd) == 4
     # the minus side of a boundary face is the exterior: its cell is the
-    # plus cell (so its blocks land in cell blocks) and its trace table is 0
-    assert np.array_equal(fd.im[fd.bnd], fd.ip[fd.bnd]) and np.all(fd.Tm[fd.bnd] == 0.0)
+    # plus cell (so its blocks land in cell blocks) and its mask is 0
+    assert np.array_equal(fd.im[fd.bnd], fd.ip[fd.bnd])
+    assert np.array_equal(fd.inner[:, 0], np.where(m.boundary_flags, 0.0, 1.0))
     assert np.allclose(bjump, 2.0 * fd.n[fd.bnd][:, None, :], atol=1e-14)
     assert np.abs(bavg - 2.0).max() < 1e-14
     # the boundary normals point out of the domain
@@ -100,14 +103,12 @@ def test_trace_consistency_with_direct_evaluation():
     fd = space.face_data
     i = ~m.boundary_flags
     up, um = space.traces(vals)
-    xp = face_points(space, fd.Tp, fd.ip)
-    xm = face_points(space, fd.Tm[i], fd.im[i])
-    # both sides' tables describe the same physical points inside, and the
-    # plus side's the datum points on the boundary
-    assert np.abs(xp[i] - xm).max() < 1e-13
-    assert np.abs(xp[fd.bnd] - fd.Xb).max() < 1e-13
-    assert np.abs(up - direct_p1(space, vals, fd.ip, xp)).max() < 1e-13
-    assert np.abs(um[i] - direct_p1(space, vals, fd.im[i], xm)).max() < 1e-13
+    x = face_points(space)
+    # both sides' traces are the cells' fields at the edge quadrature points,
+    # which on the boundary are the datum points
+    assert np.abs(x[fd.bnd] - fd.Xb).max() < 1e-13
+    assert np.abs(up - direct_p1(space, vals, fd.ip, x)).max() < 1e-13
+    assert np.abs(um[i] - direct_p1(space, vals, fd.im[i], x[i])).max() < 1e-13
     assert np.all(um[fd.bnd] == 0.0)
 
 
@@ -165,11 +166,15 @@ def test_penalty_jump_sq_is_the_norm_matrix_jump_part():
 
 
 def test_face_data_holds_the_trace_tables_alone():
-    # the face table stores the traces Tp, Tm (n_edges, nq, 3) and no
-    # product of them: at most 400 bytes per edge, no (.., 9) array
+    # the face table stores per edge its two vertices' positions and dofs
+    # on each side, and the traces come from the reference-edge tables:
+    # no per-face trace table (.., nq, 3), no (.., 9) array, and at most
+    # 200 bytes per edge
     space = DGSpace(generate_rect_mesh(UNIT, 16))
     fd = space.face_data
+    nq = len(fd.rule.points)
     arrays = [getattr(fd, name) for name in fd.__slots__]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert all(a.shape[-1] != 9 for a in arrays)
-    assert sum(a.nbytes for a in arrays) <= 400 * space.mesh.n_edges
+    assert all(a.shape[-1] != 9 and a.shape[-2:] != (nq, 3) for a in arrays)
+    assert fd.theta.shape == (nq, 2) and fd.theta2.shape == (nq, 4)
+    assert sum(a.nbytes for a in arrays) <= 200 * space.mesh.n_edges
