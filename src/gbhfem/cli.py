@@ -5,12 +5,14 @@ Subcommands: ``convergence`` (refinement study, CSV table),
 ``weights-dump`` (print the memory quadrature weight table).  Runs are
 described by an INI-style ``key = value`` config file.  ``_KEYS`` maps
 each (section, key) to its cast and to a field of ``RunConfig``,
-``ModelParams`` or ``KernelSpec``; the defaults and the checks of each
-field live in its dataclass.  Every bad config (unknown section or key,
-a value that does not cast, a value a dataclass rejects, a bad
-``--levels`` override, a key that the run would ignore, such as
-``[kernel] kind`` or ``mu`` for a ``convergence`` or ``simulate`` run
-with eta = 0) is a config error naming the offending line.
+``ModelParams`` or ``KernelSpec``, whose dataclass holds its default and
+checks; ``[kernel]`` always takes its defaults.  ``_UNREAD`` rejects the
+keys a command would not read: ``[fhn]`` unless ``case = spiral``,
+``[traveling_wave]`` unless ``case = traveling_wave``, ``[model] nu`` and
+``[kernel] caputo_order`` for the traveling wave, ``mu`` with ``kind =
+constant``, ``kind`` and ``mu`` with eta = 0 except for ``weights-dump``,
+and ``penalty_gamma`` for a scheme without an interior penalty.  A bad
+config is a config error at its line, a bad ``--levels`` at the flag.
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -39,8 +41,6 @@ __all__ = ["RunConfig", "parse_config", "cmd_convergence", "cmd_simulate",
            "cmd_weights_dump", "main"]
 
 _CASES = ("type1", "type2", "traveling_wave", "spiral")
-#: section -> the one case that reads it
-_CASE_SECTIONS = {"fhn": "spiral", "traveling_wave": "traveling_wave"}
 
 
 @dataclass
@@ -58,7 +58,7 @@ class RunConfig:
     out_dir: Path = Path(".")
     snapshot_interval: float = 0.25
     model: ModelParams = field(default_factory=ModelParams)
-    kernel: KernelSpec | None = None
+    kernel: KernelSpec = field(default_factory=KernelSpec)
     newton_tol: float = 1e-10
     newton_cap: int = 25
     fhn_eps: float | None = None
@@ -72,7 +72,8 @@ class RunConfig:
         for name, allowed in (("scheme", tuple(mms.SPACES)), ("case", _CASES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        for name in ("mesh_n", "n_steps", "t_final", "dt_coupling", "snapshot_interval"):
+        for name in ("mesh_n", "n_steps", "t_final", "dt_coupling", "snapshot_interval",
+                     "reynolds"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if self.levels < 2:
@@ -86,8 +87,6 @@ class RunConfig:
             raise ValueError(f"newton tol must be positive, got {self.newton_tol!r}")
         if self.newton_cap < 1:
             raise ValueError(f"newton max_iter must be at least 1, got {self.newton_cap!r}")
-        if not 0 < self.reynolds < math.inf:
-            raise ValueError(f"reynolds must be positive and finite, got {self.reynolds!r}")
         if self.fhn_eps is not None and not 0 < self.fhn_eps < math.inf:
             raise ValueError(f"fhn eps must be positive and finite, got {self.fhn_eps!r}")
         if self.fhn_rho is not None and not 0 <= self.fhn_rho < math.inf:
@@ -126,6 +125,24 @@ _KEYS = {
     ("fhn", "rho"): (RunConfig, "fhn_rho", float),
     ("traveling_wave", "reynolds"): (RunConfig, "reynolds", float),
 }
+
+#: (section, keys, unread(cfg, command), why) for the keys a command would not read
+_UNREAD = (
+    ("fhn", ("eps", "rho"), lambda c, _: c.case != "spiral",
+     "[fhn] is read only for case spiral"),
+    ("traveling_wave", ("reynolds",), lambda c, _: c.case != "traveling_wave",
+     "[traveling_wave] is read only for case traveling_wave"),
+    ("kernel", ("mu",), lambda c, _: c.kernel.kind == "constant",
+     "kernel kind constant has exponent 0"),
+    ("kernel", ("caputo_order",), lambda c, _: c.case == "traveling_wave",
+     "the traveling wave's forcing has no Caputo term"),
+    ("model", ("nu",), lambda c, _: c.case == "traveling_wave",
+     "the traveling wave's nu is 1 / [traveling_wave] reynolds"),
+    ("kernel", ("kind", "mu"), lambda c, cmd: c.model.eta == 0.0 and cmd != "weights-dump",
+     "with eta = 0 only weights-dump reads it"),
+    ("model", ("penalty_gamma",), lambda c, _: not mms.SPACES[c.scheme].penalized,
+     "the scheme has no interior penalty"),
+)
 
 
 def _find_line(path, key, section=None):
@@ -172,8 +189,8 @@ def _build(path, cls, values, **fixed):
         _fail(path, str(exc))
 
 
-def parse_config(path):
-    """Read and validate a config file; unknown keys are rejected."""
+def parse_config(path, command):
+    """Validate a config file for ``command``; unknown and unread keys are rejected."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -198,28 +215,24 @@ def parse_config(path):
                 _fail(path, f"bad value for {section}.{key}: {raw!r} ({exc})", key, section)
 
     model = _build(path, ModelParams, values[ModelParams])
-    kernel = None
-    if cp.has_section("kernel") or model.eta > 0.0:
-        kernel = _build(path, KernelSpec, values[KernelSpec])
-    cfg = _build(path, RunConfig, values[RunConfig], model=model, kernel=kernel,
+    cfg = _build(path, RunConfig, values[RunConfig], model=model,
+                 kernel=_build(path, KernelSpec, values[KernelSpec]),
                  config_hash=hashlib.sha256(path.read_bytes()).hexdigest())
-    for section, owner in _CASE_SECTIONS.items():
-        if cfg.case != owner and cp.has_section(section) and cp[section]:
-            key = next(iter(cp[section]))
-            _fail(path, f"{key} must be unset for case {cfg.case} "
-                  f"([{section}] is read only for case {owner})", key, section)
-    if kernel is not None and kernel.kind == "constant" and "mu" in values[KernelSpec]:
-        _fail(path, "mu must be unset for kernel kind constant (its exponent is 0)",
-              "mu", "kernel")
+    for section, keys, unread, why in _UNREAD:
+        for key in keys:
+            if cp.has_option(section, key) and unread(cfg, command):
+                _fail(path, f"{key} must be unset: {why}", key, section)
     if cfg.case == "spiral" and (cfg.fhn_eps is None or cfg.fhn_rho is None):
         _fail(path, "case=spiral requires [fhn] eps and rho (no defaults)", "case", "run")
+    if command == "convergence":
+        if cfg.case == "spiral":
+            _fail(path, "case 'spiral' has no manufactured solution", "case", "run")
+        try:
+            mms.study_level(0, cfg.domain, cfg.mesh_n, cfg.dt_coupling, cfg.t_final)
+        except ValueError as exc:
+            _fail(path, f"{exc} (dt = dt_coupling * h; level 0 is the coarsest)",
+                  "t_final", "run")
     if cfg.case == "traveling_wave":
-        if kernel is not None and kernel.caputo_order is not None:
-            _fail(path, "caputo_order must be unset for case traveling_wave "
-                  "(its forcing has no Caputo term)", "caputo_order", "kernel")
-        if "nu" in values[ModelParams]:
-            _fail(path, "nu must be unset for case traveling_wave "
-                  "(it is 1 / [traveling_wave] reynolds)", "nu", "model")
         cfg.model = replace(model, nu=1.0 / cfg.reynolds)
     return cfg
 
@@ -253,13 +266,12 @@ def _metadata_lines(cfg, extra=()):
         f"# seed = {cfg.seed}",
     ]
     k = cfg.kernel
-    if k is None:
-        lines.append("# kernel = none")
-    elif m.eta == 0.0 and k.caputo_order is not None:   # without memory only this is read
-        lines.append(f"# kernel = caputo_order={k.caputo_order!r}")
-    else:
+    if m.eta > 0.0:
         lines.append(f"# kernel = {k.kind} mu={k.mu!r} caputo_order={k.caputo_order!r} "
                      "weights=power-law-closed-form")
+    else:   # without memory a run reads the Caputo order alone (``_UNREAD``)
+        lines.append("# kernel = none" if k.caputo_order is None
+                     else f"# kernel = caputo_order={k.caputo_order!r}")
     lines.extend(extra)
     return lines
 
@@ -342,10 +354,9 @@ def cmd_simulate(cfg):
 
 
 def cmd_weights_dump(cfg):
-    spec = cfg.kernel if cfg.kernel is not None else KernelSpec()
     grid = TimeGrid(cfg.t_final, cfg.n_steps)
-    w = memory_weights(spec, grid.delta_t, grid.n_steps)
-    print(f"# memory weights: kind={spec.kind} mu={spec.mu!r} "
+    w = memory_weights(cfg.kernel, grid.delta_t, grid.n_steps)
+    print(f"# memory weights: kind={cfg.kernel.kind} mu={cfg.kernel.mu!r} "
           f"dt={grid.delta_t!r} n={grid.n_steps}")
     print("k,j,omega")
     for k in range(1, grid.n_steps + 1):
@@ -374,7 +385,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, args.command)
         if args.out is not None:
             cfg = replace(cfg, out_dir=Path(args.out))
         if args.levels is not None:
@@ -382,20 +393,6 @@ def main(argv=None):
                 cfg = replace(cfg, levels=args.levels)
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: --levels {args.levels}: {exc}") from exc
-        if args.func is not cmd_weights_dump and cfg.model.eta == 0.0:
-            # without memory a run reads the kernel's caputo_order alone
-            for key in ("kind", "mu"):
-                if _find_line(args.config, key, "kernel"):
-                    _fail(args.config, f"{key} must be unset when eta = 0 (only the "
-                          "memory term and weights-dump read it)", key, "kernel")
-        if args.func is cmd_convergence:
-            if cfg.case == "spiral":
-                _fail(args.config, "case 'spiral' has no manufactured solution", "case", "run")
-            try:
-                mms.study_level(0, cfg.domain, cfg.mesh_n, cfg.dt_coupling, cfg.t_final)
-            except ValueError as exc:
-                _fail(args.config, f"{exc} (dt = dt_coupling * h; level 0 is the coarsest)",
-                      "t_final", "run")
         return args.func(replace(cfg, seed=args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,8 +24,8 @@ class Mesh:
     def __init__(self, vertices, cells):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         cells = np.ascontiguousarray(cells, dtype=np.int64)
-        if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise ValueError("vertices must be an (n, 2) array")
+        if vertices.ndim != 2 or vertices.shape[1] != 2 or not np.all(np.isfinite(vertices)):
+            raise ValueError("vertices must be a finite (n, 2) array")
         if cells.ndim != 2 or cells.shape[1] != 3:
             raise ValueError("cells must be an (n, 3) array")
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
@@ -36,7 +36,7 @@ class Mesh:
         d1 = vertices[cells[:, 1]] - vertices[cells[:, 0]]
         d2 = vertices[cells[:, 2]] - vertices[cells[:, 0]]
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(signed <= 0.0):
+        if not np.all(signed > 0.0):
             raise ValueError("cells must be counterclockwise with positive area")
         self.cell_areas = signed
         self.cell_centroids = vertices[cells].mean(axis=1)
@@ -116,8 +116,8 @@ def generate_rect_mesh(box, n):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     xmin, ymin, xmax, ymax = (float(v) for v in box)
-    if not (xmax > xmin and ymax > ymin):
-        raise ValueError("degenerate domain box")
+    if not (np.inf > xmax > xmin > -np.inf and np.inf > ymax > ymin > -np.inf):
+        raise ValueError(f"domain box needs finite xmax > xmin and ymax > ymin, got {box!r}")
 
     xs = xmin + (xmax - xmin) * np.arange(n + 1) / n
     ys = ymin + (ymax - ymin) * np.arange(n + 1) / n

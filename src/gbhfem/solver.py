@@ -85,8 +85,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_final > 0.0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 < self.t_final < np.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
 

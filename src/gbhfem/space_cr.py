@@ -54,6 +54,8 @@ class P1Space:
     their basis and define ``basis_values``.
     """
 
+    penalized = False    #: whether ``diffusion_matrices`` reads ``penalty_gamma``
+
     def __init__(self, mesh, ref_grads):
         self.mesh = mesh
         inv, det = _inverse_jacobians(mesh)

@@ -52,6 +52,7 @@ class DGSpace(P1Space):
 
     #: Name of this space's writer in ``vtk_io``.
     vtk_writer = "write_dg_vtk"
+    penalized = True
 
     def __init__(self, mesh):
         nc = mesh.n_cells

@@ -1,10 +1,11 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gbhfem.mms as mms
-from gbhfem.cli import _KEYS, RunConfig, main, parse_config
+from gbhfem.cli import _KEYS, _UNREAD, RunConfig, main, parse_config
 from gbhfem.errors import ConfigError
 from gbhfem.forms import ModelParams
 from gbhfem.kernel import KernelSpec
@@ -27,40 +28,40 @@ def write(tmp_path, text, name="run.cfg"):
 
 
 def test_minimal_config_defaults(tmp_path):
-    cfg = parse_config(write(tmp_path, MINIMAL.format(out=tmp_path)))
+    cfg = parse_config(write(tmp_path, MINIMAL.format(out=tmp_path)), "simulate")
     assert cfg.model.penalty_gamma == 40.0
     assert cfg.newton_tol == 1e-10
     assert cfg.newton_cap == 25
     assert cfg.model.eta == 0.0
-    assert cfg.kernel is None
+    assert cfg.kernel == KernelSpec()
     assert len(cfg.config_hash) == 64
 
 
 def test_reaction_gamma_range_rejected(tmp_path):
     text = MINIMAL.format(out=tmp_path) + "[model]\nreaction_gamma = 1.5\n"
     with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, text))
+        parse_config(write(tmp_path, text), "simulate")
     assert main(["convergence", "--config", str(write(tmp_path, text))]) == 2
 
 
 def test_kernel_mu_range_rejected(tmp_path):
     text = MINIMAL.format(out=tmp_path) + "[kernel]\nmu = 1.2\n"
     with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, text))
+        parse_config(write(tmp_path, text), "simulate")
 
 
 def test_unknown_key_rejected_with_location(tmp_path):
     text = MINIMAL.format(out=tmp_path) + "[model]\nfrobnicate = 3\n"
     path = write(tmp_path, text)
     with pytest.raises(ConfigError) as info:
-        parse_config(path)
+        parse_config(path, "simulate")
     assert "frobnicate" in str(info.value)
     assert str(path) in str(info.value)
 
 
 def _error_line(path):
     with pytest.raises(ConfigError) as info:
-        parse_config(path)
+        parse_config(path, "simulate")
     prefix = f"{path}:"
     assert str(info.value).startswith(prefix), str(info.value)
     return int(str(info.value)[len(prefix):].split(":")[0])
@@ -365,7 +366,7 @@ def test_non_finite_residual_exit_code(tmp_path, monkeypatch, capsys):
 def test_unknown_scheme_is_a_config_error(tmp_path):
     text = MINIMAL.format(out=tmp_path).replace("scheme = cr", "scheme = fem")
     with pytest.raises(ConfigError, match="scheme"):
-        parse_config(write(tmp_path, text))
+        parse_config(write(tmp_path, text), "simulate")
 
 
 def test_convergence_rejects_spiral(tmp_path, capsys):
@@ -424,6 +425,7 @@ BAD_CONFIGS = {
     "mu_without_memory": ("type1", "[kernel]\nmu = 0.3\n", "mu"),
     "kind_without_memory": ("type1", "[kernel]\nkind = constant\n", "kind"),
     "mu_caputo_without_memory": ("type1", "[kernel]\ncaputo_order = 0.5\nmu = 0.3\n", "mu"),
+    "penalty_cr": ("type1", "[model]\npenalty_gamma = 7\n", "penalty_gamma"),
 }
 
 
@@ -557,20 +559,24 @@ def test_duplicate_key_is_a_config_error_at_its_line(tmp_path, capsys):
 
 
 def test_defaults_are_those_of_the_dataclasses(tmp_path):
-    cfg = parse_config(write(tmp_path, f"[run]\nout_dir = {tmp_path}\n"))
+    cfg = parse_config(write(tmp_path, f"[run]\nout_dir = {tmp_path}\n"), "simulate")
     assert cfg == replace(RunConfig(), out_dir=tmp_path, config_hash=cfg.config_hash)
     assert cfg.model == ModelParams()
-    cfg = parse_config(write(tmp_path, f"[run]\nout_dir = {tmp_path}\n[model]\neta = 0.5\n"))
+    cfg = parse_config(write(tmp_path, f"[run]\nout_dir = {tmp_path}\n[model]\neta = 0.5\n"),
+                       "simulate")
     assert cfg.model == ModelParams(eta=0.5)
     assert cfg.kernel == KernelSpec()
 
 
 @pytest.mark.parametrize("eta, kernel_line", [
     ("0.0", "# kernel = caputo_order=0.5"),
-    ("1.0", "# kernel = power mu=0.5 caputo_order=0.5 weights=power-law-closed-form")])
+    ("1.0", "# kernel = power mu=0.5 caputo_order=0.5 weights=power-law-closed-form"),
+    ("0.0", "# kernel = none")])
 def test_kernel_echo_names_what_the_run_reads(tmp_path, eta, kernel_line):
     # without memory a simulate run builds no weights and reads only the
-    # kernel's Caputo order, so its diagnostics name only that
+    # kernel's Caputo order, so its diagnostics name only that; an empty
+    # [kernel] section names nothing
+    caputo = "caputo_order = 0.5" if "caputo_order=0.5" in kernel_line else ""
     text = MINIMAL.format(out=tmp_path / "o") + f"""\
 t_final = 0.5
 
@@ -578,9 +584,77 @@ t_final = 0.5
 eta = {eta}
 
 [kernel]
-caputo_order = 0.5
+{caputo}
 """
     cfg = write(tmp_path, text)
     assert main(["simulate", "--config", str(cfg)]) == 0
     lines = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
     assert [l for l in lines if l.startswith("# kernel")] == [kernel_line]
+
+
+#: a valid value of each key that ``_UNREAD`` names
+UNREAD_VALUES = {"eps": "0.005", "rho": "1.0", "reynolds": "50", "kind": "power",
+                 "mu": "0.3", "caputo_order": "0.5", "nu": "0.5", "penalty_gamma": "7"}
+SPIRAL_RUN = {"scheme": "dg", "case": "spiral", "domain": "0, 0, 300, 300"}
+WAVE_RUN = {"case": "traveling_wave"}
+
+#: (section, keys) of each ``_UNREAD`` row -> a context (sections merged
+#: into a small type1 config, command) where the row's keys are unread, and
+#: one where they are read
+UNREAD_CONTEXTS = {
+    ("fhn", ("eps", "rho")): (({}, "simulate"),
+                              ({"run": SPIRAL_RUN, "fhn": {"eps": "0.01", "rho": "0"}},
+                               "simulate")),
+    ("traveling_wave", ("reynolds",)): (({}, "convergence"), ({"run": WAVE_RUN}, "convergence")),
+    ("kernel", ("mu",)): (({"model": {"eta": "1"}, "kernel": {"kind": "constant"}}, "simulate"),
+                          ({"model": {"eta": "1"}}, "simulate")),
+    ("kernel", ("caputo_order",)): (({"run": WAVE_RUN}, "simulate"), ({}, "simulate")),
+    ("model", ("nu",)): (({"run": WAVE_RUN}, "simulate"), ({}, "simulate")),
+    ("kernel", ("kind", "mu")): (({}, "convergence"), ({}, "weights-dump")),
+    ("model", ("penalty_gamma",)): (({}, "simulate"), ({"run": {"scheme": "dg"}}, "simulate")),
+}
+
+
+def _context_config(tmp_path, context, section, key):
+    sections = {"run": {"case": "type1", "mesh_n": "2", "n_steps": "2"}}
+    for s, kv in context.items():
+        sections.setdefault(s, {}).update(kv)
+    sections.setdefault(section, {})[key] = UNREAD_VALUES[key]
+    text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for s, kv in sections.items())
+    return text, write(tmp_path, text)
+
+
+def test_every_unread_row_has_its_contexts():
+    assert set(UNREAD_CONTEXTS) == {(section, keys) for section, keys, _, _ in _UNREAD}
+
+
+@pytest.mark.parametrize("row", list(UNREAD_CONTEXTS), ids=lambda r: "-".join([r[0], *r[1]]))
+def test_unread_key_is_rejected_where_unread_and_accepted_where_read(tmp_path, capsys, row):
+    # each row bans its keys in a context where the run ignores them, and
+    # only there: the same key is accepted where the run reads it
+    section, keys = row
+    (unread, command), (read, read_command) = UNREAD_CONTEXTS[row]
+    for key in keys:
+        text, path = _context_config(tmp_path, unread, section, key)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        prefix = f"config error: {path}:{_key_line(text, key)}: {key} must be unset: "
+        assert err.startswith(prefix), err
+        assert not (tmp_path / "o").exists()
+        _, path = _context_config(tmp_path, read, section, key)
+        parse_config(path, read_command)
+
+
+def test_readme_config_block_lists_every_key_once():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    keys, section = [], None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            keys.append((section, line.split("=", 1)[0].strip()))
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_KEYS)

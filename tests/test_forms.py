@@ -157,6 +157,16 @@ def test_sipg_is_consistent_for_a_linear_field():
     assert space.penalty_jump_sq(v, u, 0.0) <= 1e-28
 
 
+@pytest.mark.parametrize("make", [cr_space, dg_space])
+def test_penalized_states_whether_the_diffusion_reads_the_penalty(make):
+    # the config rejects [model] penalty_gamma for a space that is not
+    # ``penalized``, so the attribute must say whether the scheme reads it
+    space = make(2)
+    blocks = zip(space.diffusion_matrices(40.0), space.diffusion_matrices(7.0))
+    changed = [abs(a - b).max() > 0.0 for a, b in blocks]
+    assert changed == [False, space.penalized, space.penalized]
+
+
 def test_dg_coercivity_random_fields():
     space = dg_space(4)
     _, A, N = space.diffusion_matrices(40.0)

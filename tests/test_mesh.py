@@ -92,6 +92,8 @@ def test_generate_errors():
         generate_rect_mesh(UNIT, 0)
     with pytest.raises(ValueError):
         generate_rect_mesh((0, 0, 0, 1), 2)
+    with pytest.raises(ValueError, match="finite"):
+        generate_rect_mesh((0, 0, np.inf, 1), 2)
 
 
 def test_refine_counts_and_area():
@@ -150,6 +152,14 @@ def test_ccw_required():
     with pytest.raises(ValueError):
         Mesh(verts, [(0, 2, 1)])  # clockwise
     Mesh(verts, [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertices_rejected(bad):
+    # a NaN vertex gives a NaN area, which no area check of the form
+    # ``area <= 0`` catches
+    with pytest.raises(ValueError, match="finite"):
+        Mesh([(0.0, 0.0), (bad, 0.0), (0.0, 1.0)], [(0, 1, 2)])
 
 
 def test_vtk_mesh_export(tmp_path):

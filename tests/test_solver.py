@@ -51,6 +51,8 @@ def test_time_grid():
         TimeGrid(0.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(np.inf, 4)
 
 
 @pytest.mark.parametrize("scheme", ["cr", "dg"])
